@@ -73,7 +73,7 @@ for m in (1, 2):
     cfg = parse_vector_config(";".join(["1"] * (m + 1)))
     b = cardinal_bspline(m).spline
     x = F(2 * m + 1, 3)
-    fiber = box_spline_eval(cfg, (x,), method="fiber")
+    fiber = box_spline_eval(cfg, (x,))  # m - s = m <= 2: fiber volumes
     classic = spline_eval(b, x)
     print(f"  m = {m}: fiber volume at {x} = {fiber}, B_{m}({x}) = {classic}")
     assert fiber == classic

@@ -10,7 +10,6 @@ from .rational import Rational, as_rational, format_rational, parse_rational
 from .linalg import (
     IntegerMatrix,
     RationalMatrix,
-    in_lattice,
     lattice_basis,
     lattice_determinant,
     mat_determinant,
@@ -50,7 +49,6 @@ from .bspline import (
     cardinal_bspline,
     convolution_bspline_pieces,
     extend_compact,
-    translate,
 )
 from .boxspline import (
     ConjectureVerdict,
@@ -79,7 +77,7 @@ from . import errors
 
 __all__ = [
     "Rational", "as_rational", "format_rational", "parse_rational",
-    "IntegerMatrix", "RationalMatrix", "in_lattice", "lattice_basis",
+    "IntegerMatrix", "RationalMatrix", "lattice_basis",
     "lattice_determinant", "mat_determinant", "mat_solve",
     "Polynomial", "count_distinct_roots", "poly_gcd", "squarefree_part",
     "DomainCensus", "InteriorBoundVerdict", "Spline", "TruncatedPowerSpec",
@@ -91,7 +89,7 @@ __all__ = [
     "spline_scale", "spline_to_document", "spline_translate",
     "vanishing_from_report", "zero_order_at",
     "CardinalBSpline", "bspline_combination", "cardinal_bspline",
-    "convolution_bspline_pieces", "extend_compact", "translate",
+    "convolution_bspline_pieces", "extend_compact",
     "ConjectureVerdict", "Omega", "UnimodularityReport", "VectorConfig",
     "Zonotope", "box_spline_eval", "conjecture_matrix", "conjecture_verdict",
     "format_matrix", "parse_vector_config", "point_strictly_inside",

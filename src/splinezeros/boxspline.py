@@ -10,9 +10,9 @@ and X V = 0, the change of variables gives
     B_X(x) = |det [W V]| * vol_(m-s){ u : W x + V u in [0,1]^m }.
 
 The fiber is a point (m = s), an interval (m - s = 1), or a convex polygon
-(m - s = 2); its measure is computed exactly with rational arithmetic. The
-all-ones univariate family is additionally evaluable at any length through
-the cardinal B-spline (the two routes agree where both apply).
+(m - s = 2); its measure is computed exactly with rational arithmetic. Beyond
+m - s = 2 only the all-ones univariate family is evaluable, through the
+cardinal B-spline (the tests check that the two routes agree at m - s <= 2).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .linalg import (
     lattice_determinant,
     mat_determinant,
 )
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, primitive_integers
 from .spline import spline_eval
 
 
@@ -231,12 +231,10 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
 # -- fiber-volume evaluation ---------------------------------------------------------
 
 
-def _independent_columns(config: VectorConfig, strategy: str) -> list[int]:
-    order = range(config.count) if strategy == "first" else \
-        range(config.count - 1, -1, -1)
+def _independent_columns(config: VectorConfig) -> list[int]:
     cols = [tuple(config.vectors[j]) for j in range(config.count)]
     chosen: list[int] = []
-    for j in order:
+    for j in range(config.count):
         if not chosen:
             if any(c != 0 for c in cols[j]):
                 chosen.append(j)
@@ -252,23 +250,12 @@ def _independent_columns(config: VectorConfig, strategy: str) -> list[int]:
     return sorted(chosen)
 
 
-def _integer_primitive(column: list[Fraction]) -> list[int]:
-    den = 1
-    for c in column:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in column]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints]
-
-
 @lru_cache(maxsize=None)
-def _fiber_data(config: VectorConfig, strategy: str):
+def _fiber_data(config: VectorConfig):
     """Right inverse W (m x s), integer kernel basis V (m x (m-s)), and the
     Jacobian factor |det [W V]|."""
     s, m = config.dim, config.count
-    pivots = _independent_columns(config, strategy)
+    pivots = _independent_columns(config)
     sub = [[Fraction(config.vectors[j][i]) for j in pivots] for i in range(s)]
     if s == 1:
         inv = [[Fraction(1) / sub[0][0]]]
@@ -288,7 +275,7 @@ def _fiber_data(config: VectorConfig, strategy: str):
         rhs = [Fraction(config.vectors[free][i]) for i in range(s)]
         for k, j in enumerate(pivots):
             col[j] = -sum(inv[k][i] * rhs[i] for i in range(s))
-        kernel.append(_integer_primitive(col))
+        kernel.append(primitive_integers(col)[1])
     square = [w_rows[i] + [Fraction(kernel_col[i]) for kernel_col in kernel]
               for i in range(m)]
     factor = abs(mat_determinant(RationalMatrix.from_rows(square)))
@@ -327,34 +314,29 @@ def _polygon_area(polygon) -> Fraction:
     return abs(acc) / 2
 
 
-def box_spline_eval(config: VectorConfig, point: Sequence, *,
-                    method: str = "auto", strategy: str = "first") -> Fraction:
+def box_spline_eval(config: VectorConfig, point: Sequence) -> Fraction:
     """Exact B_X at a rational point.
 
-    Fiber volumes cover m - s <= 2; the all-ones univariate family delegates
-    to the cardinal B-spline beyond that (method="auto"). method="fiber" or
-    "cardinal" forces a route. On the support boundary the m = s indicator
-    uses the half-open box convention; for m - s >= 1 the function is
-    continuous wherever its slab data is nondegenerate, and degenerate slabs
-    (kernel rows that vanish) reuse the half-open convention."""
+    The route follows from the configuration alone: fiber volumes for
+    m - s <= 2, the cardinal B-spline B_m for the all-ones univariate family
+    beyond that, and CapabilityError for any other configuration. On the
+    support boundary the m = s indicator uses the half-open box convention;
+    for m - s >= 1 the function is continuous wherever its slab data is
+    nondegenerate, and degenerate slabs (kernel rows that vanish) reuse the
+    half-open convention."""
     pt = tuple(as_rational(c) for c in point)
     if len(pt) != config.dim:
         raise DimensionError(f"point dimension {len(pt)} != {config.dim}")
     deg = config.box_degree
-    is_all_ones = config.dim == 1 and all(v == (1,) for v in config.vectors)
-    if method not in ("auto", "fiber", "cardinal"):
-        raise CapabilityError(f"unknown method {method!r}")
-    if method == "cardinal" or (method == "auto" and deg > 2):
-        if not is_all_ones:
+    if deg > 2:
+        if config.dim != 1 or any(v != (1,) for v in config.vectors):
             raise CapabilityError(
                 "degree m - s > 2 is only evaluable for the all-ones "
                 "univariate family (cardinal route)"
             )
         return spline_eval(cardinal_bspline(deg).spline, pt[0])
-    if deg > 2:
-        raise CapabilityError(f"fiber route limited to m - s <= 2, got {deg}")
 
-    w_rows, kernel, factor = _fiber_data(config, strategy)
+    w_rows, kernel, factor = _fiber_data(config)
     w = [sum(w_rows[i][k] * pt[k] for k in range(config.dim))
          for i in range(config.count)]
 
@@ -441,10 +423,10 @@ def unimodular_check(config: VectorConfig) -> UnimodularityReport:
     return UnimodularityReport(True, None, None)
 
 
-def conjecture_matrix(config: VectorConfig) -> RationalMatrix:
+def conjecture_matrix(config: VectorConfig, omega: Omega) -> RationalMatrix:
     """A_X with entries B_X(sum(X) + w_i - 2 w_j) over the semi-integral
-    interior points, lexicographically ordered."""
-    omega = semi_integral_interior_points(config)
+    interior points ``omega = semi_integral_interior_points(config)``, in
+    their lexicographic order."""
     total = config.vector_sum()
     n = len(omega)
     entries: list[Fraction] = []
@@ -468,7 +450,7 @@ class ConjectureVerdict:
 
 def conjecture_verdict(config: VectorConfig) -> ConjectureVerdict:
     omega = semi_integral_interior_points(config)
-    matrix = conjecture_matrix(config)
+    matrix = conjecture_matrix(config, omega)
     det = mat_determinant(matrix)
     return ConjectureVerdict(
         config=config,

@@ -33,14 +33,9 @@ from .spline import (
     normalize,
     spline_from_truncated_powers,
     spline_reflect,
-    spline_translate,
 )
 
 MAX_CARDINAL_DEGREE = 12
-
-# the translation operator is a generic spline op; re-export under the name
-# users of this module expect
-translate = spline_translate
 
 
 @dataclass(frozen=True)

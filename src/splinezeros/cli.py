@@ -158,7 +158,7 @@ def _cmd_verify(args) -> int:
     cfg = GeneratorConfig(
         seed=args.seed,
         degree=args.m,
-        interior_knots=max(args.knots - 1, 0),
+        interior_knots=args.knots - 1,
         numerator_bound=args.num_bound,
         denominator_bound=args.den_bound,
     )

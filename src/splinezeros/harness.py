@@ -27,6 +27,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -305,7 +306,7 @@ def _check_extension_trial(s: Spline, extension: Spline) -> bool:
     # coincidence, piece by piece over the normalized original
     for j in range(1, len(sn.knots)):
         mid = (sn.knots[j - 1] + sn.knots[j]) / 2
-        idx = _piece_index(extension, mid)
+        idx = bisect_right(extension.knots, mid)
         if extension.pieces[idx] != sn.pieces[j]:
             return False
     if not (extension.pieces[0].is_zero and extension.pieces[-1].is_zero):
@@ -316,9 +317,3 @@ def _check_extension_trial(s: Spline, extension: Spline) -> bool:
     allowed.update(a0 - m + i for i in range(m))
     allowed.update(an + i for i in range(1, m + 1))
     return all(k in allowed for k in extension.knots)
-
-
-def _piece_index(s: Spline, x: Fraction) -> int:
-    from bisect import bisect_right
-
-    return bisect_right(s.knots, x)

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the rationals, plus small integer-lattice
 basis computation.
 
-Determinants use Bareiss fraction-free elimination on a row-scaled integer
-copy of the matrix, so no rounding can occur anywhere and intermediate
-fractions never blow up. Solving uses exact Gaussian elimination and verifies
-A*x = b by substitution before returning.
+Determinants use Bareiss fraction-free elimination on an integer copy of the
+matrix whose rows come from ``rational.primitive_integers`` (the one
+integer-scaling helper of the library), so no rounding can occur anywhere and
+intermediate fractions never blow up. Solving uses exact Gaussian elimination
+and verifies A*x = b by substitution before returning.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     RankDeficiencyError,
     SingularMatrixError,
 )
-from .rational import as_rational
+from .rational import as_rational, primitive_integers
 
 
 @dataclass(frozen=True)
@@ -50,32 +51,11 @@ class RationalMatrix:
             flat.extend(as_rational(v) for v in row)
         return cls(nrows, ncols, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        ent = [Fraction(0)] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = Fraction(1)
-        return cls(n, n, tuple(ent))
-
     def get(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions differ")
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.get(k, j) for k in range(self.cols)),
-                               Fraction(0)))
-        return RationalMatrix(self.rows, other.cols, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -112,9 +92,6 @@ class IntegerMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
 
 def _bareiss_det_int(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (Bareiss).
@@ -149,21 +126,19 @@ def _bareiss_det_int(rows: list[list[int]]) -> int:
 def mat_determinant(a: RationalMatrix) -> Fraction:
     """Exact determinant of a square rational matrix.
 
-    Rows are scaled to integers (lcm of denominators), Bareiss runs on the
-    integer copy, and the row scales are divided back out. The empty 0x0
-    matrix has determinant 1."""
+    Each row is split as content * coprime integers (``primitive_integers``),
+    Bareiss runs on the integer rows, and the determinant is the product of
+    the contents times the integer determinant. The empty 0x0 matrix has
+    determinant 1."""
     if a.rows != a.cols:
         raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
-    scale = 1
+    scale = Fraction(1)
     int_rows: list[list[int]] = []
     for i in range(a.rows):
-        row = a.row(i)
-        denom_lcm = 1
-        for v in row:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        int_rows.append([int(v * denom_lcm) for v in row])
-        scale *= denom_lcm
-    return Fraction(_bareiss_det_int(int_rows), scale)
+        content, ints = primitive_integers(a.row(i))
+        int_rows.append(ints)
+        scale *= content
+    return scale * _bareiss_det_int(int_rows)
 
 
 def mat_solve(a: RationalMatrix, b: Sequence) -> tuple[Fraction, ...]:
@@ -296,20 +271,3 @@ def lattice_determinant(basis: IntegerMatrix) -> int:
         raise DimensionError("lattice basis not square")
     rows = [list(basis.row(i)) for i in range(basis.rows)]
     return abs(_bareiss_det_int(rows))
-
-
-def in_lattice(basis: IntegerMatrix, point: Sequence[Fraction]) -> bool:
-    """Whether `point` is an integer combination of the basis columns."""
-    if basis.rows != len(point):
-        raise DimensionError("point dimension mismatch")
-    if basis.rows == 1:
-        q = Fraction(point[0]) / basis.get(0, 0)
-        return q.denominator == 1
-    # solve basis * k = point over Q, check integrality
-    a = RationalMatrix.from_rows([[Fraction(basis.get(i, j)) for j in range(basis.cols)]
-                                  for i in range(basis.rows)])
-    try:
-        k = mat_solve(a, [Fraction(p) for p in point])
-    except SingularMatrixError:  # pragma: no cover - bases are nonsingular
-        return False
-    return all(c.denominator == 1 for c in k)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, IntervalError, InfiniteRootsError
-from .rational import as_rational
+from .rational import as_rational, primitive_integers
 
 
 class Polynomial:
@@ -167,16 +167,7 @@ def _trim_int(c: list[int]) -> list[int]:
 
 def _primitive_int(p: Polynomial) -> list[int]:
     """Primitive integer copy of p (sign preserved, positive content 1)."""
-    if p.is_zero:
-        return []
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints]
+    return primitive_integers(p.coeffs)[1]
 
 
 def _content_normalize(c: list[int]) -> list[int]:

@@ -4,11 +4,17 @@ The scalar type of the whole library is ``fractions.Fraction``: it is
 arbitrary precision, always stored in canonical form (positive denominator,
 reduced, zero as 0/1), and its equality is structural. The helpers here pin
 down the textual contract: "p/q" with the sign on p, or just "p" when q = 1.
+
+``primitive_integers`` is the one place where a row of rationals is scaled to
+integers: Sturm counting, Bareiss determinants and the box-spline kernel
+basis all use it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 Rational = Fraction
 
@@ -46,3 +52,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     return parse_rational(value)
+
+
+def primitive_integers(values: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
+    """Split a row of rationals as content * ints, where the content is a
+    positive Fraction and the ints are coprime integers with the signs of the
+    values. An all-zero (or empty) row has content 1 and stays all zeros."""
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    content = math.gcd(*ints) or 1
+    return Fraction(content, scale), [v // content for v in ints]

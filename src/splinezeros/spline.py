@@ -62,7 +62,8 @@ class Spline:
         object.__setattr__(self, "knots", tuple(as_rational(k) for k in self.knots))
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "synthetic", frozenset(self.synthetic))
-        if not isinstance(self.degree, int) or self.degree < 0:
+        # type() rather than isinstance(): bool is an int subclass
+        if type(self.degree) is not int or self.degree < 0:
             raise DegreeError(f"invalid spline degree {self.degree!r}")
         if len(self.knots) < 2:
             raise KnotOrderError("a spline needs at least two knots")
@@ -549,7 +550,7 @@ def spline_from_document(doc: dict) -> Spline:
         pieces_raw = doc["pieces"]
     except KeyError as missing:
         raise FormatError(f"spline document missing key {missing}") from None
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:  # rejects true/false too
         raise FormatError(f"invalid degree {degree!r}")
     if not isinstance(knots_raw, list) or not isinstance(pieces_raw, list):
         raise FormatError("knots and pieces must be arrays")

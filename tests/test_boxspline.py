@@ -15,7 +15,7 @@ from splinezeros import (
     point_strictly_inside,
     semi_integral_interior_points,
     spline_eval,
-    translate,
+    spline_translate,
     unimodular_check,
     zonotope_support,
 )
@@ -212,30 +212,31 @@ def test_univariate_matches_cardinal_bspline():
         b = cardinal_bspline(m).spline
         for _ in range(50):
             x = F(rng.randint(0, (m + 1) * 12), 12)
-            assert box_spline_eval(cfg, (x,), method="fiber") == spline_eval(b, x)
+            # m - s = m <= 2: the fiber route
+            assert box_spline_eval(cfg, (x,)) == spline_eval(b, x)
 
 
 def test_cardinal_delegation_beyond_fiber_cap():
-    cfg = ones(5)  # degree 4 > 2: auto-delegates
+    cfg = ones(5)  # degree 4 > 2: delegates to B_4
     b = cardinal_bspline(4).spline
     assert box_spline_eval(cfg, (F(5, 2),)) == spline_eval(b, F(5, 2))
+    wide = VectorConfig(2, A2.vectors + ((-1, 1), (1, -1)))  # 2-D, degree 3
     with pytest.raises(CapabilityError):
-        box_spline_eval(cfg, (F(5, 2),), method="fiber")
-    with pytest.raises(CapabilityError):
-        box_spline_eval(A2, (1, 1), method="cardinal")
+        box_spline_eval(wide, (1, 1))
     mixed = VectorConfig(1, ((1,), (1,), (-1,), (1,), (1,)))
     with pytest.raises(CapabilityError):
         box_spline_eval(mixed, (F(1, 2),))
 
 
 def test_choice_independence():
+    """B_X does not depend on the order of X. Reversing X makes the pivot
+    rule pick the independent columns that come last in the original."""
     rng = random.Random(88)
-    for cfg in (A2, B2, ones(3)):
+    for cfg in (A2, B2, ones(3), VectorConfig(1, ((1,), (2,), (3,)))):
+        reversed_cfg = VectorConfig(cfg.dim, cfg.vectors[::-1])
         for _ in range(20):
             pt = tuple(F(rng.randint(-6, 10), 4) for _ in range(cfg.dim))
-            first = box_spline_eval(cfg, pt, strategy="first")
-            last = box_spline_eval(cfg, pt, strategy="last")
-            assert first == last
+            assert box_spline_eval(cfg, pt) == box_spline_eval(reversed_cfg, pt)
 
 
 def test_central_symmetry():
@@ -278,7 +279,7 @@ def test_unimodular_univariate():
 
 def test_x1_matrix_and_determinant():
     cfg = ones(2)
-    matrix = conjecture_matrix(cfg)
+    matrix = conjecture_matrix(cfg, semi_integral_interior_points(cfg))
     rows = [[matrix.get(i, j) for j in range(3)] for i in range(3)]
     assert rows == [
         [F(1, 2), F(1, 2), F(0)],
@@ -333,14 +334,14 @@ def test_collocation_consistency():
         cfg = ones(m + 1)
         omega = semi_integral_interior_points(cfg).points
         total = cfg.vector_sum()[0]
-        matrix = conjecture_matrix(cfg)
+        matrix = conjecture_matrix(cfg, semi_integral_interior_points(cfg))
         n = len(omega)
         b = cardinal_bspline(m).spline
         for i in range(n):
             for j in range(n):
                 shift = 2 * omega[j][0] - total
-                assert matrix.get(i, j) == spline_eval(translate(b, shift),
-                                                       omega[i][0])
+                assert matrix.get(i, j) == spline_eval(
+                    spline_translate(b, shift), omega[i][0])
         coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         from splinezeros import bspline_combination
         combo = bspline_combination(

@@ -19,7 +19,7 @@ from splinezeros import (
     separated_zero_count,
     spline_derivative,
     spline_eval,
-    translate,
+    spline_translate,
     zero_order_at,
 )
 from splinezeros.errors import DegreeError, DuplicateShiftError, KnotRangeError
@@ -119,9 +119,9 @@ def test_partition_of_unity_exact():
 
 def test_translate_examples():
     b1 = cardinal_bspline(1).spline
-    assert spline_eval(translate(b1, 1), F(3, 2)) == F(1, 2)
-    assert translate(b1, 0) == b1
-    assert translate(translate(b1, F(7, 3)), F(-7, 3)) == b1
+    assert spline_eval(spline_translate(b1, 1), F(3, 2)) == F(1, 2)
+    assert spline_translate(b1, 0) == b1
+    assert spline_translate(spline_translate(b1, F(7, 3)), F(-7, 3)) == b1
 
 
 def test_combination_single_term_is_bspline():

@@ -122,6 +122,27 @@ def test_zeros_rejects_corrupt_document(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_zeros_rejects_bool_degree(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "degree": True,  # bool is an int in Python; not a degree here
+        "knots": ["0", "1"],
+        "pieces": [["0"], ["0", "1"], ["1"]],
+    }))
+    code, _, err = run(capsys, "zeros", "--in", str(path))
+    assert code == 2
+    assert "invalid degree" in err
+
+
+def test_verify_rejects_knots_below_one(capsys):
+    for knots in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--kind", "theorem9", "--m", "2",
+                             "--knots", knots, "--trials", "3", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
 def test_zeros_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "zeros", "--in", str(tmp_path / "none.json"))
     assert code == 2

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinezeros import (
     IntegerMatrix,
     RationalMatrix,
-    in_lattice,
     lattice_basis,
     lattice_determinant,
     mat_determinant,
@@ -29,8 +31,26 @@ def cofactor_det(rows):
     return acc
 
 
+def identity(n):
+    return RationalMatrix.from_rows([[int(i == j) for j in range(n)]
+                                     for i in range(n)])
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix(len(rows), len(rows[0]) if rows else 0,
+                        [sympy.Rational(v.numerator, v.denominator)
+                         for row in rows for v in row])
+
+
+def in_lattice(basis, point):
+    """Oracle (sympy): basis * k = point has an integer solution k."""
+    a = sympy.Matrix(basis.rows, basis.cols, list(basis.entries))
+    k = a.solve(sympy_matrix([[p] for p in point]))
+    return all(c.is_integer for c in k)
+
+
 def test_det_identity():
-    assert mat_determinant(RationalMatrix.identity(3)) == 1
+    assert mat_determinant(identity(3)) == 1
 
 
 def test_det_2x2():
@@ -67,14 +87,40 @@ def test_det_multiplicative_on_random_pairs():
     for _ in range(25):
         a = [[F(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)]
         b = [[F(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)]
-        ma = RationalMatrix.from_rows(a)
-        mb = RationalMatrix.from_rows(b)
-        assert mat_determinant(ma.matmul(mb)) == \
-            mat_determinant(ma) * mat_determinant(mb)
+        ab = [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)]
+              for i in range(4)]
+        assert mat_determinant(RationalMatrix.from_rows(ab)) == \
+            mat_determinant(RationalMatrix.from_rows(a)) * \
+            mat_determinant(RationalMatrix.from_rows(b))
+
+
+@st.composite
+def rational_square_rows(draw):
+    """Square rational matrices of order 0..5 whose rows may be all zero or
+    carry a common factor (content) other than 1."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    entries = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    factors = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            rows.append([F(0)] * n)
+        else:
+            factor = draw(factors.filter(bool))
+            rows.append([factor * draw(entries) for _ in range(n)])
+    return rows
+
+
+@given(rational_square_rows())
+@settings(max_examples=200, deadline=None)
+def test_det_agrees_with_sympy_oracle(rows):
+    expected = sympy_matrix(rows).det(method="berkowitz")
+    assert mat_determinant(RationalMatrix.from_rows(rows)) == \
+        F(int(expected.p), int(expected.q))
 
 
 def test_solve_identity():
-    x = mat_solve(RationalMatrix.identity(2), [F(1, 2), 3])
+    x = mat_solve(identity(2), [F(1, 2), 3])
     assert x == (F(1, 2), F(3))
 
 
@@ -110,7 +156,7 @@ def test_solve_singular_and_dimension_errors_distinct():
     with pytest.raises(DimensionError):
         mat_solve(RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), [1, 1])
     with pytest.raises(DimensionError):
-        mat_solve(RationalMatrix.identity(2), [1, 2, 3])
+        mat_solve(identity(2), [1, 2, 3])
 
 
 def test_lattice_basis_a2_is_unit_lattice():

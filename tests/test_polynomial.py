@@ -2,7 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splinezeros import Polynomial, count_distinct_roots, poly_gcd, squarefree_part
@@ -169,6 +170,40 @@ def test_closed_minus_open_counts_endpoint_zeros():
         opened = count_distinct_roots(p, a, b, open_left=True, open_right=True)
         endpoint_zeros = (p.eval(a) == 0) + (p.eval(b) == 0)
         assert closed - opened == endpoint_zeros
+
+
+@st.composite
+def polynomials_and_windows(draw):
+    """Planted rational roots (repeats allowed) times a random cofactor,
+    with endpoints that are sometimes roots."""
+    roots = draw(st.lists(rationals, max_size=4))
+    cofactor = Polynomial(draw(st.lists(rationals, min_size=1, max_size=4)))
+    assume(not cofactor.is_zero)
+    endpoints = st.one_of(rationals, st.sampled_from(roots)) if roots else rationals
+    a, b = sorted((draw(endpoints), draw(endpoints)))
+    assume(a < b)
+    return Polynomial.from_roots(roots) * cofactor, a, b
+
+
+def sympy_rational(value):
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+@given(polynomials_and_windows(), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_count_roots_agrees_with_sympy_oracle(case, open_left, open_right):
+    p, a, b = case
+    x = sympy.Symbol("x")
+    coeffs = [sympy_rational(c) for c in reversed(p.coeffs)]
+    expected = sympy.Poly(coeffs, x).count_roots(sympy_rational(a),
+                                                 sympy_rational(b))
+    # sympy counts over the closed interval
+    if open_left and p.eval(a) == 0:
+        expected -= 1
+    if open_right and p.eval(b) == 0:
+        expected -= 1
+    assert count_distinct_roots(p, a, b, open_left=open_left,
+                                open_right=open_right) == expected
 
 
 def test_poly_gcd_common_factor():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from splinezeros import as_rational, format_rational, parse_rational
 from splinezeros.errors import FormatError
+from splinezeros.rational import primitive_integers
 
 
 def test_parse_basic_forms():
@@ -55,3 +56,18 @@ def test_canonical_invariants_and_roundtrip(num, den):
     if q == 0:
         assert (q.numerator, q.denominator) == (0, 1)
     assert parse_rational(format_rational(q)) == q
+
+
+def test_primitive_integers_examples():
+    assert primitive_integers([F(1, 2), F(-3, 4), F(0)]) == (F(1, 4), [2, -3, 0])
+    assert primitive_integers([F(6), F(-9)]) == (F(3), [2, -3])
+    assert primitive_integers([F(0), F(0)]) == (F(1), [0, 0])
+    assert primitive_integers([]) == (F(1), [])
+
+
+@given(st.lists(st.fractions(max_denominator=50), max_size=6))
+def test_primitive_integers_splits_exactly(values):
+    content, ints = primitive_integers(values)
+    assert content > 0
+    assert [content * v for v in ints] == values
+    assert math.gcd(*ints) in (0, 1)

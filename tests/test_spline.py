@@ -67,6 +67,12 @@ def test_spline_rejects_piece_degree_above_m():
         Spline(1, (0, 1), (ZERO, Polynomial([0, 0, 1]), ZERO))
 
 
+def test_spline_rejects_bool_degree():
+    for flag in (True, False):
+        with pytest.raises(DegreeError):
+            Spline(flag, (0, 1), (ZERO, ZERO, ZERO))
+
+
 def test_spline_rejects_smoothness_violation():
     # jump from 0 to 1 at knot 0 is not C^0
     with pytest.raises(SmoothnessError):
