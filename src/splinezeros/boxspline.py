@@ -32,7 +32,6 @@ from .errors import (
     RankDeficiencyError,
 )
 from .linalg import (
-    IntegerMatrix,
     RationalMatrix,
     lattice_basis,
     lattice_determinant,
@@ -77,12 +76,6 @@ class VectorConfig:
 
     def vector_sum(self) -> tuple[int, ...]:
         return tuple(sum(v[i] for v in self.vectors) for i in range(self.dim))
-
-    def as_matrix(self) -> IntegerMatrix:
-        """X as an s x m matrix (vectors as columns)."""
-        return IntegerMatrix.from_rows(
-            [[v[i] for v in self.vectors] for i in range(self.dim)]
-        )
 
     def __str__(self) -> str:
         return ";".join(",".join(str(c) for c in v) for v in self.vectors)
@@ -190,7 +183,15 @@ class Omega:
         return len(self.points)
 
 
+# Candidate half-lattice points semi_integral_interior_points may test. A_X
+# has |Omega|^2 box-spline entries and an exact determinant, so a larger
+# candidate box is refused before any enumeration.
+MAX_OMEGA_CANDIDATES = 512
+
+
 def semi_integral_interior_points(config: VectorConfig) -> Omega:
+    """Omega of the configuration; CapabilityError when the bounding box
+    holds more than MAX_OMEGA_CANDIDATES half-lattice candidates."""
     basis = lattice_basis(config.vectors)
     proper = lattice_determinant(basis) > 1
     zono = zonotope_support(config)
@@ -198,32 +199,37 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
     if config.dim == 1:
         step = Fraction(basis.get(0, 0), 2)
         lo, hi = zono.vertices[0][0], zono.vertices[1][0]
-        k_lo = math.floor(lo / step) + 1
-        k_hi = math.ceil(hi / step) - 1
-        pts = tuple((k * step,) for k in range(k_lo, k_hi + 1)
-                    if lo < k * step < hi)
-        return Omega(pts, proper)
-
-    half = [
-        (Fraction(basis.get(0, 0), 2), Fraction(basis.get(1, 0), 2)),
-        (Fraction(basis.get(0, 1), 2), Fraction(basis.get(1, 1), 2)),
-    ]
-    det = half[0][0] * half[1][1] - half[0][1] * half[1][0]
-    xs = [v[0] for v in zono.vertices]
-    ys = [v[1] for v in zono.vertices]
-    corners = [(x, y) for x in (min(xs), max(xs)) for y in (min(ys), max(ys))]
-    # invert the half-basis to bound the integer coefficients over the bbox
-    k1s, k2s = [], []
-    for cx, cy in corners:
-        k1s.append((cx * half[1][1] - cy * half[1][0]) / det)
-        k2s.append((-cx * half[0][1] + cy * half[0][0]) / det)
+        half = [(step,)]
+        ranges = [range(math.floor(lo / step) + 1, math.ceil(hi / step))]
+    else:
+        half = [
+            (Fraction(basis.get(0, 0), 2), Fraction(basis.get(1, 0), 2)),
+            (Fraction(basis.get(0, 1), 2), Fraction(basis.get(1, 1), 2)),
+        ]
+        det = half[0][0] * half[1][1] - half[0][1] * half[1][0]
+        xs = [v[0] for v in zono.vertices]
+        ys = [v[1] for v in zono.vertices]
+        corners = [(x, y) for x in (min(xs), max(xs))
+                   for y in (min(ys), max(ys))]
+        # invert the half-basis to bound the integer coefficients over the bbox
+        k1s, k2s = [], []
+        for cx, cy in corners:
+            k1s.append((cx * half[1][1] - cy * half[1][0]) / det)
+            k2s.append((-cx * half[0][1] + cy * half[0][0]) / det)
+        ranges = [range(math.floor(min(k1s)), math.ceil(max(k1s)) + 1),
+                  range(math.floor(min(k2s)), math.ceil(max(k2s)) + 1)]
+    count = math.prod(len(r) for r in ranges)
+    if count > MAX_OMEGA_CANDIDATES:
+        raise CapabilityError(
+            f"{count} candidate points for Omega exceed the limit of "
+            f"{MAX_OMEGA_CANDIDATES}"
+        )
     pts = []
-    for k1 in range(math.floor(min(k1s)), math.ceil(max(k1s)) + 1):
-        for k2 in range(math.floor(min(k2s)), math.ceil(max(k2s)) + 1):
-            q = (k1 * half[0][0] + k2 * half[1][0],
-                 k1 * half[0][1] + k2 * half[1][1])
-            if point_strictly_inside(zono, q):
-                pts.append(q)
+    for ks in itertools.product(*ranges):
+        q = tuple(sum(k * h[i] for k, h in zip(ks, half))
+                  for i in range(config.dim))
+        if point_strictly_inside(zono, q):
+            pts.append(q)
     pts.sort()
     return Omega(tuple(pts), proper)
 
@@ -250,7 +256,7 @@ def _independent_columns(config: VectorConfig) -> list[int]:
     return sorted(chosen)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _fiber_data(config: VectorConfig):
     """Right inverse W (m x s), integer kernel basis V (m x (m-s)), and the
     Jacobian factor |det [W V]|."""

@@ -218,8 +218,9 @@ def _gcd_int(a: list[int], b: list[int]) -> list[int]:
     return [-v for v in a] if a[-1] < 0 else a
 
 
-def _div_exact_int(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (raises if not exact)."""
+def _div_exact_int(num: list[int], den: list[int]) -> list[int] | None:
+    """Quotient of integer polynomials, or None when den does not divide num
+    over Z. For a primitive den that is the same as over Q (Gauss's lemma)."""
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     r = num[:]
@@ -230,15 +231,13 @@ def _div_exact_int(num: list[int], den: list[int]) -> list[int]:
         dr = len(r) - 1
         lead = r[-1]
         if lead % ld:
-            raise ConsistencyError("inexact polynomial division")
+            return None
         c = lead // ld
         q[dr - dd] = c
         for i in range(dd + 1):
             r[dr - dd + i] -= c * den[i]
         r = _trim_int(r)
-    if r:
-        raise ConsistencyError("inexact polynomial division")
-    return q
+    return None if r else q
 
 
 def _derivative_int(c: list[int]) -> list[int]:
@@ -252,7 +251,25 @@ def _squarefree_int(c: list[int]) -> list[int]:
     g = _gcd_int(c, _derivative_int(c))
     if len(g) == 1:
         return c
-    return _content_normalize(_div_exact_int(c, g))
+    q = _div_exact_int(c, g)
+    if q is None:
+        raise ConsistencyError("gcd does not divide its polynomial")
+    return _content_normalize(q)
+
+
+def root_order(p: Polynomial, x, cap: int) -> int:
+    """Multiplicity of the rational x as a root of p, capped at cap; the zero
+    polynomial gets cap. With x = a/b in lowest terms, the primitive integer
+    copy of p is divided by b*t - a until a division is not exact."""
+    if p.is_zero:
+        return cap
+    x = as_rational(x)
+    c = _primitive_int(p)
+    linear = [-x.numerator, x.denominator]
+    order = 0
+    while order < cap and (c := _div_exact_int(c, linear)) is not None:
+        order += 1
+    return order
 
 
 def _sturm_chain(c: list[int]) -> list[list[int]]:

@@ -13,6 +13,7 @@ basis all use it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,24 +21,27 @@ Rational = Fraction
 
 RationalLike = Fraction | int | str
 
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p". Surrounding whitespace (also around '/') is
-    tolerated; a zero denominator is rejected."""
+    """Parse "p/q" or "p" (ASCII digits, a sign only on p). Surrounding
+    whitespace (also around '/') is tolerated; anything else, a zero
+    denominator and literals past Python's int digit limit are rejected."""
     from .errors import FormatError
 
     if not isinstance(text, str):
         raise FormatError(f"expected a rational string, got {type(text).__name__}")
-    cleaned = text.strip()
-    if "/" in cleaned:
-        num_part, _, den_part = cleaned.partition("/")
-        cleaned = f"{num_part.strip()}/{den_part.strip()}"
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        raise FormatError(f"malformed rational {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(cleaned)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in rational {text!r}") from None
-    except ValueError:
-        raise FormatError(f"malformed rational {text!r}") from None
+    except ValueError:  # a literal over sys.get_int_max_str_digits()
+        raise FormatError(f"rational literal too long in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -3,8 +3,12 @@ census.
 
 A degree-m spline here is a C^(m-1) piecewise polynomial with finitely many
 knots a_0 < ... < a_n, stored with n+2 pieces: the two unbounded end domains
-plus the n interior domains. Smoothness is verified exactly on construction,
-so every Spline in circulation is certified.
+plus the n interior domains. A piecewise polynomial is C^(m-1) at a knot k
+exactly when the jump between its two adjacent pieces is a multiple of
+(x - k)^m (the truncated-power view). The Spline constructor checks this by
+exact integer division at every knot, and every transformation here builds
+its result through that constructor, so every Spline in circulation is
+certified.
 
 Z(s) on a window counts the connected components of the zero set. Why that
 equals the maximum size of a pairwise "separated" zero family (two zeros
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,7 +40,7 @@ from .errors import (
     KnotRangeError,
     SmoothnessError,
 )
-from .polynomial import Polynomial, count_distinct_roots
+from .polynomial import Polynomial, count_distinct_roots, root_order
 from .rational import as_rational, format_rational, parse_rational
 
 
@@ -50,18 +54,16 @@ class Spline:
     vacuous); public constructors require degree >= 1 and degree-0 splines
     cannot be differentiated further.
 
-    ``synthetic`` marks knots inserted by insert_knot; normalization removes
-    them and bound checkers never let them inflate knot counts."""
+    Construction rejects any knot where the two adjacent pieces differ by
+    something that is not a multiple of (x - knot)^degree."""
 
     degree: int
     knots: tuple[Fraction, ...]
     pieces: tuple[Polynomial, ...]
-    synthetic: frozenset[Fraction] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "knots", tuple(as_rational(k) for k in self.knots))
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "synthetic", frozenset(self.synthetic))
         # type() rather than isinstance(): bool is an int subclass
         if type(self.degree) is not int or self.degree < 0:
             raise DegreeError(f"invalid spline degree {self.degree!r}")
@@ -82,10 +84,7 @@ class Spline:
                 raise DegreeError(
                     f"piece degree {p.degree} exceeds spline degree {self.degree}"
                 )
-        if not self.synthetic <= set(self.knots):
-            raise KnotRangeError("synthetic marks must refer to existing knots")
-        if self.degree >= 1:
-            _verify_smoothness(self.degree, self.knots, self.pieces)
+        _verify_smoothness(self.degree, self.knots, self.pieces)
 
     # convenience accessors used throughout
 
@@ -106,37 +105,16 @@ class Spline:
 
 
 def _verify_smoothness(degree: int, knots, pieces) -> None:
-    """Exact C^(degree-1) check at every knot (derivative chains are built
-    once per piece)."""
-    chains = []
-    for p in pieces:
-        chain = [p]
-        for _ in range(degree - 1):
-            chain.append(chain[-1].derivative())
-        chains.append(chain)
+    """Exact C^(degree-1) check: at every knot the jump between the adjacent
+    pieces must have the knot as a root of order >= degree. The order found
+    is the lowest derivative that jumps."""
     for j, knot in enumerate(knots):
-        for order in range(degree):
-            lv = chains[j][order].eval(knot)
-            rv = chains[j + 1][order].eval(knot)
-            if lv != rv:
-                raise SmoothnessError(
-                    f"derivative order {order} mismatch at knot {knot}: "
-                    f"{lv} != {rv}"
-                )
-
-
-def _trusted_spline(degree: int, knots: tuple, pieces: tuple,
-                    synthetic: frozenset) -> Spline:
-    """Construct without re-validating. Only for transformations of already
-    certified splines that provably preserve every invariant (knot subsets
-    with unchanged polynomials, translation, reflection, scaling,
-    differentiation)."""
-    s = object.__new__(Spline)
-    object.__setattr__(s, "degree", degree)
-    object.__setattr__(s, "knots", knots)
-    object.__setattr__(s, "pieces", pieces)
-    object.__setattr__(s, "synthetic", synthetic)
-    return s
+        order = root_order(pieces[j + 1] - pieces[j], knot, degree)
+        if order < degree:
+            raise SmoothnessError(
+                f"derivative order {order} jumps at knot {knot} "
+                f"(C^{degree - 1} required)"
+            )
 
 
 def spline_eval(s: Spline, x) -> Fraction:
@@ -150,42 +128,35 @@ def spline_eval(s: Spline, x) -> Fraction:
 
 def spline_derivative(s: Spline) -> Spline:
     """Piecewise derivative, degree drops by one, knot set can only shrink
-    (non-genuine knots of the derivative are normalized away). The C^(m-2)
-    smoothness of the result is re-verified, not just inherited."""
+    (non-genuine knots of the derivative are normalized away)."""
     if s.degree == 0:
         raise DegreeError("cannot differentiate a degree-0 spline")
     pieces = tuple(p.derivative() for p in s.pieces)
-    if s.degree >= 2:
-        _verify_smoothness(s.degree - 1, s.knots, pieces)
-    raw = _trusted_spline(s.degree - 1, s.knots, pieces, s.synthetic)
-    return normalize(raw)
+    return normalize(Spline(s.degree - 1, s.knots, pieces))
 
 
 def spline_scale(s: Spline, c) -> Spline:
     """c * s, exactly."""
     c = as_rational(c)
-    return _trusted_spline(s.degree, s.knots,
-                           tuple(p.scale(c) for p in s.pieces), s.synthetic)
+    return Spline(s.degree, s.knots, tuple(p.scale(c) for p in s.pieces))
 
 
 def spline_translate(s: Spline, shift) -> Spline:
     """x -> s(x - shift); knots move right by shift."""
     shift = as_rational(shift)
-    return _trusted_spline(
+    return Spline(
         s.degree,
         tuple(k + shift for k in s.knots),
         tuple(p.taylor_shift(-shift) for p in s.pieces),
-        frozenset(k + shift for k in s.synthetic),
     )
 
 
 def spline_reflect(s: Spline) -> Spline:
     """x -> s(-x); knots negate and reverse."""
-    return _trusted_spline(
+    return Spline(
         s.degree,
         tuple(-k for k in reversed(s.knots)),
         tuple(p.reflect() for p in reversed(s.pieces)),
-        frozenset(-k for k in s.synthetic),
     )
 
 
@@ -211,17 +182,13 @@ def normalize(s: Spline, trim_ends: bool = False) -> Spline:
         while len(kept_knots) > 2 and kept_pieces[-1] == kept_pieces[-2]:
             kept_knots.pop()
             kept_pieces.pop()
-    return _trusted_spline(
-        s.degree,
-        tuple(kept_knots),
-        tuple(kept_pieces),
-        frozenset(k for k in s.synthetic if k in kept_knots),
-    )
+    return Spline(s.degree, tuple(kept_knots), tuple(kept_pieces))
 
 
 def insert_knot(s: Spline, x) -> Spline:
-    """Split a domain at x without changing the function; the new knot is
-    marked synthetic so normalization (and the bound checkers) ignore it."""
+    """Split a domain at x without changing the function. Both pieces at the
+    new knot are the same polynomial, so normalize drops the knot again and
+    the bound checkers, which normalize first, never count it."""
     x = as_rational(x)
     if not (s.knots[0] < x < s.knots[-1]):
         raise KnotRangeError(f"{x} outside the open knot window")
@@ -230,7 +197,7 @@ def insert_knot(s: Spline, x) -> Spline:
     idx = bisect_right(s.knots, x)
     knots = s.knots[:idx] + (x,) + s.knots[idx:]
     pieces = s.pieces[:idx] + (s.pieces[idx],) + s.pieces[idx:]
-    return _trusted_spline(s.degree, knots, pieces, s.synthetic | {x})
+    return Spline(s.degree, knots, pieces)
 
 
 # -- truncated-power construction -------------------------------------------------
@@ -327,8 +294,8 @@ class ZeroReport:
 
 
 def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
-    """Z and its census on [a, b], where a and b must be knots of s (insert
-    synthetic knots first for other windows).
+    """Z and its census on [a, b], where a and b must be knots of s (use
+    insert_knot first for other windows).
 
     Components are assembled from exact counts only: interior roots of
     non-vanishing pieces are isolated singletons; zero-valued knots chain
@@ -390,9 +357,10 @@ def open_component_count(report: ZeroReport) -> int:
 
 
 def zero_order_at(s: Spline, z) -> int | float:
-    """Order of z as a zero: the smallest derivative index j <= degree-1 with
-    a nonzero value, capped at degree; math.inf only when s vanishes
-    identically on a neighborhood of z."""
+    """Order of z as a zero: its multiplicity as a root of the piece there,
+    capped at degree (the smallest derivative index j <= degree-1 with a
+    nonzero value, else degree); math.inf only when s vanishes identically
+    on a neighborhood of z."""
     if s.degree < 1:
         raise DegreeError("zero order requires a spline of degree >= 1")
     z = as_rational(z)
@@ -402,15 +370,10 @@ def zero_order_at(s: Spline, z) -> int | float:
         relevant.append(s.pieces[idx - 1])
     if all(p.is_zero for p in relevant):
         return math.inf
-    # all derivatives below the degree agree across a knot, so one piece is
-    # enough to read them off
+    # the pieces on both sides of a knot differ by a multiple of
+    # (x - knot)^degree, so either nonzero one gives the capped order
     probe = relevant[0] if not relevant[0].is_zero else relevant[1]
-    d = probe
-    for order in range(s.degree):
-        if d.eval(z) != 0:
-            return order
-        d = d.derivative()
-    return s.degree
+    return root_order(probe, z, s.degree)
 
 
 # -- bound checkers ---------------------------------------------------------------
@@ -432,8 +395,8 @@ class ZeroBoundVerdict:
 def check_zero_bound(s: Spline) -> ZeroBoundVerdict:
     """Census the whole (normalized) window and compare Z with n + m - 1.
 
-    Normalization first: synthetic or otherwise non-genuine interior knots
-    must not inflate n."""
+    Normalization first: interior knots where both pieces are the same
+    polynomial (such as those added by insert_knot) must not inflate n."""
     sn = normalize(s)
     n = sn.n
     z, report = separated_zero_count(sn, sn.knots[0], sn.knots[-1])
@@ -554,6 +517,8 @@ def spline_from_document(doc: dict) -> Spline:
         raise FormatError(f"invalid degree {degree!r}")
     if not isinstance(knots_raw, list) or not isinstance(pieces_raw, list):
         raise FormatError("knots and pieces must be arrays")
+    if not all(isinstance(coeffs, list) for coeffs in pieces_raw):
+        raise FormatError("each piece must be an array of coefficients")
     if len(pieces_raw) != len(knots_raw) + 1:
         raise FormatError(
             f"{len(knots_raw)} knots require {len(knots_raw) + 1} pieces, "

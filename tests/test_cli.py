@@ -1,10 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinezeros.harness as harness
-from splinezeros import spline_from_document, spline_to_document, zigzag_spline
+from splinezeros import (
+    parse_vector_config,
+    spline_from_document,
+    spline_to_document,
+    zigzag_spline,
+)
 from splinezeros.cli import main
+from splinezeros.errors import SplineZerosError
 
 
 def run(capsys, *argv):
@@ -132,6 +144,124 @@ def test_zeros_rejects_bool_degree(capsys, tmp_path):
     code, _, err = run(capsys, "zeros", "--in", str(path))
     assert code == 2
     assert "invalid degree" in err
+
+
+def test_zeros_rejects_pieces_that_are_not_arrays(capsys, tmp_path):
+    path = tmp_path / "pieces.json"
+    # a string piece would otherwise be read one character per coefficient
+    for piece in ("01", 1, None, {"0": "1"}):
+        path.write_text(json.dumps({
+            "degree": 1,
+            "knots": ["0", "1"],
+            "pieces": [["0"], piece, ["1"]],
+        }))
+        code, out, err = run(capsys, "zeros", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert "each piece must be an array" in err
+
+
+def test_zeros_rejects_huge_degree_document(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "degree": 300000,  # the kink at 0 is C^0 only
+        "knots": ["0", "1"],
+        "pieces": [["0"], ["0", "1"], ["0", "1"]],
+    }))
+    code, _, err = run(capsys, "zeros", "--in", str(path))
+    assert code == 2
+    assert "derivative order 1 jumps at knot 0" in err
+
+
+def test_conjecture_rejects_oversized_candidate_box(capsys):
+    for vectors, candidates in (("100,0;0,100;1,1", 1421),
+                                ("1000000;1", 2000001)):
+        code, out, err = run(capsys, "conjecture", "--vectors", vectors)
+        assert code == 2
+        assert out == ""
+        assert f"{candidates} candidate points" in err
+
+
+def test_boxspline_rejects_exponent_literal(capsys):
+    code, out, err = run(capsys, "boxspline", "--vectors", "1;1",
+                         "--eval", "1e1000000")
+    assert code == 2
+    assert out == ""
+    assert "malformed rational" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+rational_texts = (st.builds("{}/{}".format, st.integers(-9, 9),
+                            st.integers(1, 4))
+                  | st.integers(-9, 9).map(str) | st.just("1/0"))
+
+
+@st.composite
+def spline_documents(draw):
+    """Mostly well-shaped documents (one more piece than knots); any field,
+    knot, piece or coefficient is an arbitrary JSON value one time in eight."""
+    def wild_or(value):
+        return draw(json_values) if draw(st.integers(0, 7)) == 0 else value
+
+    knots = [wild_or(k) for k in draw(st.lists(rational_texts, max_size=4))]
+    pieces = [wild_or([wild_or(c)
+                       for c in draw(st.lists(rational_texts, max_size=4))])
+              for _ in range(len(knots) + 1)]
+    return {"degree": wild_or(draw(st.integers(1, 4))),
+            "knots": wild_or(knots), "pieces": wild_or(pieces)}
+
+
+@given(spline_documents() | json_values)
+@settings(max_examples=300, deadline=None)
+def test_spline_document_fuzz_raises_only_library_errors(doc):
+    try:
+        spline_from_document(doc)
+    except SplineZerosError:
+        pass
+
+
+vector_texts = st.lists(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda v: ",".join(map(str, v))),
+    min_size=1, max_size=4,
+).map(";".join)
+
+
+@given(vector_texts | st.text(max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_vector_config_fuzz_raises_only_library_errors(text):
+    try:
+        parse_vector_config(text)
+    except SplineZerosError:
+        pass
+
+
+def test_runtime_needs_only_the_standard_library():
+    """python -S keeps site-packages off sys.path: every module must import
+    and a conjecture must run on the standard library alone."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import importlib, importlib.util, pkgutil\n"
+        "assert importlib.util.find_spec('hypothesis') is None\n"
+        "import splinezeros\n"
+        "for info in pkgutil.iter_modules(splinezeros.__path__):\n"
+        "    importlib.import_module('splinezeros.' + info.name)\n"
+        "from splinezeros.cli import main\n"
+        "raise SystemExit(main(['conjecture', '--vectors', '1,0;1,1;0,1']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "det = 1/64" in result.stdout
 
 
 def test_verify_rejects_knots_below_one(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from splinezeros import Polynomial, count_distinct_roots, poly_gcd, squarefree_part
 from splinezeros.errors import InfiniteRootsError, IntervalError
+from splinezeros.polynomial import root_order
 
 
 def bisection_root_count(p, a, b, depth=1024):
@@ -204,6 +205,42 @@ def test_count_roots_agrees_with_sympy_oracle(case, open_left, open_right):
         expected -= 1
     assert count_distinct_roots(p, a, b, open_left=open_left,
                                 open_right=open_right) == expected
+
+
+def sympy_root_order(p, x, cap):
+    """Oracle: divide by t - x over QQ while sympy's exact remainder is 0."""
+    if p.is_zero:
+        return cap
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy_rational(c) for c in reversed(p.coeffs)], t,
+                      domain="QQ")
+    linear = sympy.Poly(t - sympy_rational(x), t, domain="QQ")
+    order = 0
+    while order < cap:
+        quotient, remainder = sympy.div(poly, linear)
+        if not remainder.is_zero:
+            break
+        poly = quotient
+        order += 1
+    return order
+
+
+@given(st.lists(rationals, max_size=6), rationals, st.integers(0, 4),
+       st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_root_order_agrees_with_sympy_oracle(coeffs, x, planted, cap):
+    # plant x as a root of known extra multiplicity so high orders occur
+    p = Polynomial(coeffs) * Polynomial.from_roots([x] * planted)
+    assert root_order(p, x, cap) == sympy_root_order(p, x, cap)
+
+
+def test_root_order_examples():
+    p = Polynomial.from_roots([F(2, 3)] * 3 + [F(-1, 2)])
+    assert root_order(p, F(2, 3), 10) == 3
+    assert root_order(p, F(2, 3), 2) == 2
+    assert root_order(p, F(-1, 2), 10) == 1
+    assert root_order(p, 0, 10) == 0
+    assert root_order(Polynomial(), 5, 7) == 7
 
 
 def test_poly_gcd_common_factor():

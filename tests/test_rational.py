@@ -29,7 +29,12 @@ def test_parse_rejects_zero_denominator():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "one half", "1/2/3", "1.5.2", None, 3.5):
+    for bad in ("", "one half", "1/2/3", "1.5.2", None, 3.5,
+                # Fraction's own grammar: outside the "p/q" or "p" contract
+                "1.5", "15e-1", "1_000", "1e1000000", "1/-2", "- 1", "1/",
+                "inf", "nan", "\u0663",
+                # beyond the int digit limit
+                "1" * 5000, "1/" + "7" * 5000):
         with pytest.raises(FormatError):
             parse_rational(bad)
 

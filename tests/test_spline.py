@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinezeros import (
     Polynomial,
@@ -23,6 +25,7 @@ from splinezeros import (
     spline_reflect,
     spline_scale,
     spline_to_document,
+    spline_translate,
     zero_order_at,
     zigzag_spline,
 )
@@ -80,6 +83,45 @@ def test_spline_rejects_smoothness_violation():
     # C^0 but not C^1 for degree 2
     with pytest.raises(SmoothnessError):
         Spline(2, (0, 1), (ZERO, Polynomial([0, 1]), Polynomial([0, 1])))
+
+
+def smooth_by_derivative_chains(degree, knots, pieces):
+    """Reference C^(degree-1) check: derivatives 0 .. degree-1 of the two
+    adjacent pieces agree at every knot (exact Horner values)."""
+    for j, knot in enumerate(knots):
+        left, right = pieces[j], pieces[j + 1]
+        for _ in range(degree):
+            if left.eval(knot) != right.eval(knot):
+                return False
+            left, right = left.derivative(), right.derivative()
+    return True
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_smoothness_rule_matches_derivative_chains(m, data):
+    """Pieces left and left + c (x - k)^r g with g(k) != 0: the jump has a
+    root of order exactly r at k, so C^(m-1) holds exactly when r >= m."""
+    k = data.draw(small_rationals)
+    r = data.draw(st.integers(0, m))
+    c = data.draw(small_rationals.filter(bool))
+    left = Polynomial(data.draw(st.lists(small_rationals, max_size=m + 1)))
+    g = Polynomial(data.draw(st.lists(small_rationals, max_size=m - r + 1)))
+    if g.eval(k) == 0:
+        g = g + Polynomial([1])
+    right = left + (Polynomial.from_roots([k] * r) * g).scale(c)
+    knots = (k, k + 1)
+    pieces = (left, right, right)
+    smooth = smooth_by_derivative_chains(m, knots, pieces)
+    assert smooth == (r >= m)
+    if smooth:
+        Spline(m, knots, pieces)
+    else:
+        with pytest.raises(SmoothnessError):
+            Spline(m, knots, pieces)
 
 
 def test_truncated_powers_ramp():
@@ -164,14 +206,15 @@ def test_normalize_trim_ends():
     assert normalize(s).knots == (F(-2), F(-1), F(0), F(1))
 
 
-def test_transforms_preserve_synthetic_marks():
-    from splinezeros import spline_translate
-    s = insert_knot(zigzag_spline(3), F(1, 2))
-    t = spline_translate(s, 5)
-    assert F(11, 2) in t.synthetic
-    r = spline_reflect(s)
-    assert F(-1, 2) in r.synthetic
-    assert normalize(r).synthetic == frozenset()
+def test_transforms_commute_with_knot_insertion():
+    s = zigzag_spline(3)
+    inserted = insert_knot(s, F(1, 2))
+    t = spline_translate(inserted, 5)
+    assert F(11, 2) in t.knots
+    assert normalize(t) == spline_translate(s, 5)
+    r = spline_reflect(inserted)
+    assert F(-1, 2) in r.knots
+    assert normalize(r) == spline_reflect(s)
 
 
 def test_degree_zero_eval_uses_right_piece():
@@ -247,7 +290,7 @@ def test_open_component_count():
 def test_insert_knot_roundtrip():
     s = ramp()
     s2 = insert_knot(s, F(1, 2))
-    assert F(1, 2) in s2.synthetic
+    assert s2.knots == (F(0), F(1, 2), F(1))
     assert normalize(s2) == s
     rng = random.Random(31)
     for _ in range(100):
