@@ -13,12 +13,20 @@ The fiber is a point (m = s), an interval (m - s = 1), or a convex polygon
 (m - s = 2); its measure is computed exactly with rational arithmetic. Beyond
 m - s = 2 only the all-ones univariate family is evaluable, through the
 cardinal B-spline (the tests check that the two routes agree at m - s <= 2).
+
+Omega and A_X work in doubled integer coordinates c = 2x (Omega lies in the
+half lattice), where the zonotope is {c : |n.(c - sum X)| <= sum_xi |n.xi|}
+over the normals n of the vectors of X (de Boor, Hollig & Riemenschneider,
+*Box Splines*, 1993, ch. I). A_X evaluates B_X once per distinct argument,
+gives an exact 0 outside the closed zonotope, and still evaluates boundary
+points, where the half-open convention decides.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,15 +98,24 @@ def _spans(dim: int, vectors) -> bool:
     return False
 
 
+_INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def parse_vector_config(text: str) -> VectorConfig:
-    """Parse "1,0;1,1;0,1" (semicolon-separated integer vectors)."""
+    """Parse "1,0;1,1;0,1" (semicolon-separated integer vectors). Each
+    component is [+-]digits in ASCII, with surrounding whitespace tolerated;
+    anything else raises FormatError."""
     chunks = [chunk.strip() for chunk in text.strip().split(";") if chunk.strip()]
     if not chunks:
         raise FormatError("empty vector configuration")
     vectors = []
     for chunk in chunks:
+        parts = chunk.split(",")
         try:
-            vectors.append(tuple(int(c.strip()) for c in chunk.split(",")))
+            if not all(_INTEGER_TEXT.fullmatch(c) for c in parts):
+                raise ValueError
+            # int() also refuses literals past sys.get_int_max_str_digits()
+            vectors.append(tuple(int(c) for c in parts))
         except ValueError:
             raise FormatError(f"malformed vector {chunk!r}") from None
     dims = {len(v) for v in vectors}
@@ -166,6 +183,22 @@ def point_strictly_inside(zonotope: Zonotope, point) -> bool:
     return True
 
 
+def _support_slack(config: VectorConfig):
+    """c -> min_n (sum_xi |n.xi| - |n.(c - sum X)|) on doubled points
+    c = 2x, with n = 1 in 1-D and n = (-d_1, d_0) per vector d in 2-D:
+    positive strictly inside the zonotope, 0 on its boundary, negative
+    outside."""
+    total = config.vector_sum()
+    normals = {(1,)} if config.dim == 1 else {(-v[1], v[0]) for v in config.vectors}
+    rows = [(n, sum(abs(sum(a * b for a, b in zip(n, v))) for v in config.vectors))
+            for n in normals]
+
+    def slack(c: tuple[int, ...]) -> int:
+        return min(width - abs(sum(a * (b - t) for a, b, t in zip(n, c, total)))
+                   for n, width in rows)
+    return slack
+
+
 # -- semi-integral interior points --------------------------------------------------
 
 
@@ -194,28 +227,23 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
     holds more than MAX_OMEGA_CANDIDATES half-lattice candidates."""
     basis = lattice_basis(config.vectors)
     proper = lattice_determinant(basis) > 1
-    zono = zonotope_support(config)
+    # doubled coordinates: the half-lattice basis is the lattice basis, and
+    # the zonotope's bounding box is [2 sum min(0, x_k), 2 sum max(0, x_k)]
+    lows = [2 * sum(min(0, v[k]) for v in config.vectors) for k in range(config.dim)]
+    highs = [2 * sum(max(0, v[k]) for v in config.vectors) for k in range(config.dim)]
 
     if config.dim == 1:
-        step = Fraction(basis.get(0, 0), 2)
-        lo, hi = zono.vertices[0][0], zono.vertices[1][0]
-        half = [(step,)]
-        ranges = [range(math.floor(lo / step) + 1, math.ceil(hi / step))]
+        cols = [(basis.get(0, 0),)]
+        ranges = [range(math.floor(Fraction(lows[0], cols[0][0])) + 1,
+                        math.ceil(Fraction(highs[0], cols[0][0])))]
     else:
-        half = [
-            (Fraction(basis.get(0, 0), 2), Fraction(basis.get(1, 0), 2)),
-            (Fraction(basis.get(0, 1), 2), Fraction(basis.get(1, 1), 2)),
-        ]
-        det = half[0][0] * half[1][1] - half[0][1] * half[1][0]
-        xs = [v[0] for v in zono.vertices]
-        ys = [v[1] for v in zono.vertices]
-        corners = [(x, y) for x in (min(xs), max(xs))
-                   for y in (min(ys), max(ys))]
-        # invert the half-basis to bound the integer coefficients over the bbox
-        k1s, k2s = [], []
-        for cx, cy in corners:
-            k1s.append((cx * half[1][1] - cy * half[1][0]) / det)
-            k2s.append((-cx * half[0][1] + cy * half[0][0]) / det)
+        cols = [(basis.get(0, 0), basis.get(1, 0)),
+                (basis.get(0, 1), basis.get(1, 1))]
+        det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
+        corners = [(x, y) for x in (lows[0], highs[0]) for y in (lows[1], highs[1])]
+        # invert the basis to bound the integer coefficients over the bbox
+        k1s = [Fraction(cx * cols[1][1] - cy * cols[1][0], det) for cx, cy in corners]
+        k2s = [Fraction(-cx * cols[0][1] + cy * cols[0][0], det) for cx, cy in corners]
         ranges = [range(math.floor(min(k1s)), math.ceil(max(k1s)) + 1),
                   range(math.floor(min(k2s)), math.ceil(max(k2s)) + 1)]
     count = math.prod(len(r) for r in ranges)
@@ -224,14 +252,15 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
             f"{count} candidate points for Omega exceed the limit of "
             f"{MAX_OMEGA_CANDIDATES}"
         )
-    pts = []
+    slack = _support_slack(config)
+    doubled = []
     for ks in itertools.product(*ranges):
-        q = tuple(sum(k * h[i] for k, h in zip(ks, half))
+        c = tuple(sum(k * col[i] for k, col in zip(ks, cols))
                   for i in range(config.dim))
-        if point_strictly_inside(zono, q):
-            pts.append(q)
-    pts.sort()
-    return Omega(tuple(pts), proper)
+        if slack(c) > 0:
+            doubled.append(c)
+    doubled.sort()
+    return Omega(tuple(tuple(Fraction(x, 2) for x in c) for c in doubled), proper)
 
 
 # -- fiber-volume evaluation ---------------------------------------------------------
@@ -432,15 +461,26 @@ def unimodular_check(config: VectorConfig) -> UnimodularityReport:
 def conjecture_matrix(config: VectorConfig, omega: Omega) -> RationalMatrix:
     """A_X with entries B_X(sum(X) + w_i - 2 w_j) over the semi-integral
     interior points ``omega = semi_integral_interior_points(config)``, in
-    their lexicographic order."""
+    their lexicographic order.
+
+    Arguments are formed in doubled integer coordinates, and B_X is evaluated
+    once per distinct argument. An argument outside the closed zonotope gets
+    an exact 0 without evaluation; boundary points are evaluated."""
+    slack = _support_slack(config)
     total = config.vector_sum()
-    n = len(omega)
+    twice = [tuple(int(2 * c) for c in w) for w in omega.points]
+    values: dict[tuple[int, ...], Fraction] = {}
     entries: list[Fraction] = []
-    for wi in omega.points:
-        for wj in omega.points:
-            arg = tuple(total[k] + wi[k] - 2 * wj[k] for k in range(config.dim))
-            entries.append(box_spline_eval(config, arg))
-    return RationalMatrix(n, n, tuple(entries))
+    for wi in twice:
+        for wj in twice:
+            arg = tuple(2 * t + a - 2 * b for t, a, b in zip(total, wi, wj))
+            value = values.get(arg)
+            if value is None:
+                value = values[arg] = (
+                    box_spline_eval(config, tuple(Fraction(c, 2) for c in arg))
+                    if slack(arg) >= 0 else Fraction(0))
+            entries.append(value)
+    return RationalMatrix(len(twice), len(twice), tuple(entries))
 
 
 @dataclass(frozen=True)

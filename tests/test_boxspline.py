@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splinezeros import (
     VectorConfig,
@@ -10,6 +13,7 @@ from splinezeros import (
     cardinal_bspline,
     conjecture_matrix,
     conjecture_verdict,
+    lattice_basis,
     mat_determinant,
     parse_vector_config,
     point_strictly_inside,
@@ -19,6 +23,7 @@ from splinezeros import (
     unimodular_check,
     zonotope_support,
 )
+from splinezeros import boxspline
 from splinezeros.errors import (
     CapabilityError,
     DimensionError,
@@ -87,6 +92,12 @@ def test_parse_vector_config():
         parse_vector_config("a,b")
     with pytest.raises(FormatError):
         parse_vector_config("")
+    assert parse_vector_config(" +1 , -2 ; 0,1 ") == VectorConfig(
+        2, ((1, -2), (0, 1)))
+    for text in ("1_0;1", "\u0661;1", "1.0;1", "1e1;1", "+-1;1", "0x1;1",
+                 "1,,0;1,1", "1 0;1", "9" * 5000 + ";1"):
+        with pytest.raises(FormatError):
+            parse_vector_config(text)
 
 
 # -- zonotopes -------------------------------------------------------------------
@@ -392,3 +403,197 @@ def test_omega_scatters_enough_for_forced_vanishing():
         assert len(omega) == n + m
         for k in range(m + 1):
             assert any(F(k) < w < F(k + 1) for w in omega)
+
+
+# -- doubled-integer assembly against the per-entry Fraction loop ----------------
+
+
+BENCHMARK_BASES = ("1,0;1,1;0,1", "1,0;1,1;0,1;-1,1", "1,0;0,1;1,1;1,-1",
+                   "2,1;1,2;1,0;0,1")
+UNIMODULAR_U = [u for u in itertools.product((-1, 0, 1), repeat=4)
+                if abs(u[0] * u[3] - u[1] * u[2]) == 1]
+
+
+def image(u, cfg):
+    return VectorConfig(2, tuple((u[0] * v[0] + u[1] * v[1],
+                                  u[2] * v[0] + u[3] * v[1])
+                                 for v in cfg.vectors))
+
+
+def naive_matrix_entries(cfg, omega):
+    """Reference assembly: one box_spline_eval per entry, on Fraction
+    arguments."""
+    total = cfg.vector_sum()
+    entries = []
+    for wi in omega.points:
+        for wj in omega.points:
+            arg = tuple(total[k] + wi[k] - 2 * wj[k] for k in range(cfg.dim))
+            entries.append(box_spline_eval(cfg, arg))
+    return tuple(entries)
+
+
+def assert_matrix_matches_reference(cfg):
+    omega = semi_integral_interior_points(cfg)
+    assert conjecture_matrix(cfg, omega).entries == \
+        naive_matrix_entries(cfg, omega)
+
+
+@pytest.mark.parametrize("text", BENCHMARK_BASES)
+def test_matrix_matches_reference_on_benchmark_images(text):
+    assert len(UNIMODULAR_U) == 40
+    base = parse_vector_config(text)
+    for u in UNIMODULAR_U:
+        assert_matrix_matches_reference(image(u, base))
+
+
+def test_matrix_matches_reference_on_univariate_and_sublattice():
+    for m in range(2, 14):
+        assert_matrix_matches_reference(ones(m))
+    for text in ("2", "1;2", "1;2;3", "1;1;1", "1;-2;1", "1,1;1,-1"):
+        assert_matrix_matches_reference(parse_vector_config(text))
+
+
+@st.composite
+def fiber_configs(draw):
+    """Configurations on the fiber route (m - s <= 2)."""
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(dim, dim + 2))
+    vectors = tuple(tuple(draw(st.integers(-2, 2)) for _ in range(dim))
+                    for _ in range(m))
+    try:
+        return VectorConfig(dim, vectors)
+    except (RankDeficiencyError, DimensionError):
+        assume(False)
+
+
+@given(fiber_configs())
+@settings(max_examples=25, deadline=None)
+def test_matrix_matches_reference_on_fiber_configs(cfg):
+    assert_matrix_matches_reference(cfg)
+
+
+def reference_omega(cfg):
+    """Reference enumeration of Omega on Fraction half-lattice points: the
+    hull's bounding box bounds the coefficients, point_strictly_inside
+    filters."""
+    basis = lattice_basis(cfg.vectors)
+    zono = zonotope_support(cfg)
+    half = [tuple(F(basis.get(i, j), 2) for i in range(cfg.dim))
+            for j in range(cfg.dim)]
+    if cfg.dim == 1:
+        step = half[0][0]
+        lo, hi = zono.vertices[0][0], zono.vertices[1][0]
+        ranges = [range(math.floor(lo / step) + 1, math.ceil(hi / step))]
+    else:
+        det = half[0][0] * half[1][1] - half[0][1] * half[1][0]
+        xs = [v[0] for v in zono.vertices]
+        ys = [v[1] for v in zono.vertices]
+        k1s, k2s = [], []
+        for cx in (min(xs), max(xs)):
+            for cy in (min(ys), max(ys)):
+                k1s.append((cx * half[1][1] - cy * half[1][0]) / det)
+                k2s.append((-cx * half[0][1] + cy * half[0][0]) / det)
+        ranges = [range(math.floor(min(k1s)), math.ceil(max(k1s)) + 1),
+                  range(math.floor(min(k2s)), math.ceil(max(k2s)) + 1)]
+    pts = []
+    for ks in itertools.product(*ranges):
+        q = tuple(sum(k * h[i] for k, h in zip(ks, half))
+                  for i in range(cfg.dim))
+        if point_strictly_inside(zono, q):
+            pts.append(q)
+    return tuple(sorted(pts))
+
+
+def closed_inside(zono, pt):
+    """Closed zonotope test by edge cross products (1-D: the segment)."""
+    if zono.dim == 1:
+        return zono.vertices[0][0] <= pt[0] <= zono.vertices[1][0]
+    verts = zono.vertices
+    return all((b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0])
+               >= 0 for a, b in zip(verts, verts[1:] + verts[:1]))
+
+
+def random_configs(seed, count):
+    rng = random.Random(seed)
+    configs = []
+    while len(configs) < count:
+        dim = rng.randint(1, 2)
+        vectors = tuple(tuple(rng.randint(-3, 3) for _ in range(dim))
+                        for _ in range(rng.randint(dim, 5)))
+        try:
+            configs.append(VectorConfig(dim, vectors))
+        except (RankDeficiencyError, DimensionError):
+            continue
+    return configs
+
+
+def test_support_slack_classifies_like_the_hull():
+    seen = {"inside": 0, "boundary": 0, "outside": 0}
+    for cfg in random_configs(404, 60) + [A2, B2, ones(3)]:
+        slack = boxspline._support_slack(cfg)
+        zono = zonotope_support(cfg)
+        lows = [2 * sum(min(0, v[k]) for v in cfg.vectors) - 2
+                for k in range(cfg.dim)]
+        highs = [2 * sum(max(0, v[k]) for v in cfg.vectors) + 2
+                 for k in range(cfg.dim)]
+        for c in itertools.product(*(range(lo, hi + 1)
+                                     for lo, hi in zip(lows, highs))):
+            pt = tuple(F(x, 2) for x in c)
+            strict, closed = point_strictly_inside(zono, pt), closed_inside(zono, pt)
+            assert (slack(c) > 0) == strict
+            assert (slack(c) >= 0) == closed
+            seen["inside" if strict else "boundary" if closed else "outside"] += 1
+    assert all(seen.values())
+
+
+def test_omega_matches_fraction_enumeration():
+    compared = 0
+    for cfg in random_configs(505, 60) + [A2, B2, ones(5),
+                                          parse_vector_config("1,1;1,-1"),
+                                          VectorConfig(2, ((2, 0), (0, 2), (2, 2)))]:
+        try:
+            omega = semi_integral_interior_points(cfg)
+        except CapabilityError:  # over MAX_OMEGA_CANDIDATES
+            continue
+        assert omega.points == reference_omega(cfg)
+        compared += 1
+    assert compared >= 50
+
+
+def test_rejected_arguments_evaluate_to_zero():
+    rejected = 0
+    for cfg in [parse_vector_config(t) for t in BENCHMARK_BASES] + [
+            ones(4), parse_vector_config("1;-2;1")]:
+        slack = boxspline._support_slack(cfg)
+        twice = [tuple(2 * c for c in w)
+                 for w in semi_integral_interior_points(cfg).points]
+        total = cfg.vector_sum()
+        for wi in twice:
+            for wj in twice:
+                arg = tuple(2 * t + a - 2 * b for t, a, b in zip(total, wi, wj))
+                if slack(arg) < 0:
+                    rejected += 1
+                    assert box_spline_eval(cfg, tuple(c / 2 for c in arg)) == 0
+    assert rejected > 0
+
+
+def test_matrix_evaluates_once_per_distinct_supported_argument(monkeypatch):
+    cfg = parse_vector_config("2,1;1,2;1,0;0,1")
+    omega = semi_integral_interior_points(cfg)
+    zono = zonotope_support(cfg)
+    total = cfg.vector_sum()
+    arguments = {tuple(total[k] + wi[k] - 2 * wj[k] for k in range(2))
+                 for wi in omega.points for wj in omega.points}
+    supported = [a for a in arguments if closed_inside(zono, a)]
+    calls = []
+    original = boxspline.box_spline_eval
+
+    def counting(config, point):
+        calls.append(tuple(point))
+        return original(config, point)
+
+    monkeypatch.setattr(boxspline, "box_spline_eval", counting)
+    conjecture_matrix(cfg, omega)
+    assert len(arguments) == 247
+    assert sorted(calls) == sorted(supported)
+    assert len(calls) <= 247

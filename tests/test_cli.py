@@ -182,6 +182,16 @@ def test_conjecture_rejects_oversized_candidate_box(capsys):
         assert f"{candidates} candidate points" in err
 
 
+def test_vectors_outside_the_integer_grammar_exit_2(capsys):
+    for vectors in ("1_0;1", "\u0661;1", "1.0;1", "0x1;1"):
+        for argv in (("conjecture", "--vectors", vectors),
+                     ("boxspline", "--vectors", vectors, "--eval", "1")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "malformed vector" in err
+
+
 def test_boxspline_rejects_exponent_literal(capsys):
     code, out, err = run(capsys, "boxspline", "--vectors", "1;1",
                          "--eval", "1e1000000")
