@@ -3,8 +3,9 @@
 
 Any degree-m spline on knots a_0 < ... < a_n can be continued past its
 window so that it dies off completely within m extra unit steps on each
-side, staying C^(m-1) throughout. The continuation is a B-spline combination
-whose coefficients come from one exact linear solve per side.
+side, staying C^(m-1) throughout. The continuation is a truncated-power
+sum: m+1 jumps per side, read off an exact inverse that depends on m alone,
+plus the spline's own jumps at its interior knots.
 
 The payoff: compactly supported splines have maximal-order zeros at their
 support ends, which pins their interior zero count to at most n - m - 1, and

@@ -8,6 +8,13 @@ B_m is built two independent ways: the truncated-power closed form
 and the convolution recurrence B_m(x) = integral of B_{m-1} over [x-1, x].
 The two constructions must agree piecewise-exactly; cardinal_bspline checks
 that once per degree (results are cached).
+
+extend_compact goes through the same truncated-power assembly: the extension
+is sum_k c_k (x - k)_+^m with m+1 jumps at a_0, a_0-1, ..., a_0-m, the jumps
+of s at its interior knots, and m+1 jumps at a_n, ..., a_n+m. Each tail's
+jumps solve one fixed (m+1)x(m+1) system whose exact inverse (a transposed
+Vandermonde inverse on the nodes 0..m) is cached per degree, so an extension
+runs no linear solve and never builds B_m.
 """
 
 from __future__ import annotations
@@ -22,17 +29,14 @@ from .errors import (
     DegreeError,
     DuplicateShiftError,
     KnotRangeError,
-    SingularMatrixError,
 )
-from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
-from .rational import as_rational
+from .rational import as_rational, primitive_integers
 from .spline import (
     Spline,
     TruncatedPowerSpec,
     normalize,
     spline_from_truncated_powers,
-    spline_reflect,
 )
 
 MAX_CARDINAL_DEGREE = 12
@@ -154,47 +158,42 @@ def bspline_combination(m: int, terms) -> Spline:
     return normalize(combined, trim_ends=True)
 
 
-def _tail_coefficients(s: Spline, base: Spline) -> tuple[Fraction, ...]:
-    """Coefficients lambda_-m..lambda_0 making sum_j lambda_j B_m(x-a_0-j)
-    equal the first interior piece of s on [a_0, a_0+1].
+@lru_cache(maxsize=None)
+def _tail_inverse(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows W and denominator D with (W / D) = V_m^-1, where
+    V_m[k][i] = C(m, k) * i^(m-k) maps jumps d_0..d_m at 0, -1, ..., -m to
+    the coefficients of sum_i d_i (t + i)^m.
 
-    Restricted to one inter-knot interval the m+1 overlapping translates are
-    linearly independent, so the system is invertible; a singular system here
-    is an internal invariant violation."""
-    m = s.degree
-    a0 = s.knots[0]
-    columns: list[list[Fraction]] = []
-    for j in range(-m, 1):
-        segment = base.pieces[-j + 1].taylor_shift(-(a0 + j))
-        coeffs = list(segment.coeffs) + [Fraction(0)] * (m + 1 - len(segment.coeffs))
-        columns.append(coeffs)
-    matrix = RationalMatrix.from_rows(
-        [[columns[j][row] for j in range(m + 1)] for row in range(m + 1)]
-    )
-    first = s.pieces[1]
-    rhs = list(first.coeffs) + [Fraction(0)] * (m + 1 - len(first.coeffs))
-    try:
-        return mat_solve(matrix, rhs)
-    except SingularMatrixError as exc:  # pragma: no cover - cannot happen
-        raise ConsistencyError(
-            "translated B-spline pieces failed to be independent"
-        ) from exc
+    Dividing row k by C(m, k) leaves the transposed Vandermonde matrix on the
+    nodes 0..m, whose inverse holds the Lagrange basis coefficients:
+    d_i = sum_r [t^r]L_i * q_(m-r) / C(m, r)."""
+    nodes = range(m + 1)
+    rows = []
+    for i in nodes:
+        basis = Polynomial.constant(1)
+        for j in nodes:
+            if j != i:
+                basis = basis * Polynomial((Fraction(-j, i - j), Fraction(1, i - j)))
+        coeffs = basis.coeffs
+        rows.append([coeffs[m - k] / math.comb(m, k) for k in nodes])
+    den = math.lcm(*(w.denominator for row in rows for w in row))
+    ints = tuple(tuple(w.numerator * (den // w.denominator) for w in row)
+                 for row in rows)
+    return ints, den
 
 
-def _left_tail(s: Spline, base: Spline) -> list[Polynomial]:
-    """Pieces of the left extension on the m unit domains of [a_0-m, a_0]."""
-    m = s.degree
-    a0 = s.knots[0]
-    lam = _tail_coefficients(s, base)
-    tail: list[Polynomial] = []
-    for i in range(m):
-        acc = Polynomial()
-        for idx, j in enumerate(range(-m, 1)):
-            k = i - j - m  # domain index inside B_m for this translate
-            if 0 <= k <= m and lam[idx] != 0:
-                acc = acc + base.pieces[k + 1].taylor_shift(-(a0 + j)).scale(lam[idx])
-        tail.append(acc)
-    return tail
+def _tail_jumps(p: Polynomial, m: int, sign: int) -> list[Fraction]:
+    """d_0..d_m with sum_i d_i (t + i)^m = sign * p(t), by the cached
+    per-degree inverse (one integer dot product per jump)."""
+    rows, den = _tail_inverse(m)
+    coeffs = p.coeffs + (Fraction(0),) * (m + 1 - len(p.coeffs))
+    content, q = primitive_integers(coeffs)
+    scale = content * sign / den
+    return [scale * sum(w * v for w, v in zip(row, q)) for row in rows]
+
+
+def _top_coefficient(p: Polynomial, m: int) -> Fraction:
+    return p.coeffs[m] if len(p.coeffs) > m else Fraction(0)
 
 
 def extend_compact(s: Spline) -> Spline:
@@ -202,26 +201,38 @@ def extend_compact(s: Spline) -> Spline:
 
     The result coincides with s exactly on [a_0, a_n], vanishes outside
     [a_0 - m, a_n + m], stays C^(m-1) everywhere, and adds only unit-spaced
-    knots. The right side reuses the left-side construction through
-    reflection."""
-    if s.degree < 1:
-        raise DegreeError("extension requires degree >= 1")
+    knots. It is sum_k c_k (x - k)_+^m with one jump per knot:
+
+    * d_i at a_0 - i (i = 0..m) solve sum_i d_i (t + i)^m = p_1(t + a_0),
+      so the left tail rises from zero into the first interior piece p_1;
+    * at an interior knot, the x^m coefficient of p_(j+1) - p_j (the
+      Spline constructor certifies that jump as c * (x - knot)^m);
+    * e_i at a_n + i solve sum_i e_i (u - i)^m = -p_n(u + a_n), so the right
+      tail cancels the last interior piece p_n. Reflecting u -> -u turns this
+      into the left system times (-1)^m.
+
+    Both tail systems have the matrix V_m[k][i] = C(m, k) i^(m-k), which
+    depends on m alone; its exact inverse is built once per degree, so no
+    linear solve runs per call. Degrees above MAX_CARDINAL_DEGREE are
+    refused before any work."""
     m = s.degree
-    base = cardinal_bspline(m).spline
+    if not 1 <= m <= MAX_CARDINAL_DEGREE:
+        raise DegreeError(
+            f"extension needs degree in [1, {MAX_CARDINAL_DEGREE}] "
+            f"(MAX_CARDINAL_DEGREE), got {m}"
+        )
     a0, an = s.knots[0], s.knots[-1]
-    left = _left_tail(s, base)
-    right = [p.reflect() for p in reversed(_left_tail(spline_reflect(s), base))]
-    knots = (
-        tuple(a0 - m + i for i in range(m))
-        + s.knots
-        + tuple(an + i for i in range(1, m + 1))
+    first, last = s.pieces[1], s.pieces[-2]
+    left = _tail_jumps(first.taylor_shift(a0), m, 1)
+    right = _tail_jumps(last.taylor_shift(an).reflect(), m, (-1) ** (m + 1))
+    interior = [
+        (knot, _top_coefficient(after, m) - _top_coefficient(before, m))
+        for knot, before, after in zip(s.knots[1:-1], s.pieces[1:], s.pieces[2:-1])
+    ]
+    jumps = (
+        [(a0 - i, left[i]) for i in range(m, -1, -1)]
+        + interior
+        + [(an + i, right[i]) for i in range(m + 1)]
     )
-    pieces = (
-        (Polynomial(),)
-        + tuple(left)
-        + s.pieces[1:-1]
-        + tuple(right)
-        + (Polynomial(),)
-    )
-    extended = Spline(m, knots, pieces)
-    return normalize(extended, trim_ends=True)
+    spec = TruncatedPowerSpec(Polynomial(), tuple(jumps), (a0 - m, an + m))
+    return normalize(spline_from_truncated_powers(spec, m), trim_ends=True)

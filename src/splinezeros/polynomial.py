@@ -110,14 +110,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial power needs a non-negative int")
-        out = Polynomial.constant(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def scale(self, c) -> "Polynomial":
         c = as_rational(c)
         if c == 0:

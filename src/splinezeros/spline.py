@@ -165,7 +165,8 @@ def normalize(s: Spline, trim_ends: bool = False) -> Spline:
     not genuine: the function is C^infinity there). The outermost knots are
     kept: they mark the census window. With trim_ends=True, outer knots whose
     outside piece equals the inside piece are shed too (used after gluing
-    constructions), never going below two knots."""
+    constructions), never going below two knots. When no knot is dropped
+    the input itself is returned."""
     knots = list(s.knots)
     pieces = list(s.pieces)
     kept_knots = [knots[0]]
@@ -182,6 +183,8 @@ def normalize(s: Spline, trim_ends: bool = False) -> Spline:
         while len(kept_knots) > 2 and kept_pieces[-1] == kept_pieces[-2]:
             kept_knots.pop()
             kept_pieces.pop()
+    if len(kept_knots) == len(knots):
+        return s  # nothing dropped, and s is certified already
     return Spline(s.degree, tuple(kept_knots), tuple(kept_pieces))
 
 
@@ -234,6 +237,21 @@ class TruncatedPowerSpec:
                 raise KnotRangeError("jump knots must lie inside the window")
 
 
+def _binomial_power(c: Fraction, knot: Fraction, m: int) -> Polynomial:
+    """c * (x - knot)^m expanded by the binomial theorem: with knot = p/q the
+    x^(m-e) coefficient is c * C(m, e) * (-p)^e / q^e, one Fraction each."""
+    num, den = -knot.numerator, knot.denominator
+    coeffs = []
+    num_power = den_power = 1
+    for e in range(m + 1):
+        coeffs.append(Fraction(c.numerator * math.comb(m, e) * num_power,
+                               c.denominator * den_power))
+        num_power *= num
+        den_power *= den
+    coeffs.reverse()
+    return Polynomial(coeffs)
+
+
 def spline_from_truncated_powers(spec: TruncatedPowerSpec, m: int) -> Spline:
     """Assemble the spline; smoothness holds by construction and is
     re-verified by the Spline constructor."""
@@ -250,7 +268,7 @@ def spline_from_truncated_powers(spec: TruncatedPowerSpec, m: int) -> Spline:
     for knot in knots:
         c = jump_at.get(knot)
         if c is not None:
-            cumulative = cumulative + (Polynomial((-knot, 1)) ** m).scale(c)
+            cumulative = cumulative + _binomial_power(c, knot, m)
         pieces.append(cumulative)
     return Spline(m, tuple(knots), tuple(pieces))
 

@@ -2,26 +2,35 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splinezeros import (
     GeneratorConfig,
     Polynomial,
+    RationalMatrix,
     Spline,
+    TruncatedPowerSpec,
     bspline_combination,
     cardinal_bspline,
     check_interior_bound,
     check_zero_bound,
     convolution_bspline_pieces,
     extend_compact,
+    insert_knot,
+    mat_solve,
     normalize,
     open_component_count,
     random_spline,
     separated_zero_count,
     spline_derivative,
     spline_eval,
+    spline_from_truncated_powers,
+    spline_reflect,
     spline_translate,
     zero_order_at,
 )
+from splinezeros import bspline, linalg
 from splinezeros.errors import DegreeError, DuplicateShiftError, KnotRangeError
 
 ZERO = Polynomial()
@@ -230,3 +239,123 @@ def test_extension_requires_degree():
     step = spline_derivative(cardinal_bspline(1).spline)
     with pytest.raises(DegreeError):
         extend_compact(step)
+    one = Polynomial([1])
+    with pytest.raises(DegreeError, match="MAX_CARDINAL_DEGREE"):
+        extend_compact(Spline(13, (0, 1), (one, one, one)))
+
+
+# -- oracle: the B-spline tail construction -----------------------------------------
+
+
+def _reference_left_tail(s):
+    """Pieces on the m unit domains of [a_0 - m, a_0]: sum_j lambda_j
+    B_m(x - a_0 - j), j = -m..0, with the lambdas from one mat_solve that
+    matches the first interior piece of s on [a_0, a_0 + 1]."""
+    m = s.degree
+    a0 = s.knots[0]
+    base = cardinal_bspline(m).spline
+    columns = []
+    for j in range(-m, 1):
+        segment = base.pieces[-j + 1].taylor_shift(-(a0 + j))
+        columns.append(list(segment.coeffs)
+                       + [F(0)] * (m + 1 - len(segment.coeffs)))
+    matrix = RationalMatrix.from_rows(
+        [[columns[j][row] for j in range(m + 1)] for row in range(m + 1)])
+    first = s.pieces[1]
+    lam = mat_solve(matrix, list(first.coeffs)
+                    + [F(0)] * (m + 1 - len(first.coeffs)))
+    tail = []
+    for i in range(m):
+        acc = Polynomial()
+        for idx, j in enumerate(range(-m, 1)):
+            k = i - j - m  # domain index inside B_m for this translate
+            if 0 <= k <= m and lam[idx] != 0:
+                acc = acc + base.pieces[k + 1].taylor_shift(-(a0 + j)) \
+                    .scale(lam[idx])
+        tail.append(acc)
+    return tail
+
+
+def reference_extend_compact(s):
+    """extend_compact by B-spline tails: the left tail above, the right one
+    through reflection, glued to the interior pieces and normalized."""
+    m = s.degree
+    a0, an = s.knots[0], s.knots[-1]
+    left = _reference_left_tail(s)
+    right = [p.reflect()
+             for p in reversed(_reference_left_tail(spline_reflect(s)))]
+    knots = (tuple(a0 - m + i for i in range(m)) + s.knots
+             + tuple(an + i for i in range(1, m + 1)))
+    pieces = (ZERO,) + tuple(left) + s.pieces[1:-1] + tuple(right) + (ZERO,)
+    return normalize(Spline(m, knots, pieces), trim_ends=True)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def extension_inputs(draw):
+    """Splines of degree 1..12 on 0-6 interior knots. The base may have any
+    degree up to m and jumps may be zero, so pieces of degree below m, fewer
+    genuine knots than drawn and all-zero windows occur; one input in two
+    gets a non-genuine knot through insert_knot."""
+    m = draw(st.integers(1, 12))
+    knots = sorted(set(draw(st.lists(small_rationals, min_size=2, max_size=8))))
+    if len(knots) < 2:
+        knots.append(knots[0] + 1)
+    base = Polynomial(draw(st.lists(small_rationals, max_size=m + 1)))
+    jumps = tuple((k, draw(small_rationals)) for k in knots[1:-1])
+    spec = TruncatedPowerSpec(base, jumps, (knots[0], knots[-1]))
+    s = spline_from_truncated_powers(spec, m)
+    if draw(st.booleans()):
+        s = insert_knot(s, (3 * s.knots[0] + s.knots[1]) / 4)
+    return s
+
+
+@given(extension_inputs())
+@example(Spline(3, (0, 1), (ZERO, ZERO, ZERO)))
+@example(Spline(12, (F(-1, 3), F(5, 2)), (ZERO, ZERO, ZERO)))
+@settings(max_examples=120, deadline=None)
+def test_extension_matches_bspline_tail_construction(s):
+    assert extend_compact(s) == reference_extend_compact(s)
+
+
+def test_extension_matches_reference_on_low_degree_pieces():
+    """Interior pieces of degree below m, unnormalized (the inserted knot
+    and both neighbours carry identical pieces)."""
+    for m in range(1, 13):
+        line = Polynomial([F(1, 3), F(-2)])
+        s = insert_knot(Spline(m, (F(1, 2), 4), (line, line, line)), 1)
+        assert extend_compact(s) == reference_extend_compact(s)
+
+
+def test_every_cardinal_bspline_is_a_fixed_point():
+    for m in range(1, 13):
+        b = cardinal_bspline(m).spline
+        assert extend_compact(b) == b
+        assert reference_extend_compact(b) == b
+
+
+def test_extension_needs_no_solve_and_no_bspline(monkeypatch):
+    """After one warm call per degree, extensions run neither a linear solve
+    nor the B_m lookup."""
+    for m in range(1, 13):
+        extend_compact(random_spline(GeneratorConfig(seed=m, degree=m,
+                                                     interior_knots=2)))
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "mat_solve",
+                        counted("mat_solve", linalg.mat_solve))
+    monkeypatch.setattr(bspline, "cardinal_bspline",
+                        counted("cardinal_bspline", bspline.cardinal_bspline))
+    for trial in range(50):
+        cfg = GeneratorConfig(seed=31000 + trial, degree=1 + trial % 12,
+                              interior_knots=1 + trial % 5)
+        extend_compact(random_spline(cfg))
+    assert calls == []

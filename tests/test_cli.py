@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,27 @@ def test_extend_roundtrip(capsys, tmp_path):
     ext = spline_from_document(json.loads(dst.read_text()))
     assert ext.knots == tuple(map(int, (-1, 0, 1, 2)))
     assert ext.pieces[0].is_zero and ext.pieces[-1].is_zero
+
+
+def test_extend_refuses_degrees_above_the_cap_quickly(capsys, tmp_path):
+    """Constant pieces make a valid document of any degree; extend must
+    refuse it by the degree alone, before building any tail."""
+    for degree in (13, 3000):
+        src = tmp_path / "src.json"
+        dst = tmp_path / "ext.json"
+        src.write_text(json.dumps({
+            "degree": degree,
+            "knots": ["0", "1"],
+            "pieces": [["1"], ["1"], ["1"]],
+        }))
+        started = time.monotonic()
+        code, out, err = run(capsys, "extend", "--in", str(src),
+                             "--out", str(dst))
+        assert time.monotonic() - started < 5.0
+        assert code == 2
+        assert out == ""
+        assert "MAX_CARDINAL_DEGREE" in err and f"got {degree}" in err
+        assert not dst.exists()
 
 
 def test_bad_rational_is_usage_error(capsys):

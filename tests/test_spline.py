@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,7 @@ from splinezeros.errors import (
     KnotRangeError,
     SmoothnessError,
 )
+from splinezeros.spline import _binomial_power
 
 ZERO = Polynomial()
 
@@ -204,6 +206,34 @@ def test_normalize_trim_ends():
     assert trimmed.pieces == (zero, ramp_up, Polynomial([1]))
     # plain normalization keeps window ends no matter what
     assert normalize(s).knots == (F(-2), F(-1), F(0), F(1))
+
+
+def test_normalize_returns_input_when_nothing_drops():
+    for s in (zigzag_spline(4), ramp(), ramp((-1, 1))):
+        assert normalize(s) is s
+    tent = Spline(1, (-1, 0, 1), (ZERO, Polynomial([1, 1]),
+                                  Polynomial([1, -1]), ZERO))
+    assert normalize(tent, trim_ends=True) is tent
+    # a dropped knot still builds a new spline
+    inserted = insert_knot(tent, F(1, 2))
+    assert normalize(inserted, trim_ends=True) == tent
+
+
+@given(small_rationals, small_rationals.filter(bool), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_binomial_power_matches_products_and_sympy(knot, c, m):
+    expanded = _binomial_power(c, knot, m)
+    product = Polynomial([1])
+    for _ in range(m):
+        product = product * Polynomial((-knot, 1))
+    assert expanded == product.scale(c)
+    x = sympy.Symbol("x")
+    reference = sympy.Poly(
+        sympy.expand(sympy.Rational(c.numerator, c.denominator)
+                     * (x - sympy.Rational(knot.numerator, knot.denominator)) ** m),
+        x)
+    assert expanded.coeffs == tuple(
+        F(int(v.p), int(v.q)) for v in reversed(reference.all_coeffs()))
 
 
 def test_transforms_commute_with_knot_insertion():
