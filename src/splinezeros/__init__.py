@@ -15,7 +15,7 @@ from .linalg import (
     mat_determinant,
     mat_solve,
 )
-from .polynomial import Polynomial, count_distinct_roots, poly_gcd, squarefree_part
+from .polynomial import Polynomial, count_distinct_roots
 from .spline import (
     DomainCensus,
     InteriorBoundVerdict,
@@ -36,16 +36,12 @@ from .spline import (
     spline_eval,
     spline_from_document,
     spline_from_truncated_powers,
-    spline_reflect,
-    spline_scale,
     spline_to_document,
-    spline_translate,
     vanishing_from_report,
     zero_order_at,
 )
 from .bspline import (
     CardinalBSpline,
-    bspline_combination,
     cardinal_bspline,
     convolution_bspline_pieces,
     extend_compact,
@@ -79,16 +75,15 @@ __all__ = [
     "Rational", "as_rational", "format_rational", "parse_rational",
     "IntegerMatrix", "RationalMatrix", "lattice_basis",
     "lattice_determinant", "mat_determinant", "mat_solve",
-    "Polynomial", "count_distinct_roots", "poly_gcd", "squarefree_part",
+    "Polynomial", "count_distinct_roots",
     "DomainCensus", "InteriorBoundVerdict", "Spline", "TruncatedPowerSpec",
     "VanishingVerdict", "ZeroBoundVerdict", "ZeroReport",
     "check_interior_bound", "check_vanishing_criterion", "check_zero_bound",
     "insert_knot", "normalize", "open_component_count", "piecewise_linear",
     "separated_zero_count", "spline_derivative", "spline_eval",
-    "spline_from_document", "spline_from_truncated_powers", "spline_reflect",
-    "spline_scale", "spline_to_document", "spline_translate",
-    "vanishing_from_report", "zero_order_at",
-    "CardinalBSpline", "bspline_combination", "cardinal_bspline",
+    "spline_from_document", "spline_from_truncated_powers",
+    "spline_to_document", "vanishing_from_report", "zero_order_at",
+    "CardinalBSpline", "cardinal_bspline",
     "convolution_bspline_pieces", "extend_compact",
     "ConjectureVerdict", "Omega", "UnimodularityReport", "VectorConfig",
     "Zonotope", "box_spline_eval", "conjecture_matrix", "conjecture_verdict",

@@ -1,5 +1,4 @@
-"""Cardinal B-splines, translation, linear combinations, and the
-compact-support extension.
+"""Cardinal B-splines and the compact-support extension.
 
 B_m is built two independent ways: the truncated-power closed form
 
@@ -27,11 +26,10 @@ from functools import lru_cache
 from .errors import (
     ConsistencyError,
     DegreeError,
-    DuplicateShiftError,
     KnotRangeError,
 )
 from .polynomial import Polynomial, count_distinct_roots
-from .rational import as_rational, primitive_integers
+from .rational import primitive_integers
 from .spline import (
     Spline,
     TruncatedPowerSpec,
@@ -123,39 +121,6 @@ def cardinal_bspline(m: int) -> CardinalBSpline:
             f"degree must be an int in [1, {MAX_CARDINAL_DEGREE}], got {m!r}"
         )
     return _cardinal_cached(m)
-
-
-def bspline_combination(m: int, terms) -> Spline:
-    """sum_j d_j * B_m(x - shift_j) as one normalized spline.
-
-    Shifts must be distinct. The all-zero combination collapses to the zero
-    spline on the union window."""
-    terms = [(as_rational(shift), as_rational(coeff)) for shift, coeff in terms]
-    if not terms:
-        raise DuplicateShiftError("at least one term required")
-    shifts = [shift for shift, _ in terms]
-    if len(set(shifts)) != len(shifts):
-        raise DuplicateShiftError("duplicate shifts in combination")
-    base = cardinal_bspline(m).spline
-    knots = sorted({shift + k for shift in shifts for k in range(m + 2)})
-    pieces: list[Polynomial] = [Polynomial()]
-    for left, right in zip(knots, knots[1:]):
-        mid = (left + right) / 2
-        acc = Polynomial()
-        for shift, coeff in terms:
-            if coeff == 0:
-                continue
-            pos = mid - shift
-            if 0 < pos < m + 1:
-                segment = base.pieces[math.floor(pos) + 1]
-                acc = acc + segment.taylor_shift(-shift).scale(coeff)
-        pieces.append(acc)
-    pieces.append(Polynomial())
-    combined = Spline(m, tuple(knots), tuple(pieces))
-    if all(p.is_zero for p in combined.pieces):
-        zero = Polynomial()
-        return Spline(m, (knots[0], knots[-1]), (zero, zero, zero))
-    return normalize(combined, trim_ends=True)
 
 
 @lru_cache(maxsize=None)

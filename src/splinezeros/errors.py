@@ -46,10 +46,6 @@ class DegreeError(SplineZerosError):
     """Operation undefined for this spline degree."""
 
 
-class DuplicateShiftError(SplineZerosError):
-    """B-spline combination given two identical shifts."""
-
-
 class CapabilityError(SplineZerosError):
     """Configuration outside the supported evaluation range."""
 

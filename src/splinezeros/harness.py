@@ -181,24 +181,6 @@ class TrialReport:
         return json.dumps(self.to_document(), indent=2)
 
 
-def _big_open_component_count(extension: Spline, lo: Fraction, hi: Fraction,
-                              verdict) -> int:
-    """Components of the extension's zero set inside the open interval
-    (lo, hi) containing its window: s vanishes identically between lo/hi and
-    the window ends, so those stretches merge into the endpoint components;
-    an endpoint singleton only disappears when the window end sits exactly
-    on the open-interval boundary."""
-    report = verdict.report
-    z = verdict.Z
-    if extension.knots[0] == lo and report.knot_value_zero[0] \
-            and not report.domains[0].identically_zero:
-        z -= 1
-    if extension.knots[-1] == hi and report.knot_value_zero[-1] \
-            and not report.domains[-1].identically_zero:
-        z -= 1
-    return z
-
-
 def run_verification_suite(kind: str, cfg: GeneratorConfig,
                            trials: int) -> TrialReport:
     if kind not in SUITE_KINDS:
@@ -262,8 +244,9 @@ def run_verification_suite(kind: str, cfg: GeneratorConfig,
                 verdict = check_zero_bound(extension)
                 sn = normalize(s)
                 m = sn.degree
-                big = _big_open_component_count(
-                    extension, sn.knots[0] - m, sn.knots[-1] + m, verdict)
+                # the extension vanishes between these bounds and its window
+                big = open_component_count(verdict.report, sn.knots[0] - m,
+                                           sn.knots[-1] + m)
                 chained_bound = sn.n + m - 1
                 ok = big <= chained_bound
                 ok = ok and vanishing_from_report(m, verdict.report).consistent

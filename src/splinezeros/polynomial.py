@@ -5,6 +5,13 @@ never locates a root: Sturm sequences over exact integers report how many
 distinct real roots sit in an interval, with explicit endpoint control, and
 that is all the spline layer needs (roots are frequently irrational).
 
+One remainder sequence per polynomial: the pseudo-remainder sequence of
+(p, p') ends in g = gcd(p, p'), and dividing every entry by g gives a Sturm
+sequence of the square-free part p/g, so no separate gcd is computed.
+root_census evaluates that sequence once at each endpoint and returns the
+open-interval count together with the endpoint zero flags p(a) == 0 and
+p(b) == 0, read from the sign of its first entry.
+
 Internals run on primitive integer coefficient sequences: content is divided
 out after every pseudo-remainder step, which keeps coefficient growth tame
 and is far faster than Fraction arithmetic in the inner loop.
@@ -148,7 +155,7 @@ class Polynomial:
                                 for i, c in enumerate(self.coeffs)))
 
 
-# -- integer kernel for gcd / Sturm ---------------------------------------------
+# -- integer kernel for Sturm sequences ----------------------------------------
 
 
 def _trim_int(c: list[int]) -> list[int]:
@@ -195,21 +202,6 @@ def _prem_positive(a: list[int], b: list[int]) -> list[int]:
     return [-v for v in r] if flips else r
 
 
-def _gcd_int(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with positive leading coefficient (Euclidean chain with
-    content normalization at every step)."""
-    a, b = a[:], b[:]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _content_normalize(_prem_positive(a, b))
-        a, b = b, r
-    if not a:
-        return []
-    a = _content_normalize(a)
-    return [-v for v in a] if a[-1] < 0 else a
-
-
 def _div_exact_int(num: list[int], den: list[int]) -> list[int] | None:
     """Quotient of integer polynomials, or None when den does not divide num
     over Z. For a primitive den that is the same as over Q (Gauss's lemma)."""
@@ -236,19 +228,6 @@ def _derivative_int(c: list[int]) -> list[int]:
     return [i * v for i, v in enumerate(c) if i]
 
 
-def _squarefree_int(c: list[int]) -> list[int]:
-    """c / gcd(c, c'): same distinct roots, all simple."""
-    if len(c) <= 2:
-        return c
-    g = _gcd_int(c, _derivative_int(c))
-    if len(g) == 1:
-        return c
-    q = _div_exact_int(c, g)
-    if q is None:
-        raise ConsistencyError("gcd does not divide its polynomial")
-    return _content_normalize(q)
-
-
 def root_order(p: Polynomial, x, cap: int) -> int:
     """Multiplicity of the rational x as a root of p, capped at cap; the zero
     polynomial gets cap. With x = a/b in lowest terms, the primitive integer
@@ -262,19 +241,6 @@ def root_order(p: Polynomial, x, cap: int) -> int:
     while order < cap and (c := _div_exact_int(c, linear)) is not None:
         order += 1
     return order
-
-
-def _sturm_chain(c: list[int]) -> list[list[int]]:
-    chain = [c]
-    d = _trim_int(_derivative_int(c))
-    if d:
-        chain.append(d)
-        while True:
-            r = _prem_positive(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append([-v for v in _content_normalize(r)])
-    return chain
 
 
 def _sign_at(c: list[int], num: int, den: int) -> int:
@@ -292,22 +258,45 @@ def _sign_at(c: list[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    signs = [s for c in chain if (s := _sign_at(c, num, den)) != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sturm_chain(c: list[int]) -> list[list[int]]:
+    """Sturm sequence of the square-free part of c, from one remainder
+    sequence: the pseudo-remainder sequence of (c, c') with content divided
+    out, ending in g = gcd(c, c'). When deg g > 0 every entry is divided
+    exactly by g, which gives a Sturm sequence of c/g (Basu, Pollack & Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2)."""
+    chain = [c]
+    d = _trim_int(_derivative_int(c))
+    if not d:
+        return chain
+    chain.append(d)
+    while r := _prem_positive(chain[-2], chain[-1]):
+        chain.append([-v for v in _content_normalize(r)])
+    # when the chain is only (c, c'), its last entry is c' itself, whose
+    # content was never divided out
+    g = _content_normalize(chain[-1])
+    if len(g) == 1:
+        return chain
+    quotients = [_div_exact_int(entry, g) for entry in chain]
+    if None in quotients:
+        raise ConsistencyError("gcd does not divide its Sturm sequence")
+    return quotients
 
 
-def count_distinct_roots(p: Polynomial, a, b,
-                         open_left: bool = False,
-                         open_right: bool = False) -> int:
-    """Exact number of distinct real roots of p in the interval from a to b.
+def _variations(signs: list[int]) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for u, v in zip(nonzero, nonzero[1:]) if u != v)
 
-    The default interval is closed; the flags drop either endpoint. Built on
-    the Sturm sequence of the square-free part p/gcd(p, p'): the zero-skip
-    sign-variation difference V(a) - V(b) counts distinct roots in the
-    half-open (a, b], and explicit evaluations of p at a and b adjust for the
-    requested endpoint inclusion.
+
+def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
+    """(distinct real roots of p in the open interval (a, b), p(a) == 0,
+    p(b) == 0), all from one Sturm sequence.
+
+    The sequence is that of the square-free part p/gcd(p, p') (see
+    _sturm_chain), evaluated once at each endpoint. The zero-skip
+    sign-variation difference V(a) - V(b) counts the distinct roots in the
+    half-open (a, b]; the sign of the first entry, which has the same roots
+    as p, gives both endpoint flags, and p(b) == 0 is subtracted to open the
+    right end.
 
     Raises InfiniteRootsError for the zero polynomial (callers must branch on
     identically-zero pieces first) and IntervalError when a >= b.
@@ -318,36 +307,22 @@ def count_distinct_roots(p: Polynomial, a, b,
     b = as_rational(b)
     if a >= b:
         raise IntervalError(f"need a < b, got {a} >= {b}")
-    c = _squarefree_int(_primitive_int(p))
-    if len(c) == 1:
-        return 0
-    chain = _sturm_chain(c)
-    count = _sign_variations(chain, a) - _sign_variations(chain, b)
-    if not open_left and _sign_at(c, a.numerator, a.denominator) == 0:
-        count += 1
-    if open_right and _sign_at(c, b.numerator, b.denominator) == 0:
-        count -= 1
-    return count
+    chain = _sturm_chain(_primitive_int(p))
+    at_a = [_sign_at(c, a.numerator, a.denominator) for c in chain]
+    at_b = [_sign_at(c, b.numerator, b.denominator) for c in chain]
+    zero_at_b = at_b[0] == 0
+    count = _variations(at_a) - _variations(at_b) - zero_at_b
+    return count, at_a[0] == 0, zero_at_b
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), primitive with integer coefficients."""
-    if p.is_zero:
-        return Polynomial()
-    return Polynomial(_squarefree_int(_primitive_int(p)))
+def count_distinct_roots(p: Polynomial, a, b,
+                         open_left: bool = False,
+                         open_right: bool = False) -> int:
+    """Exact number of distinct real roots of p in the interval from a to b.
 
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Primitive gcd (positive leading coefficient); gcd(p, 0) = p made
-    primitive."""
-    if p.is_zero and q.is_zero:
-        return Polynomial()
-    if p.is_zero:
-        return Polynomial(_normalize_sign(_primitive_int(q)))
-    if q.is_zero:
-        return Polynomial(_normalize_sign(_primitive_int(p)))
-    return Polynomial(_gcd_int(_primitive_int(p), _primitive_int(q)))
-
-
-def _normalize_sign(c: list[int]) -> list[int]:
-    return [-v for v in c] if c and c[-1] < 0 else c
+    The default interval is closed; the flags drop either endpoint. A thin
+    wrapper over root_census, which reads the open-interval count and both
+    endpoint zeros from one Sturm sequence; it raises the same errors.
+    """
+    count, zero_at_a, zero_at_b = root_census(p, a, b)
+    return count + (zero_at_a and not open_left) + (zero_at_b and not open_right)

@@ -21,7 +21,11 @@ u < v are separated iff s is not identically zero on [u, v]):
 
 Hence the maximum separated family has exactly one member per component, and
 Z is computable from exact per-domain root counts and knot-value flags alone
-(no root locations needed).
+(no root locations needed). Both come from one Sturm sequence per domain
+(polynomial.root_census): it counts the roots in the open domain and says
+whether the piece vanishes at either end, and each knot takes its flag from
+an adjacent domain, which continuity allows for degree >= 1. The census
+evaluates no piece on its own.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import (
     KnotRangeError,
     SmoothnessError,
 )
-from .polynomial import Polynomial, count_distinct_roots, root_order
+from .polynomial import Polynomial, root_census, root_order
 from .rational import as_rational, format_rational, parse_rational
 
 
@@ -133,31 +137,6 @@ def spline_derivative(s: Spline) -> Spline:
         raise DegreeError("cannot differentiate a degree-0 spline")
     pieces = tuple(p.derivative() for p in s.pieces)
     return normalize(Spline(s.degree - 1, s.knots, pieces))
-
-
-def spline_scale(s: Spline, c) -> Spline:
-    """c * s, exactly."""
-    c = as_rational(c)
-    return Spline(s.degree, s.knots, tuple(p.scale(c) for p in s.pieces))
-
-
-def spline_translate(s: Spline, shift) -> Spline:
-    """x -> s(x - shift); knots move right by shift."""
-    shift = as_rational(shift)
-    return Spline(
-        s.degree,
-        tuple(k + shift for k in s.knots),
-        tuple(p.taylor_shift(-shift) for p in s.pieces),
-    )
-
-
-def spline_reflect(s: Spline) -> Spline:
-    """x -> s(-x); knots negate and reverse."""
-    return Spline(
-        s.degree,
-        tuple(-k for k in reversed(s.knots)),
-        tuple(p.reflect() for p in reversed(s.pieces)),
-    )
 
 
 def normalize(s: Spline, trim_ends: bool = False) -> Spline:
@@ -315,6 +294,14 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
     """Z and its census on [a, b], where a and b must be knots of s (use
     insert_knot first for other windows).
 
+    One Sturm sequence per domain (polynomial.root_census) gives the distinct
+    roots in the open domain and whether the piece vanishes at each end. Each
+    knot flag is the left-end flag of the domain to its right, and the last
+    knot's is the right-end flag of the last domain: the spline is continuous
+    (degree >= 1), so either adjacent piece decides the knot value. An
+    identically zero domain flags both of its knots. No piece is evaluated
+    separately.
+
     Components are assembled from exact counts only: interior roots of
     non-vanishing pieces are isolated singletons; zero-valued knots chain
     into one component exactly when the domain between them vanishes
@@ -333,18 +320,17 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
         raise KnotRangeError("census endpoints must be knots of the spline") from None
 
     domains = []
-    for j in range(ia + 1, ib + 1):
-        piece = s.pieces[j]
+    knot_zero = []
+    for left, right, piece in zip(s.knots[ia:ib], s.knots[ia + 1:ib + 1],
+                                  s.pieces[ia + 1:ib + 1]):
         if piece.is_zero:
-            domains.append(DomainCensus(s.knots[j - 1], s.knots[j], True, None))
+            domains.append(DomainCensus(left, right, True, None))
+            zero_left = zero_right = True
         else:
-            cnt = count_distinct_roots(piece, s.knots[j - 1], s.knots[j],
-                                       open_left=True, open_right=True)
-            domains.append(DomainCensus(s.knots[j - 1], s.knots[j], False, cnt))
-
-    knot_zero = tuple(
-        s.pieces[j + 1].eval(s.knots[j]) == 0 for j in range(ia, ib + 1)
-    )
+            count, zero_left, zero_right = root_census(piece, left, right)
+            domains.append(DomainCensus(left, right, False, count))
+        knot_zero.append(zero_left)
+    knot_zero.append(zero_right)
 
     isolated = sum(d.open_interior_distinct_roots for d in domains
                    if not d.identically_zero)
@@ -356,20 +342,30 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
         if not joined:
             clusters += 1
 
-    report = ZeroReport((a, b), tuple(domains), knot_zero, isolated + clusters)
+    report = ZeroReport((a, b), tuple(domains), tuple(knot_zero),
+                        isolated + clusters)
     return report.component_count, report
 
 
-def open_component_count(report: ZeroReport) -> int:
-    """Components of the zero set intersected with the OPEN window.
+def open_component_count(report: ZeroReport, lo=None, hi=None) -> int:
+    """Components of the census's zero set that meet the OPEN interval
+    (lo, hi), which must contain the window; lo and hi default to the window
+    ends.
 
-    Only singleton components sitting exactly on a window endpoint
-    disappear; components that extend inward through an identically-zero
-    domain survive as nonempty sets."""
+    Only a singleton component sitting on a window end that equals its bound
+    disappears; components that extend inward through an identically-zero
+    domain survive as nonempty sets, and a window end strictly inside
+    (lo, hi) keeps its component."""
+    a, b = report.window
+    lo = a if lo is None else as_rational(lo)
+    hi = b if hi is None else as_rational(hi)
+    if lo > a or hi < b:
+        raise IntervalError(f"({lo}, {hi}) does not contain the window [{a}, {b}]")
     z = report.component_count
-    if report.knot_value_zero[0] and not report.domains[0].identically_zero:
+    first, last = report.domains[0], report.domains[-1]
+    if lo == a and report.knot_value_zero[0] and not first.identically_zero:
         z -= 1
-    if report.knot_value_zero[-1] and not report.domains[-1].identically_zero:
+    if hi == b and report.knot_value_zero[-1] and not last.identically_zero:
         z -= 1
     return z
 

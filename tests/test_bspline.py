@@ -11,7 +11,6 @@ from splinezeros import (
     RationalMatrix,
     Spline,
     TruncatedPowerSpec,
-    bspline_combination,
     cardinal_bspline,
     check_interior_bound,
     check_zero_bound,
@@ -26,12 +25,10 @@ from splinezeros import (
     spline_derivative,
     spline_eval,
     spline_from_truncated_powers,
-    spline_reflect,
-    spline_translate,
     zero_order_at,
 )
 from splinezeros import bspline, linalg
-from splinezeros.errors import DegreeError, DuplicateShiftError, KnotRangeError
+from splinezeros.errors import DegreeError, KnotRangeError
 
 ZERO = Polynomial()
 
@@ -126,37 +123,15 @@ def test_partition_of_unity_exact():
             assert total == 1
 
 
-def test_translate_examples():
-    b1 = cardinal_bspline(1).spline
-    assert spline_eval(spline_translate(b1, 1), F(3, 2)) == F(1, 2)
-    assert spline_translate(b1, 0) == b1
-    assert spline_translate(spline_translate(b1, F(7, 3)), F(-7, 3)) == b1
-
-
-def test_combination_single_term_is_bspline():
-    for m in (1, 2, 3):
-        assert bspline_combination(m, [(0, 1)]) == cardinal_bspline(m).spline
-
-
 def test_combination_partition_window():
+    """The m + 2 translates B_m(x - j), j = -m..m+1, cover [0, 1] and sum to
+    1 there."""
     m = 3
-    s = bspline_combination(m, [(j, 1) for j in range(-m, m + 2)])
+    b = cardinal_bspline(m)
     rng = random.Random(33)
     for _ in range(20):
         x = F(rng.randint(0, 8), 8)
-        assert spline_eval(s, x) == 1
-
-
-def test_combination_zero_coefficients():
-    s = bspline_combination(2, [(0, 0), (3, 0)])
-    assert all(p.is_zero for p in s.pieces)
-
-
-def test_combination_duplicate_shift_rejected():
-    with pytest.raises(DuplicateShiftError):
-        bspline_combination(2, [(0, 1), (0, 2)])
-    with pytest.raises(DuplicateShiftError):
-        bspline_combination(2, [])
+        assert sum(b.eval(x - j) for j in range(-m, m + 2)) == 1
 
 
 def test_extension_of_constant_is_trapezoid():
@@ -210,15 +185,8 @@ def test_extension_chained_zero_bound():
         s = random_spline(cfg)
         sn = normalize(s)
         ext = extend_compact(s)
-        verdict = check_zero_bound(ext)
-        z = verdict.Z
-        report = verdict.report
-        if ext.knots[0] == sn.knots[0] - m and report.knot_value_zero[0] \
-                and not report.domains[0].identically_zero:
-            z -= 1
-        if ext.knots[-1] == sn.knots[-1] + m and report.knot_value_zero[-1] \
-                and not report.domains[-1].identically_zero:
-            z -= 1
+        report = check_zero_bound(ext).report
+        z = open_component_count(report, sn.knots[0] - m, sn.knots[-1] + m)
         assert z <= sn.n + m - 1
 
 
@@ -282,8 +250,9 @@ def reference_extend_compact(s):
     m = s.degree
     a0, an = s.knots[0], s.knots[-1]
     left = _reference_left_tail(s)
-    right = [p.reflect()
-             for p in reversed(_reference_left_tail(spline_reflect(s)))]
+    reflected = Spline(m, tuple(-k for k in reversed(s.knots)),
+                       tuple(p.reflect() for p in reversed(s.pieces)))
+    right = [p.reflect() for p in reversed(_reference_left_tail(reflected))]
     knots = (tuple(a0 - m + i for i in range(m)) + s.knots
              + tuple(an + i for i in range(1, m + 1)))
     pieces = (ZERO,) + tuple(left) + s.pieces[1:-1] + tuple(right) + (ZERO,)

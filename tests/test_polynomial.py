@@ -6,9 +6,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from splinezeros import Polynomial, count_distinct_roots, poly_gcd, squarefree_part
+from splinezeros import Polynomial, count_distinct_roots
 from splinezeros.errors import InfiniteRootsError, IntervalError
-from splinezeros.polynomial import root_order
+from splinezeros.polynomial import root_census, root_order
 
 
 def bisection_root_count(p, a, b, depth=1024):
@@ -121,6 +121,10 @@ def test_count_roots_endpoint_flags():
     assert count_distinct_roots(p, 0, 2, open_left=True) == 2
     assert count_distinct_roots(p, 0, 2, open_right=True) == 2
     assert count_distinct_roots(p, 0, 2, open_left=True, open_right=True) == 1
+    assert root_census(p, 0, 2) == (1, True, True)
+    assert root_census(p, F(1, 2), 2) == (1, False, True)
+    assert root_census(Polynomial.from_roots([1, 1, 3]), 1, 3) == (0, True, True)
+    assert root_census(Polynomial([5]), -1, 1) == (0, False, False)
 
 
 def test_count_roots_against_planted_roots():
@@ -149,14 +153,14 @@ def test_count_roots_against_planted_roots():
 
 
 def test_count_equals_squarefree_count():
+    """Every root doubled: the count is still the number of distinct planted
+    roots, so the Sturm sequence is that of the square-free part."""
     rng = random.Random(888)
     for _ in range(100):
         deg = rng.randint(1, 4)
         roots = [F(rng.randint(-5, 5)) for _ in range(deg)]
         p = Polynomial.from_roots(roots + roots)  # force multiplicities
-        q = squarefree_part(p)
-        a, b = F(-6), F(6)
-        assert count_distinct_roots(p, a, b) == count_distinct_roots(q, a, b)
+        assert count_distinct_roots(p, F(-6), F(6)) == len(set(roots))
 
 
 def test_closed_minus_open_counts_endpoint_zeros():
@@ -241,15 +245,3 @@ def test_root_order_examples():
     assert root_order(p, F(-1, 2), 10) == 1
     assert root_order(p, 0, 10) == 0
     assert root_order(Polynomial(), 5, 7) == 7
-
-
-def test_poly_gcd_common_factor():
-    p = Polynomial.from_roots([1, 2])
-    q = Polynomial.from_roots([2, 3])
-    g = poly_gcd(p, q)
-    assert g == Polynomial([-2, 1])
-
-
-def test_squarefree_part_drops_multiplicity():
-    p = Polynomial.from_roots([1, 1, 1, 4])
-    assert squarefree_part(p).degree == 2

@@ -8,25 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinezeros import (
+    DomainCensus,
+    GeneratorConfig,
     Polynomial,
     Spline,
     TruncatedPowerSpec,
     check_interior_bound,
     check_vanishing_criterion,
     check_zero_bound,
+    extend_compact,
     insert_knot,
     normalize,
     open_component_count,
     piecewise_linear,
+    random_spline,
     separated_zero_count,
     spline_derivative,
     spline_eval,
     spline_from_document,
     spline_from_truncated_powers,
-    spline_reflect,
-    spline_scale,
     spline_to_document,
-    spline_translate,
     zero_order_at,
     zigzag_spline,
 )
@@ -38,9 +39,36 @@ from splinezeros.errors import (
     KnotRangeError,
     SmoothnessError,
 )
+from splinezeros.polynomial import (
+    _content_normalize,
+    _derivative_int,
+    _div_exact_int,
+    _prem_positive,
+    _primitive_int,
+    _sign_at,
+    _trim_int,
+    root_census,
+)
 from splinezeros.spline import _binomial_power
 
 ZERO = Polynomial()
+
+
+def translate(s, shift):
+    """x -> s(x - shift); knots move right by shift."""
+    return Spline(s.degree, tuple(k + shift for k in s.knots),
+                  tuple(p.taylor_shift(-shift) for p in s.pieces))
+
+
+def reflect(s):
+    """x -> s(-x); knots negate and reverse."""
+    return Spline(s.degree, tuple(-k for k in reversed(s.knots)),
+                  tuple(p.reflect() for p in reversed(s.pieces)))
+
+
+def scale(s, c):
+    """c * s."""
+    return Spline(s.degree, s.knots, tuple(p.scale(c) for p in s.pieces))
 
 
 def ramp(window=(0, 1)):
@@ -239,12 +267,12 @@ def test_binomial_power_matches_products_and_sympy(knot, c, m):
 def test_transforms_commute_with_knot_insertion():
     s = zigzag_spline(3)
     inserted = insert_knot(s, F(1, 2))
-    t = spline_translate(inserted, 5)
+    t = translate(inserted, 5)
     assert F(11, 2) in t.knots
-    assert normalize(t) == spline_translate(s, 5)
-    r = spline_reflect(inserted)
+    assert normalize(t) == translate(s, 5)
+    r = reflect(inserted)
     assert F(-1, 2) in r.knots
-    assert normalize(r) == spline_reflect(s)
+    assert normalize(r) == reflect(s)
 
 
 def test_degree_zero_eval_uses_right_piece():
@@ -312,6 +340,11 @@ def test_open_component_count():
     assert z == 2
     # the [0,1] plateau still meets the open interval
     assert open_component_count(report) == 1
+    # a window end strictly inside (lo, hi) keeps its singleton
+    assert open_component_count(report, 0, 4) == 2
+    assert open_component_count(report, -1, 3) == 1
+    with pytest.raises(IntervalError):
+        open_component_count(report, 1, 3)
 
 
 # -- knot insertion and invariances ---------------------------------------------------
@@ -338,7 +371,6 @@ def test_insert_knot_errors():
 
 def test_zero_count_invariant_under_insert_reflect_scale():
     rng = random.Random(99)
-    from splinezeros import GeneratorConfig, random_spline
     for trial in range(25):
         cfg = GeneratorConfig(seed=5000 + trial, degree=rng.randint(1, 3),
                               interior_knots=rng.randint(1, 5))
@@ -348,14 +380,20 @@ def test_zero_count_invariant_under_insert_reflect_scale():
         x = (lo + hi) / 2
         s_ins = insert_knot(s, x) if x not in s.knots else s
         assert check_zero_bound(s_ins).Z == z
-        assert check_zero_bound(spline_reflect(s)).Z == z
-        assert check_zero_bound(spline_scale(s, F(-7, 3))).Z == z
+        assert check_zero_bound(reflect(s)).Z == z
+        assert check_zero_bound(scale(s, F(-7, 3))).Z == z
 
 
 def test_scale_by_zero_gives_zero_spline():
     s = zigzag_spline(3)
-    z = spline_scale(s, 0)
+    z = scale(s, 0)
     assert all(p.is_zero for p in z.pieces)
+    # every domain vanishes, so every knot is flagged and one component
+    # spans the window
+    count, report = separated_zero_count(z, 0, 3)
+    assert count == 1
+    assert all(d.identically_zero for d in report.domains)
+    assert report.knot_value_zero == (True,) * 4
 
 
 # -- interior bound and vanishing criterion -------------------------------------------
@@ -409,6 +447,148 @@ def test_first_domain_census_matches_planted_roots():
         first = report.domains[0]
         inside = [r for r in roots if F(0) < r < F(1)]
         assert first.open_interior_distinct_roots == len(inside)
+
+
+# -- reference: two remainder sequences per piece and Fraction knot values -----------
+
+
+def reference_gcd_int(a, b):
+    """Primitive gcd with positive leading coefficient (Euclidean chain with
+    content normalization at every step)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _content_normalize(_prem_positive(a, b))
+    a = _content_normalize(a)
+    return [-v for v in a] if a[-1] < 0 else a
+
+
+def reference_squarefree_int(c):
+    """c / gcd(c, c'): same distinct roots, all simple."""
+    if len(c) <= 2:
+        return c
+    g = reference_gcd_int(c, _derivative_int(c))
+    if len(g) == 1:
+        return c
+    return _content_normalize(_div_exact_int(c, g))
+
+
+def reference_sturm_chain(c):
+    """Sturm chain of an already square-free c (a second remainder sequence
+    of the same pair when c had no repeated root)."""
+    chain = [c]
+    d = _trim_int(_derivative_int(c))
+    if d:
+        chain.append(d)
+        while r := _prem_positive(chain[-2], chain[-1]):
+            chain.append([-v for v in _content_normalize(r)])
+    return chain
+
+
+def reference_open_count(p, a, b):
+    """Distinct roots of p in the open (a, b) by the Sturm chain of
+    p/gcd(p, p'), with the gcd from its own remainder sequence."""
+    c = reference_squarefree_int(_primitive_int(p))
+    if len(c) == 1:
+        return 0
+    chain = reference_sturm_chain(c)
+
+    def variations(x):
+        signs = [v for e in chain if (v := _sign_at(e, x.numerator, x.denominator))]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return variations(a) - variations(b) - (_sign_at(c, b.numerator, b.denominator) == 0)
+
+
+def reference_census(s, ia, ib):
+    """Domains and knot flags of the census on [knots[ia], knots[ib]], the
+    flags by evaluating the piece right of each knot in Fraction."""
+    domains = []
+    for j in range(ia + 1, ib + 1):
+        piece, left, right = s.pieces[j], s.knots[j - 1], s.knots[j]
+        if piece.is_zero:
+            domains.append(DomainCensus(left, right, True, None))
+        else:
+            domains.append(DomainCensus(left, right, False,
+                                        reference_open_count(piece, left, right)))
+    flags = tuple(s.pieces[j + 1].eval(s.knots[j]) == 0 for j in range(ia, ib + 1))
+    return tuple(domains), flags
+
+
+@st.composite
+def census_cases(draw):
+    """A spline and a census window. Roots are planted, with repeats, at the
+    knots and between them; one case in two cancels the base at a knot, which
+    leaves an identically zero domain; an extension by extend_compact, padded
+    with one zero domain per side, puts its zero ends inside the window; an
+    inserted knot may sit on a planted root."""
+    m = draw(st.integers(1, 5))
+    pool = draw(st.lists(small_rationals, min_size=2, max_size=6, unique=True))
+    knots = sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5,
+                                 unique=True)))
+    roots = draw(st.lists(st.sampled_from(pool), max_size=m))
+    base = Polynomial.from_roots(roots).scale(draw(small_rationals))
+    jumps = {k: draw(small_rationals) for k in knots[:-1]}
+    if len(knots) >= 3 and draw(st.booleans()):
+        c = draw(small_rationals.filter(bool))
+        base = Polynomial.from_roots([knots[1]] * m).scale(c)
+        jumps[knots[0]] = F(0)
+        jumps[knots[1]] = -c
+    spec = TruncatedPowerSpec(base, tuple(sorted(jumps.items())),
+                              (knots[0], knots[-1]))
+    s = spline_from_truncated_powers(spec, m)
+    shape = draw(st.sampled_from(("plain", "extended", "padded")))
+    if shape != "plain":
+        s = extend_compact(s)
+    if shape == "padded":
+        s = Spline(m, (s.knots[0] - 1,) + s.knots + (s.knots[-1] + 1,),
+                   (ZERO,) + s.pieces + (ZERO,))
+    lo, hi = s.window
+    inside = [x for x in pool + [(lo + hi) / 2] if lo < x < hi and x not in s.knots]
+    if inside and draw(st.booleans()):
+        s = insert_knot(s, draw(st.sampled_from(inside)))
+    ia = draw(st.integers(0, len(s.knots) - 2))
+    ib = draw(st.integers(ia + 1, len(s.knots) - 1))
+    return s, ia, ib
+
+
+@given(census_cases())
+@settings(max_examples=300, deadline=None)
+def test_census_matches_two_sequence_route(case):
+    s, ia, ib = case
+    _, report = separated_zero_count(s, s.knots[ia], s.knots[ib])
+    assert (report.domains, report.knot_value_zero) == reference_census(s, ia, ib)
+    for j in range(ia + 1, ib + 1):
+        piece, left, right = s.pieces[j], s.knots[j - 1], s.knots[j]
+        if not piece.is_zero:
+            assert root_census(piece, left, right) == (
+                reference_open_count(piece, left, right),
+                piece.eval(left) == 0, piece.eval(right) == 0)
+
+
+def test_census_evaluates_no_piece(monkeypatch):
+    """The knot flags come from the Sturm sequences of the domain census, so
+    a census over random splines and their extensions runs no
+    Polynomial.eval."""
+    splines = []
+    for trial in range(200):
+        cfg = GeneratorConfig(seed=21000 + trial, degree=1 + trial % 4,
+                              interior_knots=trial % 6)
+        s = random_spline(cfg)
+        splines += [s, extend_compact(s)]
+    calls = 0
+    evaluate = Polynomial.eval
+
+    def counting_eval(self, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Polynomial, "eval", counting_eval)
+    for s in splines:
+        separated_zero_count(s, s.knots[0], s.knots[-1])
+    assert len(splines) == 400
+    assert calls == 0
 
 
 # -- JSON contract ---------------------------------------------------------------------
