@@ -57,10 +57,10 @@ class VectorConfig:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vectors",
-            tuple(tuple(int(c) for c in v) for v in self.vectors),
-        )
+        vectors = tuple(tuple(v) for v in self.vectors)
+        for c in (c for v in vectors for c in v if type(c) is not int):
+            raise FormatError(f"vector components must be int, got {c!r}")
+        object.__setattr__(self, "vectors", vectors)
         if self.dim not in (1, 2):
             raise DimensionError(f"ambient dimension must be 1 or 2, got {self.dim}")
         if len(self.vectors) < self.dim:
