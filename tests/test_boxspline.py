@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,125 @@ def jarvis_hull(points):
     return hull
 
 
+def first_basis(vectors):
+    """The first s linearly independent vectors of the list, or None."""
+    first = vectors[0]
+    if len(first) == 1:
+        return (first,)
+    for v in vectors[1:]:
+        if first[0] * v[1] - first[1] * v[0]:
+            return first, v
+    return None
+
+
+def adjugate(basis):
+    """Rows of adj(M) and det M for the s x s matrix M whose columns are
+    ``basis``."""
+    if len(basis) == 1:
+        return ((1,),), basis[0][0]
+    (a0, a1), (b0, b1) = basis
+    return ((b1, -b0), (-a1, a0)), a0 * b1 - a1 * b0
+
+
+def in_box(basis, c, denom, directional):
+    """Whether x = c / denom lies in M [0, 1)^s (half-open in t = M^-1 x), or,
+    when ``directional``, in the limit from the direction (1, eps)."""
+    rows, det = adjugate(basis)
+    sign = 1 if det > 0 else -1
+    width = abs(det) * denom
+    for row in rows:
+        u = sign * sum(r * x for r, x in zip(row, c))  # t_i * width
+        if 0 < u < width:
+            continue
+        lead = sign * (row[0] or row[-1])  # sign of t_i along (1, eps)
+        if u == 0 and (not directional or lead > 0):
+            continue
+        if u == width and directional and lead < 0:
+            continue
+        return False
+    return True
+
+
+def recurrence(vectors, counts, c, denom, scale):
+    """beta(Y, c) = B_Y(c / denom) (k-s)! (denom scale)^(k-s) scale at Y = X
+    (k = |Y|), by (k-s) B_Y(x) = sum_v [t_v B_(Y-v)(x) + (mu_v - t_v)
+    B_(Y-v)(x - v)] with X t = x on the first basis of Y; ``scale`` is a
+    multiple of every s x s minor, so each beta is an integer. Every level
+    takes the limit from the direction (1, eps), where the identity holds at
+    every point. A coloop xi of Y is in that basis, and B_(Y-xi) = 0 since
+    Y - xi does not span (a measure on a line, not a function)."""
+    s = len(c)
+    memo = {}
+
+    def beta(mults, c):
+        key = (mults, c)
+        value = memo.get(key)
+        if value is not None:
+            return value
+        basis = first_basis([v for v, mu in zip(vectors, mults) if mu])
+        value = 0
+        if basis and sum(mults) == s:
+            if in_box(basis, c, denom, True):
+                value = scale // abs(adjugate(basis)[1])
+        elif basis:  # None when Y does not span: X minus a coloop
+            rows, det = adjugate(basis)
+            weights = {v: scale // det * sum(r * x for r, x in zip(row, c))
+                       for v, row in zip(basis, rows)}  # t_v denom scale
+            for i, (v, mu) in enumerate(zip(vectors, mults)):
+                if not mu:
+                    continue
+                sub = mults[:i] + (mu - 1,) + mults[i + 1:]
+                t = weights.get(v, 0)
+                if t:
+                    value += t * beta(sub, c)
+                if mu * denom * scale != t:
+                    value += (mu * denom * scale - t) * beta(
+                        sub, tuple(x - denom * y for x, y in zip(c, v)))
+        memo[key] = value
+        return value
+
+    return beta(counts, c)
+
+
+def recurrence_oracle(config):
+    """B_X by the recurrence of de Boor, Hollig & Riemenschneider (*Box
+    Splines*, 1993, ch. I), a route independent of the library's fiber
+    volumes that works at every degree. It runs on integers: with x = c / D
+    and L the lcm of the nonzero s x s minors it carries
+    beta(Y, c) = B_Y(x) (k-s)! (D L)^(k-s) L and builds one Fraction at the
+    end. Inside the recurrence every level takes the limit from (1, eps);
+    the half-open convention applies only at the top, where B_X jumps: the
+    indicator of X [0, 1)^s / |det X| when m = s, and 1[0 <= alpha < 1] for a
+    coloop xi at x = alpha xi + beta d, after which alpha moves to 1/2, where
+    B_X is continuous. Returns x -> B_X(x)."""
+    s, deg = config.dim, config.box_degree
+    counts = Counter(config.vectors)
+    vectors = tuple(counts)
+    minors = (adjugate(pair)[1] for pair in itertools.combinations(vectors, s))
+    scale = math.lcm(*(abs(minor) for minor in minors if minor))
+
+    def evaluate(point):
+        pt = tuple(F(x) for x in point)
+        for i, xi in enumerate(vectors):
+            others = vectors[:i] + vectors[i + 1:]
+            if deg > 0 and counts[xi] == 1 and first_basis(others) is None:
+                d = others[0]
+                alpha = ((pt[0] * d[1] - pt[1] * d[0])
+                         / (xi[0] * d[1] - xi[1] * d[0]))
+                if not 0 <= alpha < 1:
+                    return F(0)
+                pt = tuple(x + (F(1, 2) - alpha) * e for x, e in zip(pt, xi))
+        denom = math.lcm(*(x.denominator for x in pt))
+        c = tuple(int(x * denom) for x in pt)
+        if deg == 0:
+            inside = in_box(config.vectors, c, denom, False)
+            return F(1, abs(adjugate(config.vectors)[1])) if inside else F(0)
+        beta = recurrence(vectors, tuple(counts.values()), c, denom, scale)
+        return F(beta, math.factorial(deg) * (denom * scale) ** deg * scale)
+
+    return evaluate
+
+
 # -- configurations --------------------------------------------------------------
 
 
@@ -78,6 +198,15 @@ def test_config_validation():
         VectorConfig(2, ((1, 0),))
     with pytest.raises(DimensionError):
         VectorConfig(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_vector_components_must_be_int():
+    """A float, bool, Fraction or str component is refused, not truncated."""
+    for vectors in (((1.5,),), ((True, 0), (0, 2)), ((1, 0), (0, 2.9)),
+                    ((F(1),),), (("1",),)):
+        with pytest.raises(FormatError):
+            VectorConfig(len(vectors[0]), vectors)
+    assert VectorConfig(1, [[1], [2]]).vectors == ((1,), (2,))
 
 
 def test_parse_vector_config():
@@ -238,6 +367,19 @@ def test_cardinal_delegation_beyond_fiber_cap():
         box_spline_eval(mixed, (F(1, 2),))
 
 
+def test_cardinal_route_matches_recurrence_oracle():
+    """The all-ones family of degree 3..12 takes B_m; the recurrence reaches
+    the same values on its own, at every third of the support and around
+    it."""
+    for m in range(3, 13):
+        b = cardinal_bspline(m).spline
+        oracle = recurrence_oracle(ones(m + 1))
+        for k in range(-3, 3 * (m + 2) + 1):
+            x = F(k, 3)
+            assert box_spline_eval(ones(m + 1), (x,)) == spline_eval(b, x) \
+                == oracle((x,))
+
+
 def test_choice_independence():
     """B_X does not depend on the order of X. Reversing X makes the pivot
     rule pick the independent columns that come last in the original."""
@@ -257,6 +399,118 @@ def test_central_symmetry():
             pt = tuple(F(rng.randint(-4, 10), 4) for _ in range(2))
             mirrored = tuple(total[k] - pt[k] for k in range(2))
             assert box_spline_eval(cfg, pt) == box_spline_eval(cfg, mirrored)
+
+
+def distinct_configs(rng, dim, bound, count):
+    """``count`` distinct configurations with m - s <= 2 and entries in
+    [-bound, bound]."""
+    configs = {}
+    while len(configs) < count:
+        vectors = tuple(tuple(rng.randint(-bound, bound) for _ in range(dim))
+                        for _ in range(rng.randint(dim, dim + 2)))
+        try:
+            configs.setdefault(vectors, VectorConfig(dim, vectors))
+        except (RankDeficiencyError, DimensionError):
+            continue
+    return list(configs.values())
+
+
+def quarter_grid(cfg):
+    """Quarter-lattice points of the zonotope's bounding box widened by 1."""
+    lows = [sum(min(0, v[k]) for v in cfg.vectors) - 1 for k in range(cfg.dim)]
+    highs = [sum(max(0, v[k]) for v in cfg.vectors) + 1 for k in range(cfg.dim)]
+    for c in itertools.product(*(range(4 * lo, 4 * hi + 1)
+                                 for lo, hi in zip(lows, highs))):
+        yield tuple(F(x, 4) for x in c)
+
+
+def test_fiber_route_matches_recurrence_oracle_on_quarter_grids():
+    """Exact agreement with the recurrence at every quarter-lattice point
+    around the support of 1,000 configurations: knots, the zonotope
+    boundary and vectors of both signs included. Outside the closed
+    zonotope B_X vanishes by definition, so only the evaluator runs there."""
+    rng = random.Random(20240811)
+    configs = (distinct_configs(rng, 1, 5, 750)
+               + distinct_configs(rng, 2, 1, 250))
+    compared = 0
+    for cfg in configs:
+        oracle = recurrence_oracle(cfg)
+        zono = zonotope_support(cfg)
+        for pt in quarter_grid(cfg):
+            value = box_spline_eval(cfg, pt)
+            if closed_inside(zono, pt):
+                assert value == oracle(pt), (str(cfg), pt)
+                compared += 1
+            else:
+                assert value == 0, (str(cfg), pt)
+    assert len(configs) == 1000 and compared > 40000
+
+
+def test_knot_values_of_a_mixed_sign_pair():
+    """B_(2;-1) is continuous, so its knot values pin the convention: a
+    recurrence that took the half-open rule at every level, not the limit
+    from (1, eps), would get them wrong where a vector is negative."""
+    cfg = parse_vector_config("2;-1")
+    values = [box_spline_eval(cfg, (x,)) for x in (-1, 0, 1, 2)]
+    assert values == [0, F(1, 2), F(1, 2), 0]
+    oracle = recurrence_oracle(cfg)
+    assert values == [oracle((x,)) for x in (-1, 0, 1, 2)]
+
+
+HIGH_DEGREE = (
+    "1,0;1,0;0,1;0,1;1,1",                   # (2,2,1), degree 3
+    "1,0;1,0;0,1;0,1;1,1;1,1",               # (2,2,2), degree 4
+    "1,0;1,0;1,0;0,1;0,1;1,1;1,1",           # (3,2,2), degree 5
+    "1,0;0,1;1,1;1,-1;2,1",                  # not unimodular, degree 3
+    "1,1;1,0;1,0;-2,0;3,0",                  # coloop (1,1), degree 3
+    "2,1;0,1;0,-1;0,2;0,1;0,1",              # coloop (2,1), degree 4
+    "1,-1;1,2;2,4;-1,-2;1,2;1,2;-1,-2",      # coloop (1,-1), degree 5
+    "1;2;3;-1",                              # degree 3
+    "1;-2;3;1;2;-1",                         # degree 5
+)
+
+
+def test_recurrence_oracle_partition_of_unity_beyond_degree_two():
+    """sum_(j in Z^s) B_X(x - j) = 1 exactly, on the quarter grid of the
+    unit cell (knots and, for the coloop configurations, the lines where
+    B_X jumps) and at two generic points: the oracle holds past the
+    library's fiber cap."""
+    rng = random.Random(31)
+    for text in HIGH_DEGREE:
+        cfg = parse_vector_config(text)
+        assert cfg.box_degree >= 3
+        oracle = recurrence_oracle(cfg)
+        cell = [tuple(F(k, 4) for k in c)
+                for c in itertools.product(range(4), repeat=cfg.dim)]
+        generic = [tuple(F(rng.randint(1, 96), 97) for _ in range(cfg.dim))
+                   for _ in range(2)]
+        shifts = list(itertools.product(*(
+            range(-sum(max(0, v[k]) for v in cfg.vectors) - 1,
+                  -sum(min(0, v[k]) for v in cfg.vectors) + 2)
+            for k in range(cfg.dim))))
+        for pt in cell + generic:
+            total = sum(oracle(tuple(x - j for x, j in zip(pt, js)))
+                        for js in shifts)
+            assert total == 1, (text, pt)
+
+
+def test_recurrence_oracle_ignores_the_order_of_x():
+    """Shuffling X changes the first basis and the order of the distinct
+    vectors, so the recurrence takes another path to the same values."""
+    rng = random.Random(41)
+    for text in HIGH_DEGREE:
+        cfg = parse_vector_config(text)
+        zono = zonotope_support(cfg)
+        oracle = recurrence_oracle(cfg)
+        grid = [pt for pt in quarter_grid(cfg) if closed_inside(zono, pt)]
+        points = rng.sample(grid, 12) + [
+            tuple(F(rng.randint(-40, 40), 7) for _ in range(cfg.dim))]
+        for _ in range(2):
+            shuffled = VectorConfig(cfg.dim, tuple(rng.sample(cfg.vectors,
+                                                               cfg.count)))
+            shuffled_oracle = recurrence_oracle(shuffled)
+            for pt in points:
+                assert shuffled_oracle(pt) == oracle(pt), (text, str(shuffled), pt)
 
 
 def test_univariate_mass_is_one():

@@ -334,6 +334,26 @@ def test_extend_refuses_degrees_above_the_cap_quickly(capsys, tmp_path):
         assert not dst.exists()
 
 
+def test_box_spline_caps_refuse_quickly(capsys):
+    """Long runs of one vector and high-degree mixed configurations are
+    refused before any evaluation: past degree 2 only the all-ones family
+    is evaluable, and only up to MAX_CARDINAL_DEGREE."""
+    for argv, message in (
+            (("boxspline", "--vectors", ";".join(["1"] * 2000), "--eval", "3"),
+             "got 1999"),
+            (("conjecture", "--vectors", ";".join(["1"] * 200)), "got 199"),
+            (("conjecture", "--vectors", ";".join(["1"] * 24 + ["230"])),
+             "only evaluable for the all-ones univariate family"),
+            (("conjecture", "--vectors", ";".join(["1"] * 10 + ["240"])),
+             "only evaluable for the all-ones univariate family")):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 5.0
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 def test_bad_rational_is_usage_error(capsys):
     code, _, err = run(capsys, "bspline", "--m", "2", "--eval", "x")
     assert code == 2
