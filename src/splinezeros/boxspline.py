@@ -39,12 +39,7 @@ from .errors import (
     FormatError,
     RankDeficiencyError,
 )
-from .linalg import (
-    RationalMatrix,
-    lattice_basis,
-    lattice_determinant,
-    mat_determinant,
-)
+from .linalg import RationalMatrix, lattice_basis, mat_determinant
 from .rational import as_rational, format_rational, primitive_integers
 from .spline import spline_eval
 
@@ -205,12 +200,9 @@ def _support_slack(config: VectorConfig):
 @dataclass(frozen=True)
 class Omega:
     """Points of half the lattice generated by X lying strictly inside the
-    zonotope, sorted lexicographically. ``proper_sublattice`` flags
-    configurations whose generated lattice is smaller than Z^s (the
-    half-lattice reading then matters; see module notes)."""
+    zonotope, sorted lexicographically."""
 
     points: tuple[tuple[Fraction, ...], ...]
-    proper_sublattice: bool
 
     def __len__(self) -> int:
         return len(self.points)
@@ -225,20 +217,16 @@ MAX_OMEGA_CANDIDATES = 512
 def semi_integral_interior_points(config: VectorConfig) -> Omega:
     """Omega of the configuration; CapabilityError when the bounding box
     holds more than MAX_OMEGA_CANDIDATES half-lattice candidates."""
-    basis = lattice_basis(config.vectors)
-    proper = lattice_determinant(basis) > 1
+    cols = lattice_basis(config.vectors)
     # doubled coordinates: the half-lattice basis is the lattice basis, and
     # the zonotope's bounding box is [2 sum min(0, x_k), 2 sum max(0, x_k)]
     lows = [2 * sum(min(0, v[k]) for v in config.vectors) for k in range(config.dim)]
     highs = [2 * sum(max(0, v[k]) for v in config.vectors) for k in range(config.dim)]
 
     if config.dim == 1:
-        cols = [(basis.get(0, 0),)]
         ranges = [range(math.floor(Fraction(lows[0], cols[0][0])) + 1,
                         math.ceil(Fraction(highs[0], cols[0][0])))]
     else:
-        cols = [(basis.get(0, 0), basis.get(1, 0)),
-                (basis.get(0, 1), basis.get(1, 1))]
         det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
         corners = [(x, y) for x in (lows[0], highs[0]) for y in (lows[1], highs[1])]
         # invert the basis to bound the integer coefficients over the bbox
@@ -260,7 +248,7 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
         if slack(c) > 0:
             doubled.append(c)
     doubled.sort()
-    return Omega(tuple(tuple(Fraction(x, 2) for x in c) for c in doubled), proper)
+    return Omega(tuple(tuple(Fraction(x, 2) for x in c) for c in doubled))
 
 
 # -- fiber-volume evaluation ---------------------------------------------------------

@@ -34,6 +34,7 @@ from .spline import (
     Spline,
     TruncatedPowerSpec,
     normalize,
+    spline_eval,
     spline_from_truncated_powers,
 )
 
@@ -66,7 +67,7 @@ class CardinalBSpline:
                 raise ConsistencyError(f"B_{self.m} not positive on ({j}, {j + 1})")
 
     def eval(self, x) -> Fraction:
-        return self.spline.eval(x)
+        return spline_eval(self.spline, x)
 
 
 def _truncated_power_pieces(m: int) -> Spline:

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("--kind", required=True, choices=SUITE_KINDS)
-    p.add_argument("--m", type=int, required=True, help="spline degree")
+    p.add_argument("--m", type=int, required=True, help="spline degree (1..12)")
     p.add_argument("--knots", type=int, required=True,
                    help="index n of the last knot (window [0, n], n-1 random "
                         "interior knots)")

@@ -31,10 +31,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bspline import extend_compact
+from .bspline import MAX_CARDINAL_DEGREE, extend_compact
 from .errors import DegreeError, FormatError
 from .polynomial import Polynomial
-from .rational import as_rational
 from .spline import (
     Spline,
     TruncatedPowerSpec,
@@ -56,33 +55,35 @@ MAX_WITNESSES = 5
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for random spline generation. The window is knot_range (default
-    [0, interior_knots + 1]); interior knots all receive nonzero truncated-
-    power jumps, so every requested knot is genuine."""
+    """Knobs for random spline generation. The window is
+    [0, interior_knots + 1]; interior knots all receive nonzero truncated-
+    power jumps, so every requested knot is genuine. Every field must be an
+    int (bool included in the refusal), and the degree must lie in
+    [1, MAX_CARDINAL_DEGREE], the range extend_compact accepts, so all suite
+    kinds refuse the same degrees before any work."""
 
     seed: int
     degree: int
     interior_knots: int
     numerator_bound: int = 8
     denominator_bound: int = 4
-    knot_range: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise DegreeError(f"degree must be >= 1, got {self.degree}")
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise FormatError(f"{name} must be an int, got {value!r}")
+        if not 1 <= self.degree <= MAX_CARDINAL_DEGREE:
+            raise DegreeError(
+                f"degree must be in [1, {MAX_CARDINAL_DEGREE}] "
+                f"(MAX_CARDINAL_DEGREE), got {self.degree}"
+            )
         if self.interior_knots < 0:
             raise FormatError("interior knot count must be >= 0")
         if self.numerator_bound < 1 or self.denominator_bound < 1:
             raise FormatError("coefficient bounds must be positive")
-        if self.knot_range is not None:
-            lo, hi = self.knot_range
-            object.__setattr__(self, "knot_range",
-                               (as_rational(lo), as_rational(hi)))
 
     @property
     def window(self) -> tuple[Fraction, Fraction]:
-        if self.knot_range is not None:
-            return self.knot_range
         return Fraction(0), Fraction(self.interior_knots + 1)
 
 

@@ -58,41 +58,6 @@ class RationalMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense row-major matrix of Python ints (arbitrary precision)."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise DimensionError("IntegerMatrix entries must be int")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[int] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise DimensionError("ragged rows")
-            flat.extend(int(v) for v in row)
-        return cls(nrows, ncols, tuple(flat))
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-
 def _bareiss_det_int(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (Bareiss).
 
@@ -196,9 +161,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def lattice_basis(vectors: Iterable[Sequence[int]]) -> IntegerMatrix:
-    """Basis (as matrix columns) of the integer lattice generated by the
-    given vectors in Z^s, s in {1, 2}.
+def lattice_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Basis columns of the integer lattice generated by the given vectors
+    in Z^s, s in {1, 2}: ((g,),) in 1-D, ((p, q), (0, d)) with 0 <= q < d
+    in 2-D.
 
     Hermite-style integer reduction: vectors are folded into a triangular
     basis one at a time using extended-gcd row operations, so the output
@@ -220,7 +186,7 @@ def lattice_basis(vectors: Iterable[Sequence[int]]) -> IntegerMatrix:
             g = math.gcd(g, c)
         if g == 0:
             raise RankDeficiencyError("vectors do not span R^1")
-        return IntegerMatrix.from_rows([[g]])
+        return ((g,),)
 
     # s == 2: maintain up to two basis rows (b0 with pivot in coord 0,
     # b1 = (0, d)); fold each vector in with xgcd combinations.
@@ -261,13 +227,4 @@ def lattice_basis(vectors: Iterable[Sequence[int]]) -> IntegerMatrix:
     if b0 is None or b1 is None or b1[1] == 0:
         raise RankDeficiencyError("vectors do not span R^2")
     # canonical form: 0 <= b0[1] < b1[1]
-    b0[1] %= b1[1]
-    return IntegerMatrix.from_rows([[b0[0], 0], [b0[1], b1[1]]])
-
-
-def lattice_determinant(basis: IntegerMatrix) -> int:
-    """|det| of a (square) lattice basis; the lattice covolume."""
-    if basis.rows != basis.cols:
-        raise DimensionError("lattice basis not square")
-    rows = [list(basis.row(i)) for i in range(basis.rows)]
-    return abs(_bareiss_det_int(rows))
+    return (b0[0], b0[1] % b1[1]), (0, b1[1])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConsistencyError, IntervalError, InfiniteRootsError
 from .rational import as_rational, primitive_integers
@@ -45,23 +45,8 @@ class Polynomial:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls((as_rational(c),))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence, lead=1) -> "Polynomial":
-        p = cls.constant(lead)
-        for r in roots:
-            p = p * cls((-as_rational(r), 1))
-        return p
 
     # -- basic protocol --------------------------------------------------------
 

@@ -17,8 +17,6 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
-
 RationalLike = Fraction | int | str
 
 _RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")

@@ -101,12 +101,6 @@ class Spline:
         """Index of the last knot (knots run a_0 .. a_n)."""
         return len(self.knots) - 1
 
-    def eval(self, x) -> Fraction:
-        return spline_eval(self, x)
-
-    def __call__(self, x) -> Fraction:
-        return spline_eval(self, x)
-
 
 def _verify_smoothness(degree: int, knots, pieces) -> None:
     """Exact C^(degree-1) check: at every knot the jump between the adjacent
@@ -495,12 +489,6 @@ def vanishing_from_report(degree: int, report: ZeroReport) -> VanishingVerdict:
     )
     consistent = (not (enough and scattered)) or conclusion
     return VanishingVerdict(enough, scattered, conclusion, consistent)
-
-
-def check_vanishing_criterion(s: Spline) -> VanishingVerdict:
-    sn = normalize(s)
-    _, report = separated_zero_count(sn, sn.knots[0], sn.knots[-1])
-    return vanishing_from_report(sn.degree, report)
 
 
 # -- JSON document contract --------------------------------------------------------

@@ -15,10 +15,8 @@ from splinezeros import (
     box_spline_eval,
     cardinal_bspline,
     check_interior_bound,
-    conjecture_matrix,
     conjecture_verdict,
     convolution_bspline_pieces,
-    mat_determinant,
     normalize,
     random_spline,
     run_verification_suite,
@@ -28,6 +26,8 @@ from splinezeros import (
     unimodular_check,
     zero_order_at,
 )
+from splinezeros.boxspline import conjecture_matrix
+from splinezeros.linalg import mat_determinant
 from splinezeros.spline import _verify_smoothness
 
 A2 = VectorConfig(2, ((1, 0), (1, 1), (0, 1)))

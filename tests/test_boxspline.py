@@ -12,10 +12,7 @@ from splinezeros import (
     VectorConfig,
     box_spline_eval,
     cardinal_bspline,
-    conjecture_matrix,
     conjecture_verdict,
-    lattice_basis,
-    mat_determinant,
     parse_vector_config,
     point_strictly_inside,
     semi_integral_interior_points,
@@ -24,12 +21,14 @@ from splinezeros import (
     zonotope_support,
 )
 from splinezeros import boxspline
+from splinezeros.boxspline import conjecture_matrix
 from splinezeros.errors import (
     CapabilityError,
     DimensionError,
     FormatError,
     RankDeficiencyError,
 )
+from splinezeros.linalg import lattice_basis, mat_determinant
 
 A2 = VectorConfig(2, ((1, 0), (1, 1), (0, 1)))
 B2 = VectorConfig(2, ((1, 0), (1, 1), (0, 1), (-1, 1)))
@@ -295,7 +294,7 @@ def test_omega_a2():
         (F(1, 2), F(1, 2)), (F(1, 2), F(1)), (F(1), F(1, 2)), (F(1), F(1)),
         (F(1), F(3, 2)), (F(3, 2), F(1)), (F(3, 2), F(3, 2)),
     )
-    assert not om.proper_sublattice
+    assert lattice_basis(A2.vectors) == ((1, 0), (0, 1))
 
 
 def test_omega_univariate():
@@ -310,11 +309,6 @@ def test_omega_strictly_interior():
         zono = zonotope_support(cfg)
         for p in semi_integral_interior_points(cfg).points:
             assert point_strictly_inside(zono, p)
-
-
-def test_omega_proper_sublattice_flag():
-    cfg = VectorConfig(2, ((2, 0), (0, 2), (2, 2)))
-    assert semi_integral_interior_points(cfg).proper_sublattice
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -717,10 +711,8 @@ def reference_omega(cfg):
     """Reference enumeration of Omega on Fraction half-lattice points: the
     hull's bounding box bounds the coefficients, point_strictly_inside
     filters."""
-    basis = lattice_basis(cfg.vectors)
     zono = zonotope_support(cfg)
-    half = [tuple(F(basis.get(i, j), 2) for i in range(cfg.dim))
-            for j in range(cfg.dim)]
+    half = [tuple(F(c, 2) for c in col) for col in lattice_basis(cfg.vectors)]
     if cfg.dim == 1:
         step = half[0][0]
         lo, hi = zono.vertices[0][0], zono.vertices[1][0]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from splinezeros import (
     GeneratorConfig,
     Polynomial,
-    RationalMatrix,
     Spline,
     TruncatedPowerSpec,
     cardinal_bspline,
@@ -17,18 +16,17 @@ from splinezeros import (
     convolution_bspline_pieces,
     extend_compact,
     insert_knot,
-    mat_solve,
     normalize,
-    open_component_count,
     random_spline,
     separated_zero_count,
-    spline_derivative,
     spline_eval,
     spline_from_truncated_powers,
     zero_order_at,
 )
 from splinezeros import bspline, linalg
 from splinezeros.errors import DegreeError, KnotRangeError
+from splinezeros.linalg import RationalMatrix, mat_solve
+from splinezeros.spline import open_component_count, spline_derivative
 
 ZERO = Polynomial()
 

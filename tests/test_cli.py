@@ -10,14 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinezeros.harness as harness
-from splinezeros import (
-    parse_vector_config,
-    spline_from_document,
-    spline_to_document,
-    zigzag_spline,
-)
+from splinezeros import parse_vector_config, zigzag_spline
 from splinezeros.cli import main
 from splinezeros.errors import SplineZerosError
+from splinezeros.spline import spline_from_document, spline_to_document
 
 
 def run(capsys, *argv):
@@ -282,6 +278,20 @@ def test_verify_rejects_knots_below_one(capsys):
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+
+def test_verify_refuses_degrees_above_the_cap_quickly(capsys):
+    """Every suite kind refuses a degree past MAX_CARDINAL_DEGREE before
+    generating a spline; theorem9 at m = 200 ran unbounded before."""
+    for kind in harness.SUITE_KINDS:
+        for m in ("13", "200"):
+            started = time.monotonic()
+            code, out, err = run(capsys, "verify", "--kind", kind, "--m", m,
+                                 "--knots", "3", "--trials", "1", "--seed", "1")
+            assert time.monotonic() - started < 5.0
+            assert code == 2
+            assert out == ""
+            assert "MAX_CARDINAL_DEGREE" in err and f"got {m}" in err
 
 
 def test_zeros_missing_file(capsys, tmp_path):

@@ -43,6 +43,22 @@ def test_generator_config_validation():
         GeneratorConfig(seed=1, degree=1, interior_knots=-1)
     with pytest.raises(FormatError):
         GeneratorConfig(seed=1, degree=1, interior_knots=1, numerator_bound=0)
+    for degree in (13, 200):
+        with pytest.raises(DegreeError, match="MAX_CARDINAL_DEGREE"):
+            GeneratorConfig(seed=1, degree=degree, interior_knots=1)
+    assert GeneratorConfig(seed=1, degree=12, interior_knots=1).degree == 12
+
+
+@pytest.mark.parametrize("field", ["seed", "degree", "interior_knots",
+                                   "numerator_bound", "denominator_bound"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+def test_generator_config_requires_int_fields(field, value):
+    """A non-int is refused, never truncated or coerced: interior_knots=2.5
+    built 3 knots on [0, 3.5] and degree=2.5 raised a bare TypeError."""
+    kwargs = dict(seed=1, degree=2, interior_knots=2)
+    kwargs[field] = value
+    with pytest.raises(FormatError, match=field):
+        GeneratorConfig(**kwargs)
 
 
 def test_suite_argument_validation():

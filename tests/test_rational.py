@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splinezeros import as_rational, format_rational, parse_rational
 from splinezeros.errors import FormatError
-from splinezeros.rational import primitive_integers
+from splinezeros.rational import (
+    as_rational,
+    format_rational,
+    parse_rational,
+    primitive_integers,
+)
 
 
 def test_parse_basic_forms():
