@@ -29,7 +29,6 @@ from .errors import (
     KnotRangeError,
 )
 from .polynomial import Polynomial, count_distinct_roots
-from .rational import primitive_integers
 from .spline import (
     Spline,
     TruncatedPowerSpec,
@@ -152,14 +151,12 @@ def _tail_jumps(p: Polynomial, m: int, sign: int) -> list[Fraction]:
     """d_0..d_m with sum_i d_i (t + i)^m = sign * p(t), by the cached
     per-degree inverse (one integer dot product per jump)."""
     rows, den = _tail_inverse(m)
-    coeffs = p.coeffs + (Fraction(0),) * (m + 1 - len(p.coeffs))
-    content, q = primitive_integers(coeffs)
-    scale = content * sign / den
-    return [scale * sum(w * v for w, v in zip(row, q)) for row in rows]
+    return [Fraction(sign * sum(w * v for w, v in zip(row, p.num)), den * p.den)
+            for row in rows]
 
 
 def _top_coefficient(p: Polynomial, m: int) -> Fraction:
-    return p.coeffs[m] if len(p.coeffs) > m else Fraction(0)
+    return Fraction(p.num[m], p.den) if len(p.num) > m else Fraction(0)
 
 
 def extend_compact(s: Spline) -> Spline:

@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=SUITE_KINDS)
     p.add_argument("--m", type=int, required=True, help="spline degree (1..12)")
     p.add_argument("--knots", type=int, required=True,
-                   help="index n of the last knot (window [0, n], n-1 random "
-                        "interior knots)")
+                   help="index n of the last knot, 1..1000 (window [0, n], n-1 "
+                        "random interior knots)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--num-bound", type=int, default=8)

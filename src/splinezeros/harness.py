@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bspline import MAX_CARDINAL_DEGREE, extend_compact
-from .errors import DegreeError, FormatError
+from .errors import CapabilityError, DegreeError, FormatError
 from .polynomial import Polynomial
 from .spline import (
     Spline,
@@ -51,6 +51,8 @@ from .spline import (
 
 SUITE_KINDS = ("theorem9", "prop5", "corollary10", "extension", "rolle")
 MAX_WITNESSES = 5
+# one trial at degree 12 with this many interior knots runs in a second or two
+MAX_INTERIOR_KNOTS = 999
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,8 @@ class GeneratorConfig:
     power jumps, so every requested knot is genuine. Every field must be an
     int (bool included in the refusal), and the degree must lie in
     [1, MAX_CARDINAL_DEGREE], the range extend_compact accepts, so all suite
-    kinds refuse the same degrees before any work."""
+    kinds refuse the same degrees before any work. More than
+    MAX_INTERIOR_KNOTS interior knots are refused the same way."""
 
     seed: int
     degree: int
@@ -79,6 +82,11 @@ class GeneratorConfig:
             )
         if self.interior_knots < 0:
             raise FormatError("interior knot count must be >= 0")
+        if self.interior_knots > MAX_INTERIOR_KNOTS:
+            raise CapabilityError(
+                f"at most {MAX_INTERIOR_KNOTS} interior knots "
+                f"(MAX_INTERIOR_KNOTS), got {self.interior_knots}"
+            )
         if self.numerator_bound < 1 or self.denominator_bound < 1:
             raise FormatError("coefficient bounds must be positive")
 

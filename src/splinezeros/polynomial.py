@@ -12,9 +12,10 @@ root_census evaluates that sequence once at each endpoint and returns the
 open-interval count together with the endpoint zero flags p(a) == 0 and
 p(b) == 0, read from the sign of its first entry.
 
-Internals run on primitive integer coefficient sequences: content is divided
-out after every pseudo-remainder step, which keeps coefficient growth tame
-and is far faster than Fraction arithmetic in the inner loop.
+A Polynomial is integer numerators over one positive denominator, so its
+algebra runs on ints and the Sturm kernel takes a primitive integer copy by
+one content division. The kernel divides content out after every
+pseudo-remainder step, which keeps coefficient growth tame.
 """
 
 from __future__ import annotations
@@ -24,23 +25,34 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ConsistencyError, IntervalError, InfiniteRootsError
-from .rational import as_rational, primitive_integers
+from .rational import as_rational
 
 
 class Polynomial:
-    """Dense univariate polynomial over Fraction, coefficients ascending.
+    """Dense univariate polynomial with rational coefficients, stored as
+    integer numerators ``num`` (ascending, no trailing zeros) over one
+    positive denominator ``den``, in lowest terms: gcd(den, *num) == 1, and
+    the zero polynomial is ((), 1). The form is canonical, so equality and
+    hashing are structural; the algebra runs on ints, and ``coeffs`` gives
+    the Fraction coefficients at the API edge. ``degree`` is None for the
+    zero polynomial (a sentinel distinct from every int)."""
 
-    Normalized on construction: no trailing zero coefficients, so the zero
-    polynomial is the empty tuple and equality is structural. ``degree`` is
-    None for the zero polynomial (a sentinel distinct from every int)."""
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()) -> None:
         cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, num: list[int], den: int) -> None:
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num)  # den itself when num is empty
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     # -- construction helpers -------------------------------------------------
 
@@ -48,21 +60,33 @@ class Polynomial:
     def constant(cls, c) -> "Polynomial":
         return cls((as_rational(c),))
 
+    @classmethod
+    def from_integers(cls, num: Iterable[int], den: int = 1) -> "Polynomial":
+        """sum_i num[i] x^i / den for a positive int den, reduced."""
+        p = cls.__new__(cls)
+        p._store(list(num), den)
+        return p
+
     # -- basic protocol --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
+        return hash(("Polynomial", self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -72,52 +96,62 @@ class Polynomial:
 
     # -- algebra ---------------------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        a = [v * fa for v in self.num]
+        b = [v * fb for v in other.num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        for i, v in enumerate(b):
+            a[i] += v
+        return Polynomial.from_integers(a, den)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial.from_integers([-v for v in self.num], self.den)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial.from_integers(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = as_rational(c)
-        if c == 0:
-            return Polynomial()
-        return Polynomial(tuple(c * v for v in self.coeffs))
+        return Polynomial.from_integers([c.numerator * v for v in self.num],
+                                        c.denominator * self.den)
 
     def eval(self, x) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact value at x = a/b: homogeneous integer Horner for
+        sum num_i a^i b^(d-i), then one Fraction over den * b^d."""
         x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.num:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        acc, b_power = 0, 1
+        for v in reversed(self.num):
+            acc = acc * a + v * b_power
+            b_power *= b
+        return Fraction(acc, self.den * b_power // b)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Polynomial.from_integers(
+            [i * v for i, v in enumerate(self.num) if i], self.den)
 
     def antiderivative(self, constant=0) -> "Polynomial":
         """The q with q' = self and q(0) = constant."""
@@ -126,18 +160,22 @@ class Polynomial:
         return Polynomial(out)
 
     def taylor_shift(self, h) -> "Polynomial":
-        """p(x + h), computed by Horner in the shifted variable."""
+        """p(x + h) with h = s/q: the classic integer Taylor shift by s of
+        P(y) = sum num_i q^(d-i) y^i = den q^d p(y/q), then y = q x."""
         h = as_rational(h)
-        shifted = Polynomial()
-        xh = Polynomial((h, 1))
-        for c in reversed(self.coeffs):
-            shifted = shifted * xh + Polynomial.constant(c)
-        return shifted
+        s, q = h.numerator, h.denominator
+        d = len(self.num) - 1
+        c = [v * q ** (d - i) for i, v in enumerate(self.num)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] += s * c[j + 1]
+        return Polynomial.from_integers([v * q ** i for i, v in enumerate(c)],
+                                        self.den * q ** max(d, 0))
 
     def reflect(self) -> "Polynomial":
         """p(-x)."""
-        return Polynomial(tuple(c if i % 2 == 0 else -c
-                                for i, c in enumerate(self.coeffs)))
+        return Polynomial.from_integers(
+            [-v if i % 2 else v for i, v in enumerate(self.num)], self.den)
 
 
 # -- integer kernel for Sturm sequences ----------------------------------------
@@ -150,8 +188,10 @@ def _trim_int(c: list[int]) -> list[int]:
 
 
 def _primitive_int(p: Polynomial) -> list[int]:
-    """Primitive integer copy of p (sign preserved, positive content 1)."""
-    return primitive_integers(p.coeffs)[1]
+    """Primitive integer copy of p (sign preserved, positive content 1): its
+    numerators divided by their content."""
+    g = math.gcd(*p.num)
+    return [v // g for v in p.num]
 
 
 def _content_normalize(c: list[int]) -> list[int]:

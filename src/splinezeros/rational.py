@@ -6,8 +6,9 @@ reduced, zero as 0/1), and its equality is structural. The helpers here pin
 down the textual contract: "p/q" with the sign on p, or just "p" when q = 1.
 
 ``primitive_integers`` is the one place where a row of rationals is scaled to
-integers: Sturm counting, Bareiss determinants and the box-spline kernel
-basis all use it.
+integers: Bareiss determinants and the box-spline kernel basis use it.
+Polynomials keep integer numerators over one denominator themselves, so
+Sturm counting needs no scaling.
 """
 
 from __future__ import annotations

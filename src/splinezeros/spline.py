@@ -211,18 +211,14 @@ class TruncatedPowerSpec:
 
 
 def _binomial_power(c: Fraction, knot: Fraction, m: int) -> Polynomial:
-    """c * (x - knot)^m expanded by the binomial theorem: with knot = p/q the
-    x^(m-e) coefficient is c * C(m, e) * (-p)^e / q^e, one Fraction each."""
-    num, den = -knot.numerator, knot.denominator
-    coeffs = []
-    num_power = den_power = 1
-    for e in range(m + 1):
-        coeffs.append(Fraction(c.numerator * math.comb(m, e) * num_power,
-                               c.denominator * den_power))
-        num_power *= num
-        den_power *= den
-    coeffs.reverse()
-    return Polynomial(coeffs)
+    """c * (x - knot)^m expanded by the binomial theorem on integers: with
+    knot = p/q the x^(m-e) numerator is c.num * C(m, e) * (-p)^e * q^(m-e)
+    over the one denominator c.den * q^m."""
+    p, q = knot.numerator, knot.denominator
+    num = [c.numerator * math.comb(m, e) * (-p) ** e * q ** (m - e)
+           for e in range(m + 1)]
+    num.reverse()
+    return Polynomial.from_integers(num, c.denominator * q ** m)
 
 
 def spline_from_truncated_powers(spec: TruncatedPowerSpec, m: int) -> Spline:

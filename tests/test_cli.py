@@ -294,6 +294,25 @@ def test_verify_refuses_degrees_above_the_cap_quickly(capsys):
             assert "MAX_CARDINAL_DEGREE" in err and f"got {m}" in err
 
 
+def test_verify_refuses_knot_counts_above_the_cap_quickly(capsys):
+    """Every suite kind refuses more than MAX_INTERIOR_KNOTS interior knots
+    before generating a spline; --knots 200000 ran 29.7 s before. The cap
+    itself (--knots 1000) is accepted."""
+    assert harness.MAX_INTERIOR_KNOTS == 999
+    for kind in harness.SUITE_KINDS:
+        for knots in ("1001", "10000000"):
+            started = time.monotonic()
+            code, out, err = run(capsys, "verify", "--kind", kind, "--m", "3",
+                                 "--knots", knots, "--trials", "1", "--seed", "1")
+            assert time.monotonic() - started < 5.0
+            assert code == 2
+            assert out == ""
+            assert "MAX_INTERIOR_KNOTS" in err and f"got {int(knots) - 1}" in err
+    code, _, _ = run(capsys, "verify", "--kind", "theorem9", "--m", "1",
+                     "--knots", "1000", "--trials", "1", "--seed", "1")
+    assert code == 0
+
+
 def test_zeros_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "zeros", "--in", str(tmp_path / "none.json"))
     assert code == 2

@@ -11,7 +11,7 @@ from splinezeros import (
     run_verification_suite,
     zigzag_spline,
 )
-from splinezeros.errors import DegreeError, FormatError
+from splinezeros.errors import CapabilityError, DegreeError, FormatError
 
 
 def test_random_spline_deterministic():
@@ -47,6 +47,10 @@ def test_generator_config_validation():
         with pytest.raises(DegreeError, match="MAX_CARDINAL_DEGREE"):
             GeneratorConfig(seed=1, degree=degree, interior_knots=1)
     assert GeneratorConfig(seed=1, degree=12, interior_knots=1).degree == 12
+    for knots in (1000, 10**7):
+        with pytest.raises(CapabilityError, match="MAX_INTERIOR_KNOTS"):
+            GeneratorConfig(seed=1, degree=1, interior_knots=knots)
+    assert GeneratorConfig(seed=1, degree=1, interior_knots=999).interior_knots == 999
 
 
 @pytest.mark.parametrize("field", ["seed", "degree", "interior_knots",

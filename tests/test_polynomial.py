@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -95,6 +96,133 @@ def test_taylor_shift_and_reflect(coeffs, h, x):
     p = Polynomial(coeffs)
     assert p.taylor_shift(h).eval(x) == p.eval(x + h)
     assert p.reflect().eval(x) == p.eval(-x)
+
+
+class FractionPolynomial:
+    """Reference: Polynomial as it was before its integer form, a tuple of
+    Fraction coefficients, ascending, with no trailing zero."""
+
+    def __init__(self, coeffs=()):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial(out)
+
+    def __neg__(self):
+        return FractionPolynomial(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [F(0)] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return FractionPolynomial(out)
+
+    def scale(self, c):
+        return FractionPolynomial(c * v for v in self.coeffs)
+
+    def eval(self, x):
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return FractionPolynomial(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def antiderivative(self, constant):
+        return FractionPolynomial(
+            [constant] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+
+    def taylor_shift(self, h):
+        shifted = FractionPolynomial()
+        for c in reversed(self.coeffs):
+            shifted = shifted * FractionPolynomial((h, 1)) + FractionPolynomial((c,))
+        return shifted
+
+    def reflect(self):
+        return FractionPolynomial(c if i % 2 == 0 else -c
+                                  for i, c in enumerate(self.coeffs))
+
+
+def assert_canonical(p):
+    """Integer numerators, no trailing zero, one positive denominator, lowest
+    terms; the zero polynomial is ((), 1)."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int for v in p.num)
+    assert not p.num or p.num[-1] != 0
+    assert math.gcd(p.den, *p.num) == 1
+
+
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6,
+                              max_denominator=720)
+coefficient_lists = st.lists(st.one_of(rationals, wide_rationals), max_size=7)
+
+
+@given(coefficient_lists, coefficient_lists, st.one_of(rationals, wide_rationals),
+       st.one_of(rationals, wide_rationals))
+@settings(max_examples=300, deadline=None)
+def test_integer_form_matches_fraction_reference(a_coeffs, b_coeffs, c, x):
+    a, b = Polynomial(a_coeffs), Polynomial(b_coeffs)
+    ra, rb = FractionPolynomial(a_coeffs), FractionPolynomial(b_coeffs)
+    pairs = [
+        (a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+        (a * b, ra * rb), (a.scale(c), ra.scale(c)), (a * c, ra.scale(c)),
+        (a.derivative(), ra.derivative()),
+        (a.antiderivative(c), ra.antiderivative(c)),
+        (a.taylor_shift(c), ra.taylor_shift(c)), (a.reflect(), ra.reflect()),
+    ]
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got.coeffs == want.coeffs
+        assert all(type(v) is F for v in got.coeffs)
+    assert a.eval(x) == ra.eval(x) and type(a.eval(x)) is F
+
+
+@given(coefficient_lists, coefficient_lists, st.one_of(rationals, wide_rationals),
+       st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_equal_polynomials_are_equal_and_hash_alike(a_coeffs, b_coeffs, c, k):
+    """The canonical form makes == and hash structural, whatever route
+    reached the value."""
+    a, b = Polynomial(a_coeffs), Polynomial(b_coeffs)
+    routes = [
+        (a + b) - b, b + a - b, -(-a), a.reflect().reflect(),
+        a.taylor_shift(c).taylor_shift(-c), Polynomial(a.coeffs),
+        Polynomial.from_integers([k * v for v in a.num], k * a.den),
+        a * Polynomial.constant(k) * Polynomial.constant(F(1, k)),
+    ]
+    if c:
+        routes.append(a.scale(c).scale(1 / c))
+    for p in routes:
+        assert_canonical(p)
+        assert p == a and hash(p) == hash(a)
+    assert (a - a) == Polynomial() and (a - a).num == () and (a - a).den == 1
+
+
+def test_canonical_form_examples():
+    p = Polynomial([F(1, 2), F(-3, 4), 0])
+    assert (p.num, p.den) == ((2, -3), 4)
+    assert p.coeffs == (F(1, 2), F(-3, 4))
+    assert (Polynomial([6, 9]).num, Polynomial([6, 9]).den) == ((6, 9), 1)
+    q = Polynomial.from_integers([4, 6, 0, 0], 8)
+    assert (q.num, q.den) == ((2, 3), 4)
+    zero = Polynomial.from_integers([0, 0], 12)
+    assert (zero.num, zero.den) == ((), 1) and zero == Polynomial()
+    assert repr(p) == "Polynomial(['1/2', '-3/4'])"
 
 
 def test_count_roots_x2_minus_2():

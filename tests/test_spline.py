@@ -609,6 +609,36 @@ def test_census_evaluates_no_piece(monkeypatch):
     assert calls == 0
 
 
+def test_smoothness_check_and_census_build_no_fraction(monkeypatch):
+    """Pieces hold integer numerators over one denominator, so re-verifying
+    C^(m-1) smoothness (Spline(...)) and the zero census of random splines
+    construct no Fraction at all; the knot jumps were built in Fraction."""
+    splines = [random_spline(GeneratorConfig(seed=22000 + trial,
+                                             degree=1 + trial % 4,
+                                             interior_knots=trial % 6))
+               for trial in range(200)]
+    built = 0
+
+    def counting(construct):
+        def wrapper(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return construct(cls, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting(F.__new__)))
+    if hasattr(F, "_from_coprime_ints"):  # Python 3.12+ arithmetic results
+        monkeypatch.setattr(F, "_from_coprime_ints",
+                            classmethod(counting(F._from_coprime_ints.__func__)))
+    F(1, 3) + F(1, 6)  # two operands and their sum
+    assert built == 3
+    built = 0
+    for s in splines:
+        Spline(s.degree, s.knots, s.pieces)
+        separated_zero_count(s, s.knots[0], s.knots[-1])
+    assert built == 0
+
+
 # -- JSON contract ---------------------------------------------------------------------
 
 
