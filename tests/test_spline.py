@@ -612,7 +612,7 @@ def test_census_evaluates_no_piece(monkeypatch):
 def test_smoothness_check_and_census_build_no_fraction(monkeypatch):
     """Pieces hold integer numerators over one denominator, so re-verifying
     C^(m-1) smoothness (Spline(...)) and the zero census of random splines
-    construct no Fraction at all; the knot jumps were built in Fraction."""
+    construct no Fraction at all."""
     splines = [random_spline(GeneratorConfig(seed=22000 + trial,
                                              degree=1 + trial % 4,
                                              interior_knots=trial % 6))
