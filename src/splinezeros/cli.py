@@ -63,8 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "random interior knots)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--num-bound", type=int, default=8)
-    p.add_argument("--den-bound", type=int, default=4)
+    p.add_argument("--num-bound", type=int, default=8,
+                   help="largest |numerator| of a random coefficient, 1..10^6 "
+                        "(default 8)")
+    p.add_argument("--den-bound", type=int, default=4,
+                   help="largest denominator of a random knot or coefficient, "
+                        "1..16 (default 4)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("conjecture",

@@ -5,6 +5,13 @@ sha256(master_seed, trial_index), so reports are reproducible for a fixed
 seed regardless of evaluation order, and any trial can be replayed alone.
 Every report field except elapsed_ms is byte-deterministic.
 
+Generation runs on integers. Knot candidates num/den are told apart by their
+reduced int pair and sorted by an exact int key, the base polynomial is
+built from integer numerators over their common denominator, and a Fraction
+is built only for each accepted knot and its jump coefficient. The rng
+draws, in their order, define every generated spline, so they are part of
+the determinism contract.
+
 Suite kinds:
   theorem9    Z <= n + m - 1 on every generated spline (for degree 1 an
               extra deterministic zigzag trial is appended: it meets the
@@ -41,7 +48,6 @@ from .spline import (
     check_zero_bound,
     normalize,
     open_component_count,
-    piecewise_linear,
     separated_zero_count,
     spline_derivative,
     spline_from_truncated_powers,
@@ -53,6 +59,11 @@ SUITE_KINDS = ("theorem9", "prop5", "corollary10", "extension", "rolle")
 MAX_WITNESSES = 5
 # one trial at degree 12 with this many interior knots runs in a second or two
 MAX_INTERIOR_KNOTS = 999
+# the coefficient sizes of a spline grow with the lcm of its knot and jump
+# denominators; at these caps and MAX_INTERIOR_KNOTS a degree-12 trial of
+# any kind still runs in a few seconds
+MAX_DENOMINATOR_BOUND = 16
+MAX_NUMERATOR_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,9 @@ class GeneratorConfig:
     int (bool included in the refusal), and the degree must lie in
     [1, MAX_CARDINAL_DEGREE], the range extend_compact accepts, so all suite
     kinds refuse the same degrees before any work. More than
-    MAX_INTERIOR_KNOTS interior knots are refused the same way."""
+    MAX_INTERIOR_KNOTS interior knots, and coefficient bounds above
+    MAX_NUMERATOR_BOUND or MAX_DENOMINATOR_BOUND, are refused the same
+    way."""
 
     seed: int
     degree: int
@@ -89,6 +102,16 @@ class GeneratorConfig:
             )
         if self.numerator_bound < 1 or self.denominator_bound < 1:
             raise FormatError("coefficient bounds must be positive")
+        if self.numerator_bound > MAX_NUMERATOR_BOUND:
+            raise CapabilityError(
+                f"numerator bound at most {MAX_NUMERATOR_BOUND} "
+                f"(MAX_NUMERATOR_BOUND), got {self.numerator_bound}"
+            )
+        if self.denominator_bound > MAX_DENOMINATOR_BOUND:
+            raise CapabilityError(
+                f"denominator bound at most {MAX_DENOMINATOR_BOUND} "
+                f"(MAX_DENOMINATOR_BOUND), got {self.denominator_bound}"
+            )
 
     @property
     def window(self) -> tuple[Fraction, Fraction]:
@@ -100,64 +123,69 @@ def _trial_seed(master: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _random_rational(rng: random.Random, num_bound: int, den_bound: int) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-
-
-def _random_knot(rng: random.Random, lo: Fraction, hi: Fraction,
-                 den_bound: int) -> Fraction:
-    den = rng.randint(1, den_bound)
-    lowest = math.floor(lo * den) + 1
-    highest = math.ceil(hi * den) - 1
-    if lowest > highest:
-        return (lo + hi) / 2
-    return Fraction(rng.randint(lowest, highest), den)
+def _random_integers(rng: random.Random, count: int, num_bound: int,
+                     den_bound: int) -> tuple[list[int], int]:
+    """count random rationals num/den (num in [-num_bound, num_bound], den
+    in [1, den_bound], drawn in that order) as integer numerators over their
+    common denominator."""
+    drawn = [(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+             for _ in range(count)]
+    common = math.lcm(*(den for _, den in drawn))
+    return [num * (common // den) for num, den in drawn], common
 
 
 def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
     """Deterministic spline for (cfg.seed, trial): random base polynomial of
     degree <= m plus nonzero truncated-power jumps at distinct random
-    interior knots."""
+    interior knots. A knot candidate num/den has den in [1, den_bound] and
+    num strictly between 0 and (interior_knots + 1) * den, so it lies inside
+    the window."""
     rng = random.Random(_trial_seed(cfg.seed, trial))
     lo, hi = cfg.window
-    knots: set[Fraction] = set()
+    width = cfg.interior_knots + 1
+    keys: set[tuple[int, int]] = set()
     attempts = 0
-    while len(knots) < cfg.interior_knots:
-        candidate = _random_knot(rng, lo, hi, cfg.denominator_bound)
-        if lo < candidate < hi:
-            knots.add(candidate)
+    while len(keys) < cfg.interior_knots:
+        den = rng.randint(1, cfg.denominator_bound)
+        num = rng.randint(1, width * den - 1)
+        g = math.gcd(num, den)
+        keys.add((num // g, den // g))
         attempts += 1
         if attempts > 200 * (cfg.interior_knots + 1):
             raise FormatError(
                 "knot range too tight for the requested interior knot count"
             )
-    base = Polynomial(
-        _random_rational(rng, cfg.numerator_bound, cfg.denominator_bound)
-        for _ in range(cfg.degree + 1)
-    )
+    draw = (cfg.degree + 1, cfg.numerator_bound, cfg.denominator_bound)
+    num, den = _random_integers(rng, *draw)
     if cfg.interior_knots == 0:
-        while base.is_zero:
-            base = Polynomial(
-                _random_rational(rng, cfg.numerator_bound, cfg.denominator_bound)
-                for _ in range(cfg.degree + 1)
-            )
+        while not any(num):
+            num, den = _random_integers(rng, *draw)
+    base = Polynomial.from_integers(num, den)
+    # p * (common // q) is p/q scaled by one common factor: an exact int key
+    common = math.lcm(*(q for _, q in keys))
     jumps = []
-    for knot in sorted(knots):
-        coeff = Fraction(0)
-        while coeff == 0:
-            coeff = _random_rational(rng, cfg.numerator_bound,
-                                     cfg.denominator_bound)
-        jumps.append((knot, coeff))
+    for p, q in sorted(keys, key=lambda key: key[0] * (common // key[1])):
+        c = 0
+        while c == 0:
+            c = rng.randint(-cfg.numerator_bound, cfg.numerator_bound)
+            c_den = rng.randint(1, cfg.denominator_bound)
+        jumps.append((Fraction(p, q), Fraction(c, c_den)))
     spec = TruncatedPowerSpec(base, tuple(jumps), (lo, hi))
     return spline_from_truncated_powers(spec, cfg.degree)
 
 
 def zigzag_spline(n: int) -> Spline:
     """Degree-1 corner case on knots 0..n alternating between 1 and -1: one
-    sign change per domain, so Z = n = (n + 1 - 1), meeting the bound."""
+    sign change per domain, so Z = n = (n + 1 - 1), meeting the bound. On
+    [k, k+1] the piece is v (1 + 2k) - 2 v x with v = (-1)^k."""
     if n < 1:
         raise FormatError("zigzag needs n >= 1")
-    return piecewise_linear(range(n + 1), [(-1) ** k for k in range(n + 1)])
+    signs = [(-1) ** k for k in range(n + 1)]
+    pieces = [Polynomial.from_integers([1])]
+    pieces.extend(Polynomial.from_integers([v * (1 + 2 * k), -2 * v])
+                  for k, v in enumerate(signs[:-1]))
+    pieces.append(Polynomial.from_integers([signs[-1]]))
+    return Spline(1, tuple(Fraction(k) for k in range(n + 1)), tuple(pieces))
 
 
 @dataclass

@@ -269,17 +269,12 @@ def root_order(p: Polynomial, x, cap: int) -> int:
 
 
 def _sign_at(c: list[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den (den > 0), by homogeneous
-    integer evaluation: sum c_i * num^i * den^(d-i)."""
-    acc = 0
-    d = len(c) - 1
-    np = 1
-    dp = den ** d if d >= 0 else 1
-    for i, v in enumerate(c):
-        acc += v * np * dp
-        np *= num
-        if i < d:
-            dp //= den
+    """Sign of the polynomial at num/den (den > 0), by homogeneous integer
+    Horner: the sum of c_i num^i den^(d-i), with no division."""
+    acc, den_power = 0, 1
+    for v in reversed(c):
+        acc = acc * num + v * den_power
+        den_power *= den
     return (acc > 0) - (acc < 0)
 
 

@@ -5,9 +5,11 @@ A degree-m spline here is a C^(m-1) piecewise polynomial with finitely many
 knots a_0 < ... < a_n, stored with n+2 pieces: the two unbounded end domains
 plus the n interior domains. A piecewise polynomial is C^(m-1) at a knot k
 exactly when the jump between its two adjacent pieces is a multiple of
-(x - k)^m (the truncated-power view). The Spline constructor checks this by
-exact integer division at every knot, and every transformation here builds
-its result through that constructor, so every Spline in circulation is
+(x - k)^m (the truncated-power view). The Spline constructor checks this at
+every knot k = p/q with one integer identity: the jump's numerators N_i
+over a common denominator must satisfy N_i q^(m-i) = N_m C(m, i) (-p)^(m-i),
+the coefficients of N_m (x - k)^m. Every transformation here builds its
+result through that constructor, so every Spline in circulation is
 certified.
 
 Z(s) on a window counts the connected components of the zero set. Why that
@@ -104,15 +106,40 @@ class Spline:
 
 def _verify_smoothness(degree: int, knots, pieces) -> None:
     """Exact C^(degree-1) check: at every knot the jump between the adjacent
-    pieces must have the knot as a root of order >= degree. The order found
-    is the lowest derivative that jumps."""
+    pieces must be a multiple of (x - knot)^degree. Cross-multiplying the
+    two piece denominators gives its integer numerators, which
+    _is_power_multiple tests. root_order runs only to word the error: the
+    order found is the lowest derivative that jumps."""
     for j, knot in enumerate(knots):
-        order = root_order(pieces[j + 1] - pieces[j], knot, degree)
-        if order < degree:
+        left, right = pieces[j], pieces[j + 1]
+        jump = [0] * max(len(left.num), len(right.num))
+        for i, v in enumerate(right.num):
+            jump[i] = v * left.den
+        for i, v in enumerate(left.num):
+            jump[i] -= v * right.den
+        if not _is_power_multiple(jump, degree, knot):
+            order = root_order(right - left, knot, degree)
             raise SmoothnessError(
                 f"derivative order {order} jumps at knot {knot} "
                 f"(C^{degree - 1} required)"
             )
+
+
+def _is_power_multiple(jump: list[int], m: int, knot: Fraction) -> bool:
+    """Whether sum jump_i x^i (degree <= m) is a multiple of (x - knot)^m.
+    A nonzero multiple has degree m, and with knot = p/q it is
+    (jump_m / q^m) (q x - p)^m exactly when, for every i,
+    jump_i q^(m-i) == jump_m C(m, i) (-p)^(m-i), an identity on ints."""
+    if len(jump) <= m or not jump[m]:
+        return not any(jump)
+    top, minus_p, q = jump[m], -knot.numerator, knot.denominator
+    q_power = p_power = 1
+    for e in range(m + 1):
+        if jump[m - e] * q_power != top * math.comb(m, e) * p_power:
+            return False
+        q_power *= q
+        p_power *= minus_p
+    return True
 
 
 def spline_eval(s: Spline, x) -> Fraction:
@@ -228,18 +255,21 @@ def spline_from_truncated_powers(spec: TruncatedPowerSpec, m: int) -> Spline:
         raise DegreeError(f"spline degree must be >= 1, got {m}")
     if not spec.base.is_zero and spec.base.degree > m:
         raise DegreeError(f"base degree {spec.base.degree} exceeds {m}")
-    jumps = [(k, c) for k, c in spec.jumps if c != 0]
+    # the spec's knots already increase inside [lo, hi], so adding the
+    # window ends where they are missing keeps the knots sorted and distinct
     lo, hi = spec.window
-    knots = sorted({lo, hi} | {k for k, _ in jumps})
-    jump_at = dict(jumps)
-    pieces = [spec.base]
+    jumps = [(k, c) for k, c in spec.jumps if c != 0]
+    if not jumps or jumps[0][0] != lo:
+        jumps.insert(0, (lo, None))
+    if jumps[-1][0] != hi:
+        jumps.append((hi, None))
     cumulative = spec.base
-    for knot in knots:
-        c = jump_at.get(knot)
+    pieces = [cumulative]
+    for knot, c in jumps:
         if c is not None:
             cumulative = cumulative + _binomial_power(c, knot, m)
         pieces.append(cumulative)
-    return Spline(m, tuple(knots), tuple(pieces))
+    return Spline(m, tuple(k for k, _ in jumps), tuple(pieces))
 
 
 def piecewise_linear(knots: Sequence, values: Sequence) -> Spline:

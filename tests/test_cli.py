@@ -313,6 +313,33 @@ def test_verify_refuses_knot_counts_above_the_cap_quickly(capsys):
     assert code == 0
 
 
+def test_verify_refuses_coefficient_bounds_above_the_caps_quickly(capsys):
+    """--num-bound and --den-bound above MAX_NUMERATOR_BOUND and
+    MAX_DENOMINATOR_BOUND exit 2 before generating a spline, on every kind;
+    uncapped, --den-bound 10000 ran over a minute for one trial at m = 12
+    and --knots 1000. Both caps themselves are accepted."""
+    assert harness.MAX_NUMERATOR_BOUND == 10**6
+    assert harness.MAX_DENOMINATOR_BOUND == 16
+    refused = [("--num-bound", value, "MAX_NUMERATOR_BOUND")
+               for value in ("1000001", "1" + "0" * 1000)]
+    refused += [("--den-bound", value, "MAX_DENOMINATOR_BOUND")
+                for value in ("17", "10000")]
+    for kind in harness.SUITE_KINDS:
+        for flag, value, name in refused:
+            started = time.monotonic()
+            code, out, err = run(capsys, "verify", "--kind", kind, "--m", "12",
+                                 "--knots", "1000", "--trials", "1", "--seed",
+                                 "1", flag, value)
+            assert time.monotonic() - started < 5.0
+            assert code == 2
+            assert out == ""
+            assert name in err and f"got {value}" in err
+    code, _, _ = run(capsys, "verify", "--kind", "theorem9", "--m", "2",
+                     "--knots", "6", "--trials", "3", "--seed", "1",
+                     "--num-bound", "1000000", "--den-bound", "16")
+    assert code == 0
+
+
 def test_zeros_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "zeros", "--in", str(tmp_path / "none.json"))
     assert code == 2

@@ -1,17 +1,101 @@
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
 import splinezeros.harness as harness
 from splinezeros import (
     GeneratorConfig,
+    Polynomial,
+    Spline,
     check_zero_bound,
     normalize,
+    piecewise_linear,
     random_spline,
     run_verification_suite,
     zigzag_spline,
 )
 from splinezeros.errors import CapabilityError, DegreeError, FormatError
+from splinezeros.spline import _binomial_power, spline_to_document
+
+
+# -- reference generator: the Fraction-based draw and assembly ------------------
+
+
+def _random_rational(rng, num_bound, den_bound):
+    return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+
+
+def _random_knot(rng, lo, hi, den_bound):
+    den = rng.randint(1, den_bound)
+    lowest = math.floor(lo * den) + 1
+    highest = math.ceil(hi * den) - 1
+    if lowest > highest:
+        return (lo + hi) / 2
+    return Fraction(rng.randint(lowest, highest), den)
+
+
+def reference_random_spline(cfg, trial=0):
+    """random_spline drawn and assembled on Fractions: a knot set of
+    Fraction candidates, Fraction coefficients, and the knots of the
+    truncated-power sum sorted from a set with the jumps looked up in a
+    dict. The library must build the same spline from the same draws."""
+    rng = random.Random(harness._trial_seed(cfg.seed, trial))
+    lo, hi = Fraction(0), Fraction(cfg.interior_knots + 1)
+    knots = set()
+    attempts = 0
+    while len(knots) < cfg.interior_knots:
+        candidate = _random_knot(rng, lo, hi, cfg.denominator_bound)
+        if lo < candidate < hi:
+            knots.add(candidate)
+        attempts += 1
+        if attempts > 200 * (cfg.interior_knots + 1):
+            raise FormatError("knot range too tight")
+
+    def draw_base():
+        return Polynomial(
+            _random_rational(rng, cfg.numerator_bound, cfg.denominator_bound)
+            for _ in range(cfg.degree + 1))
+
+    base = draw_base()
+    if cfg.interior_knots == 0:
+        while base.is_zero:
+            base = draw_base()
+    jump_at = {}
+    for knot in sorted(knots):
+        coeff = Fraction(0)
+        while coeff == 0:
+            coeff = _random_rational(rng, cfg.numerator_bound,
+                                     cfg.denominator_bound)
+        jump_at[knot] = coeff
+    all_knots = sorted({lo, hi} | set(jump_at))
+    pieces = [base]
+    for knot in all_knots:
+        if knot in jump_at:
+            pieces.append(pieces[-1] + _binomial_power(jump_at[knot], knot,
+                                                       cfg.degree))
+        else:
+            pieces.append(pieces[-1])
+    return Spline(cfg.degree, tuple(all_knots), tuple(pieces))
+
+
+@pytest.mark.parametrize("den_bound", range(1, harness.MAX_DENOMINATOR_BOUND + 1))
+def test_random_spline_matches_fraction_reference(den_bound):
+    """Same rng draws in the same order, so the integer generator builds the
+    reference's spline: degrees 1..12, 0..30 interior knots, every
+    denominator bound up to its cap and numerator bounds up to theirs."""
+    num_bounds = (1, 2, 8, 97, harness.MAX_NUMERATOR_BOUND)
+    for index in range(30):
+        cfg = GeneratorConfig(seed=1000 * den_bound + index,
+                              degree=1 + index % 12,
+                              interior_knots=(7 * index + den_bound) % 31,
+                              numerator_bound=num_bounds[index % 5],
+                              denominator_bound=den_bound)
+        trial = index % 3
+        assert (spline_to_document(random_spline(cfg, trial))
+                == spline_to_document(reference_random_spline(cfg, trial)))
 
 
 def test_random_spline_deterministic():
@@ -51,6 +135,16 @@ def test_generator_config_validation():
         with pytest.raises(CapabilityError, match="MAX_INTERIOR_KNOTS"):
             GeneratorConfig(seed=1, degree=1, interior_knots=knots)
     assert GeneratorConfig(seed=1, degree=1, interior_knots=999).interior_knots == 999
+    caps = (("numerator_bound", harness.MAX_NUMERATOR_BOUND, "MAX_NUMERATOR_BOUND"),
+            ("denominator_bound", harness.MAX_DENOMINATOR_BOUND,
+             "MAX_DENOMINATOR_BOUND"))
+    for field, cap, name in caps:
+        for value in (cap + 1, 10**1000):
+            with pytest.raises(CapabilityError, match=name):
+                GeneratorConfig(seed=1, degree=1, interior_knots=1,
+                                **{field: value})
+        assert getattr(GeneratorConfig(seed=1, degree=1, interior_knots=1,
+                                       **{field: cap}), field) == cap
 
 
 @pytest.mark.parametrize("field", ["seed", "degree", "interior_knots",
@@ -139,6 +233,12 @@ def test_stubbed_violating_checker_counts_violations(monkeypatch):
     cfg = GeneratorConfig(seed=8, degree=2, interior_knots=2)
     report = run_verification_suite("theorem9", cfg, 7)
     assert report.violations == 7
+
+
+def test_zigzag_matches_piecewise_linear_interpolant():
+    for n in range(1, 12):
+        expected = piecewise_linear(range(n + 1), [(-1) ** k for k in range(n + 1)])
+        assert zigzag_spline(n) == expected
 
 
 def test_zigzag_requires_positive_n():

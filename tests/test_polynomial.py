@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from splinezeros import Polynomial
 from splinezeros.errors import InfiniteRootsError, IntervalError
-from splinezeros.polynomial import count_distinct_roots, root_census, root_order
+from splinezeros.polynomial import (
+    _sign_at,
+    count_distinct_roots,
+    root_census,
+    root_order,
+)
 
 
 def from_roots(roots, lead=1):
@@ -223,6 +228,18 @@ def test_canonical_form_examples():
     zero = Polynomial.from_integers([0, 0], 12)
     assert (zero.num, zero.den) == ((), 1) and zero == Polynomial()
     assert repr(p) == "Polynomial(['1/2', '-3/4'])"
+
+
+@given(st.lists(st.integers(-10**12, 10**12), max_size=14),
+       st.integers(-10**6, 10**6), st.integers(1, 10**6))
+@settings(max_examples=400, deadline=None)
+def test_sign_at_matches_exact_fraction_value(c, a, b):
+    """The Sturm kernel's homogeneous integer Horner gives the sign of the
+    exact value sum c_i (a/b)^i, for any b > 0, reduced with a or not."""
+    x = F(a, b)
+    value = sum(v * x ** i for i, v in enumerate(c))
+    assert _sign_at(c, a, b) == (value > 0) - (value < 0)
+    assert _sign_at(c, 3 * a, 3 * b) == _sign_at(c, a, b)
 
 
 def test_count_roots_x2_minus_2():

@@ -33,6 +33,7 @@ from splinezeros.errors import (
     KnotRangeError,
     SmoothnessError,
 )
+import splinezeros.spline as spline_module
 from splinezeros.polynomial import (
     _content_normalize,
     _derivative_int,
@@ -42,6 +43,7 @@ from splinezeros.polynomial import (
     _sign_at,
     _trim_int,
     root_census,
+    root_order,
 )
 from splinezeros.spline import (
     DomainCensus,
@@ -164,6 +166,64 @@ def test_smoothness_rule_matches_derivative_chains(m, data):
             Spline(m, knots, pieces)
 
 
+knots_off_the_integers = st.fractions(min_value=-40, max_value=40,
+                                      max_denominator=12)
+
+
+@given(st.integers(0, 12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_smoothness_identity_matches_root_order(m, data):
+    """Two knots with planted jumps c (x - k)^r g, g(k) != 0 and r in 0..m:
+    the integer identity accepts exactly when root_order(jump, k, m) >= m at
+    both knots, and otherwise words the first failing knot as before."""
+    k1 = data.draw(knots_off_the_integers)
+    k2 = k1 + data.draw(st.fractions(min_value=F(1, 7), max_value=5,
+                                     max_denominator=7))
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    pieces = [Polynomial(data.draw(st.lists(small, max_size=m + 1)))]
+    for k in (k1, k2):
+        r = data.draw(st.integers(0, m))
+        g = Polynomial(data.draw(st.lists(small, max_size=m - r + 1)))
+        if g.eval(k) == 0:
+            g = g + Polynomial([1])
+        c = data.draw(small)
+        pieces.append(pieces[-1] + (from_roots([k] * r) * g).scale(c))
+    pieces.append(pieces[-1])
+    knots = (k1, k2, k2 + 1)
+    orders = [root_order(pieces[j + 1] - pieces[j], k, m)
+              for j, k in enumerate(knots)]
+    if all(order >= m for order in orders):
+        Spline(m, knots, tuple(pieces))
+        return
+    j = next(j for j, order in enumerate(orders) if order < m)
+    expected = (f"derivative order {orders[j]} jumps at knot {knots[j]} "
+                f"(C^{m - 1} required)")
+    with pytest.raises(SmoothnessError) as raised:
+        Spline(m, knots, tuple(pieces))
+    assert str(raised.value) == expected
+
+
+def test_valid_splines_run_no_root_order(monkeypatch):
+    """root_order only words a SmoothnessError: certifying valid splines
+    runs the integer identity alone."""
+    calls = 0
+    real = spline_module.root_order
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(spline_module, "root_order", counting)
+    for trial in range(200):
+        random_spline(GeneratorConfig(seed=23000 + trial, degree=1 + trial % 12,
+                                      interior_knots=trial % 9), trial)
+    assert calls == 0
+    with pytest.raises(SmoothnessError):
+        Spline(2, (0, 1), (ZERO, Polynomial([0, 1]), Polynomial([0, 1])))
+    assert calls == 1
+
+
 def test_truncated_powers_ramp():
     s = ramp()
     assert s.knots == (F(0), F(1))
@@ -181,6 +241,24 @@ def test_truncated_powers_drops_zero_jumps():
     spec = TruncatedPowerSpec(ZERO, ((F(0), F(1)), (F(1, 2), F(0))), (0, 1))
     s = spline_from_truncated_powers(spec, 1)
     assert F(1, 2) not in s.knots
+
+
+def test_truncated_powers_window_ends_join_the_jump_knots():
+    """Jump knots may sit on either window end; a window end is a knot once,
+    and a zero jump there leaves the piece unchanged."""
+    base = Polynomial([1, 2])
+    step = Polynomial([-2, 1])  # (x - 2)^1
+    for jumps, right in ((((F(0), F(0)), (F(2), F(1))), base + step),
+                         (((F(2), F(1)),), base + step),
+                         ((), base)):
+        s = spline_from_truncated_powers(TruncatedPowerSpec(base, jumps, (0, 2)), 1)
+        assert s.knots == (F(0), F(2))
+        assert s.pieces == (base, base, right)
+    spec = TruncatedPowerSpec(base, ((F(0), F(3)), (F(1), F(-1)), (F(2), F(1))),
+                              (0, 2))
+    s = spline_from_truncated_powers(spec, 1)
+    assert s.knots == (F(0), F(1), F(2))
+    assert s.pieces[:2] == (base, base + Polynomial([0, 3]))
 
 
 def test_truncated_powers_rejects_unordered_jumps():
