@@ -4,8 +4,9 @@
 A list X of integer vectors defines the box spline B_X: the density of the
 uniform measure on the unit cube pushed forward along t -> X t. Its support
 is the zonotope of X, its degree is (number of vectors) - (dimension), and
-its values at rational points are exact fiber volumes: interval lengths or
-clipped-polygon areas, never floats.
+its values at rational points are exact: fiber volumes (interval lengths or
+clipped-polygon areas) in the plane, one truncated-power spline on the line,
+never floats.
 """
 
 import random
@@ -73,10 +74,10 @@ for m in (1, 2):
     cfg = parse_vector_config(";".join(["1"] * (m + 1)))
     b = cardinal_bspline(m).spline
     x = F(2 * m + 1, 3)
-    fiber = box_spline_eval(cfg, (x,))  # m - s = m <= 2: fiber volumes
+    box = box_spline_eval(cfg, (x,))  # 1-D: the truncated-power route
     classic = spline_eval(b, x)
-    print(f"  m = {m}: fiber volume at {x} = {fiber}, B_{m}({x}) = {classic}")
-    assert fiber == classic
+    print(f"  m = {m}: B_X({x}) = {box}, B_{m}({x}) = {classic}")
+    assert box == classic
 
 print()
 print("every Omega point sits strictly inside its zonotope:",

@@ -1,18 +1,17 @@
 """Box splines over integer vector configurations in R^1 and R^2:
-zonotope supports, semi-integral interior points, exact point evaluation by
-fiber volumes, unimodularity, and the collocation-style matrix A_X whose
-invertibility is under test.
+zonotope supports, semi-integral interior points, exact point evaluation,
+unimodularity, and the collocation-style matrix A_X whose invertibility is
+under test.
 
 Normalization: B_X is the density of the pushforward of the uniform measure
-on the unit cube [0,1]^m under t -> X t. Writing t = W x + V u with X W = I
-and X V = 0, the change of variables gives
+on the unit cube [0,1]^m under t -> X t. The evaluation route follows from
+the dimension. In 1-D it is bspline.univariate_box_spline (one vector: the
+half-open indicator). In 2-D, writing t = W x + V u with X W = I, X V = 0,
 
-    B_X(x) = |det [W V]| * vol_(m-s){ u : W x + V u in [0,1]^m }.
+    B_X(x) = |det [W V]| * vol_(m-2){ u : W x + V u in [0,1]^m },
 
-The fiber is a point (m = s), an interval (m - s = 1), or a convex polygon
-(m - s = 2); its measure is computed exactly with rational arithmetic. Beyond
-m - s = 2 only the all-ones univariate family is evaluable, through the
-cardinal B-spline (the tests check that the two routes agree at m - s <= 2).
+a point (m = 2), an interval (m = 3) or a convex polygon (m = 4), measured
+exactly with rational arithmetic; planar m - s > 2 is refused.
 
 Omega and A_X work in doubled integer coordinates c = 2x (Omega lies in the
 half lattice), where the zonotope is {c : |n.(c - sum X)| <= sum_xi |n.xi|}
@@ -32,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .bspline import cardinal_bspline
+from .bspline import univariate_box_spline
 from .errors import (
     CapabilityError,
     DimensionError,
@@ -210,8 +209,9 @@ class Omega:
 
 # Candidate half-lattice points semi_integral_interior_points may test. A_X
 # has |Omega|^2 box-spline entries and an exact determinant, so a larger
-# candidate box is refused before any enumeration.
-MAX_OMEGA_CANDIDATES = 512
+# candidate box is refused before any enumeration. In 1-D nearly every
+# candidate lands in Omega, so the limit bounds |Omega| itself.
+MAX_OMEGA_CANDIDATES = 256
 
 
 def semi_integral_interior_points(config: VectorConfig) -> Omega:
@@ -254,39 +254,19 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
 # -- fiber-volume evaluation ---------------------------------------------------------
 
 
-def _independent_columns(config: VectorConfig) -> list[int]:
-    cols = [tuple(config.vectors[j]) for j in range(config.count)]
-    chosen: list[int] = []
-    for j in range(config.count):
-        if not chosen:
-            if any(c != 0 for c in cols[j]):
-                chosen.append(j)
-                if config.dim == 1:
-                    break
-        else:
-            a, b = cols[chosen[0]], cols[j]
-            if a[0] * b[1] - a[1] * b[0] != 0:
-                chosen.append(j)
-                break
-    if len(chosen) != config.dim:  # pragma: no cover - guarded by VectorConfig
-        raise RankDeficiencyError("could not find independent columns")
-    return sorted(chosen)
-
-
 @lru_cache(maxsize=64)
 def _fiber_data(config: VectorConfig):
-    """Right inverse W (m x s), integer kernel basis V (m x (m-s)), and the
-    Jacobian factor |det [W V]|."""
-    s, m = config.dim, config.count
-    pivots = _independent_columns(config)
-    sub = [[Fraction(config.vectors[j][i]) for j in pivots] for i in range(s)]
-    if s == 1:
-        inv = [[Fraction(1) / sub[0][0]]]
-    else:
-        det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-        inv = [[sub[1][1] / det, -sub[0][1] / det],
-               [-sub[1][0] / det, sub[0][0] / det]]
-    w_rows = [[Fraction(0)] * s for _ in range(m)]
+    """Right inverse W (m x 2), integer kernel basis V (m x (m-2)), and the
+    Jacobian factor |det [W V]| of a planar configuration. The pivots are
+    column 0 and the first column not parallel to it."""
+    m = config.count
+    a = config.vectors[0]
+    pivots = (0, next(j for j, b in enumerate(config.vectors)
+                      if a[0] * b[1] - a[1] * b[0] != 0))
+    b = config.vectors[pivots[1]]
+    det = Fraction(a[0] * b[1] - a[1] * b[0])
+    inv = [[b[1] / det, -b[0] / det], [-a[1] / det, a[0] / det]]
+    w_rows = [[Fraction(0)] * 2 for _ in range(m)]
     for k, j in enumerate(pivots):
         w_rows[j] = list(inv[k])
     kernel: list[list[int]] = []
@@ -295,9 +275,9 @@ def _fiber_data(config: VectorConfig):
             continue
         col = [Fraction(0)] * m
         col[free] = Fraction(1)
-        rhs = [Fraction(config.vectors[free][i]) for i in range(s)]
+        rhs = config.vectors[free]
         for k, j in enumerate(pivots):
-            col[j] = -sum(inv[k][i] * rhs[i] for i in range(s))
+            col[j] = -(inv[k][0] * rhs[0] + inv[k][1] * rhs[1])
         kernel.append(primitive_integers(col)[1])
     square = [w_rows[i] + [Fraction(kernel_col[i]) for kernel_col in kernel]
               for i in range(m)]
@@ -340,24 +320,30 @@ def _polygon_area(polygon) -> Fraction:
 def box_spline_eval(config: VectorConfig, point: Sequence) -> Fraction:
     """Exact B_X at a rational point.
 
-    The route follows from the configuration alone: fiber volumes for
-    m - s <= 2, the cardinal B-spline B_m for the all-ones univariate family
-    beyond that, and CapabilityError for any other configuration. On the
-    support boundary the m = s indicator uses the half-open box convention;
-    for m - s >= 1 the function is continuous wherever its slab data is
+    The route follows from the dimension alone: in 1-D the cached
+    univariate_box_spline (degree <= MAX_CARDINAL_DEGREE), in 2-D fiber
+    volumes for m - s <= 2; CapabilityError otherwise. On the support
+    boundary the m = s indicator uses the half-open box convention; for
+    m - s >= 1 the function is continuous wherever its slab data is
     nondegenerate, and degenerate slabs (kernel rows that vanish) reuse the
     half-open convention."""
     pt = tuple(as_rational(c) for c in point)
     if len(pt) != config.dim:
         raise DimensionError(f"point dimension {len(pt)} != {config.dim}")
+    if config.dim == 1:
+        if config.count == 1:
+            xi = config.vectors[0][0]
+            return Fraction(1, abs(xi)) if 0 <= pt[0] / xi < 1 else Fraction(0)
+        # a list, not a generator: tuple(genexpr) leaves a resized tuple on
+        # CPython's free lists at every call
+        lengths = tuple([v[0] for v in config.vectors])
+        return spline_eval(univariate_box_spline(lengths), pt[0])
     deg = config.box_degree
     if deg > 2:
-        if config.dim != 1 or any(v != (1,) for v in config.vectors):
-            raise CapabilityError(
-                "degree m - s > 2 is only evaluable for the all-ones "
-                "univariate family (cardinal route)"
-            )
-        return spline_eval(cardinal_bspline(deg).spline, pt[0])
+        raise CapabilityError(
+            f"planar box splines are evaluable up to degree m - s = 2 "
+            f"(fiber volumes), got {deg}"
+        )
 
     w_rows, kernel, factor = _fiber_data(config)
     w = [sum(w_rows[i][k] * pt[k] for k in range(config.dim))

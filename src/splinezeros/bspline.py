@@ -1,12 +1,16 @@
-"""Cardinal B-splines and the compact-support extension.
+"""Univariate box splines, cardinal B-splines and the compact-support
+extension.
 
-B_m is built two independent ways: the truncated-power closed form
+B_X for nonzero ints X = (xi_1, ..., xi_k) is one truncated-power sum of
+degree k - 1 (de Boor, Hollig & Riemenschneider, *Box Splines*, 1993, ch. I):
 
-    B_m(x) = (1/m!) * sum_{k=0}^{m+1} (-1)^k C(m+1, k) (x - k)_+^m
+    B_X(x) = sum_S (-1)^|S| (x - o - sum_S |xi|)_+^(k-1) / (prod |xi| (k-1)!)
 
-and the convolution recurrence B_m(x) = integral of B_{m-1} over [x-1, x].
-The two constructions must agree piecewise-exactly; cardinal_bspline checks
-that once per degree (results are cached).
+over the subsets S of X, with o = sum min(0, xi), so the jump at o + j is the
+z^j coefficient of prod (1 - z^|xi|). B_m is the case of m + 1 ones; it is
+also built by the convolution recurrence B_m(x) = integral of B_{m-1} over
+[x-1, x], and cardinal_bspline checks piecewise-exact agreement once per
+degree (results are cached).
 
 extend_compact goes through the same truncated-power assembly: the extension
 is sum_k c_k (x - k)_+^m with m+1 jumps at a_0, a_0-1, ..., a_0-m, the jumps
@@ -24,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    CapabilityError,
     ConsistencyError,
     DegreeError,
     KnotRangeError,
@@ -69,14 +74,27 @@ class CardinalBSpline:
         return spline_eval(self.spline, x)
 
 
-def _truncated_power_pieces(m: int) -> Spline:
-    fact = math.factorial(m)
-    jumps = tuple(
-        (Fraction(k), Fraction((-1) ** k * math.comb(m + 1, k), fact))
-        for k in range(m + 2)
-    )
-    spec = TruncatedPowerSpec(Polynomial(), jumps, (Fraction(0), Fraction(m + 1)))
-    return spline_from_truncated_powers(spec, m)
+@lru_cache(maxsize=64)
+def univariate_box_spline(lengths: tuple[int, ...]) -> Spline:
+    """B_X for 2 to MAX_CARDINAL_DEGREE + 1 nonzero ints X = lengths, on the
+    window [o, o + sum |xi|]; more lengths raise CapabilityError."""
+    m = len(lengths) - 1
+    if not 1 <= m <= MAX_CARDINAL_DEGREE:
+        raise CapabilityError(
+            f"univariate box splines need degree in [1, {MAX_CARDINAL_DEGREE}] "
+            f"(MAX_CARDINAL_DEGREE), got {m}"
+        )
+    weights = [1]
+    for xi in lengths:
+        pad = [0] * abs(xi)
+        weights = [u - v for u, v in zip(weights + pad, pad + weights)]
+    lo = sum(min(0, xi) for xi in lengths)
+    scale = math.prod(abs(xi) for xi in lengths) * math.factorial(m)
+    jumps = tuple((Fraction(lo + j), Fraction(w, scale))
+                  for j, w in enumerate(weights) if w)
+    window = (Fraction(lo), Fraction(lo + len(weights) - 1))
+    return spline_from_truncated_powers(
+        TruncatedPowerSpec(Polynomial(), jumps, window), m)
 
 
 def convolution_bspline_pieces(m: int) -> tuple[Polynomial, ...]:
@@ -105,7 +123,7 @@ def convolution_bspline_pieces(m: int) -> tuple[Polynomial, ...]:
 
 @lru_cache(maxsize=None)
 def _cardinal_cached(m: int) -> CardinalBSpline:
-    spline = _truncated_power_pieces(m)
+    spline = univariate_box_spline((1,) * (m + 1))
     conv = convolution_bspline_pieces(m)
     if spline.pieces[1:-1] != conv:
         raise ConsistencyError(

@@ -187,18 +187,9 @@ def _trim_int(c: list[int]) -> list[int]:
     return c
 
 
-def _primitive_int(p: Polynomial) -> list[int]:
-    """Primitive integer copy of p (sign preserved, positive content 1): its
-    numerators divided by their content."""
-    g = math.gcd(*p.num)
-    return [v // g for v in p.num]
-
-
 def _content_normalize(c: list[int]) -> list[int]:
     """Divide by the (positive) content; sign pattern is preserved."""
-    g = 0
-    for v in c:
-        g = math.gcd(g, v)
+    g = math.gcd(*c)
     return [v // g for v in c] if g > 1 else c
 
 
@@ -260,7 +251,7 @@ def root_order(p: Polynomial, x, cap: int) -> int:
     if p.is_zero:
         return cap
     x = as_rational(x)
-    c = _primitive_int(p)
+    c = _content_normalize(list(p.num))
     linear = [-x.numerator, x.denominator]
     order = 0
     while order < cap and (c := _div_exact_int(c, linear)) is not None:
@@ -327,7 +318,7 @@ def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
     b = as_rational(b)
     if a >= b:
         raise IntervalError(f"need a < b, got {a} >= {b}")
-    chain = _sturm_chain(_primitive_int(p))
+    chain = _sturm_chain(_content_normalize(list(p.num)))
     at_a = [_sign_at(c, a.numerator, a.denominator) for c in chain]
     at_b = [_sign_at(c, b.numerator, b.denominator) for c in chain]
     zero_at_b = at_b[0] == 0

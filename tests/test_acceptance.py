@@ -197,12 +197,12 @@ def test_criterion_7_box_spline_univariate_consistency():
             b = cardinal_bspline(m).spline
             for _ in range(50):
                 x = F(rng.randint(0, 12 * (m + 1)), 12)
-                # m - s = m <= 2, so box_spline_eval takes the fiber route
+                # 1-D, so box_spline_eval takes the truncated-power route
                 assert box_spline_eval(cfg, (x,)) == spline_eval(b, x)
     except BaseException:
-        _fail_guard(7, "fiber-volume vs cardinal B-spline")
+        _fail_guard(7, "univariate box spline vs cardinal B-spline")
         raise
-    _report(7, "B_{X_m} fiber evaluation equals B_m at 50 random points, "
+    _report(7, "B_{X_m} box-spline evaluation equals B_m at 50 random points, "
                "m = 1, 2", started, 10.0)
 
 

@@ -148,9 +148,10 @@ def recurrence(vectors, counts, c, denom, scale):
 
 def recurrence_oracle(config):
     """B_X by the recurrence of de Boor, Hollig & Riemenschneider (*Box
-    Splines*, 1993, ch. I), a route independent of the library's fiber
-    volumes that works at every degree. It runs on integers: with x = c / D
-    and L the lcm of the nonzero s x s minors it carries
+    Splines*, 1993, ch. I), a route independent of the library's truncated
+    powers and fiber volumes that works at every degree. It runs on
+    integers: with x = c / D and L the lcm of the nonzero s x s minors it
+    carries
     beta(Y, c) = B_Y(x) (k-s)! (D L)^(k-s) L and builds one Fraction at the
     end. Inside the recurrence every level takes the limit from (1, eps);
     the half-open convention applies only at the top, where B_X jumps: the
@@ -345,20 +346,26 @@ def test_univariate_matches_cardinal_bspline():
         b = cardinal_bspline(m).spline
         for _ in range(50):
             x = F(rng.randint(0, (m + 1) * 12), 12)
-            # m - s = m <= 2: the fiber route
+            # 1-D: the truncated-power route, which B_m shares
             assert box_spline_eval(cfg, (x,)) == spline_eval(b, x)
 
 
 def test_cardinal_delegation_beyond_fiber_cap():
-    cfg = ones(5)  # degree 4 > 2: delegates to B_4
+    """Every 1-D degree up to MAX_CARDINAL_DEGREE evaluates, mixed signs
+    included; 14 vectors in 1-D and degree 3 in 2-D are refused."""
+    cfg = ones(5)  # degree 4: equals B_4
     b = cardinal_bspline(4).spline
     assert box_spline_eval(cfg, (F(5, 2),)) == spline_eval(b, F(5, 2))
     wide = VectorConfig(2, A2.vectors + ((-1, 1), (1, -1)))  # 2-D, degree 3
     with pytest.raises(CapabilityError):
         box_spline_eval(wide, (1, 1))
     mixed = VectorConfig(1, ((1,), (1,), (-1,), (1,), (1,)))
-    with pytest.raises(CapabilityError):
-        box_spline_eval(mixed, (F(1, 2),))
+    oracle = recurrence_oracle(mixed)
+    for k in range(-8, 21):
+        x = F(k, 4)
+        assert box_spline_eval(mixed, (x,)) == oracle((x,))
+    with pytest.raises(CapabilityError, match="MAX_CARDINAL_DEGREE"):
+        box_spline_eval(ones(14), (F(7),))
 
 
 def test_cardinal_route_matches_recurrence_oracle():
@@ -420,8 +427,9 @@ def quarter_grid(cfg):
 
 def test_fiber_route_matches_recurrence_oracle_on_quarter_grids():
     """Exact agreement with the recurrence at every quarter-lattice point
-    around the support of 1,000 configurations: knots, the zonotope
-    boundary and vectors of both signs included. Outside the closed
+    around the support of 1,000 configurations, 750 of them on the 1-D
+    truncated-power route and 250 on the planar fiber route: knots, the
+    zonotope boundary and vectors of both signs included. Outside the closed
     zonotope B_X vanishes by definition, so only the evaluator runs there."""
     rng = random.Random(20240811)
     configs = (distinct_configs(rng, 1, 5, 750)
@@ -468,7 +476,7 @@ def test_recurrence_oracle_partition_of_unity_beyond_degree_two():
     """sum_(j in Z^s) B_X(x - j) = 1 exactly, on the quarter grid of the
     unit cell (knots and, for the coloop configurations, the lines where
     B_X jumps) and at two generic points: the oracle holds past the
-    library's fiber cap."""
+    library's planar fiber cap."""
     rng = random.Random(31)
     for text in HIGH_DEGREE:
         cfg = parse_vector_config(text)
@@ -583,6 +591,32 @@ def test_mixed_sign_univariate_configuration():
     assert box_spline_eval(cfg, (0,)) == 1
 
 
+def univariate_census(entries, counts):
+    """(configurations, nonsingular ones, exceptions) over every multiset of
+    ``entries`` with a size in ``counts``; an exception is a configuration
+    whose A_X is invertible exactly when not all |xi| are equal."""
+    total = nonsingular = 0
+    exceptions = []
+    for count in counts:
+        for vectors in itertools.combinations_with_replacement(entries, count):
+            cfg = VectorConfig(1, tuple((xi,) for xi in vectors))
+            invertible = conjecture_verdict(cfg).invertible
+            equal = len({abs(xi) for xi in vectors}) == 1
+            total += 1
+            nonsingular += invertible
+            if invertible != equal:
+                exceptions.append(str(cfg))
+    return total, nonsingular, exceptions
+
+
+def test_univariate_census_invertible_exactly_for_equal_lengths():
+    """The paper's univariate statement on small grids: det A_X != 0
+    exactly when all |xi| are equal (the unimodular case up to scaling the
+    lattice). Evidence on 660 configurations, not a proof."""
+    assert univariate_census((-3, -2, -1, 1, 2, 3), range(2, 6)) == (455, 54, [])
+    assert univariate_census((1, 2, 3, 4), range(2, 7)) == (205, 20, [])
+
+
 def test_collocation_consistency():
     """Columns of A_{X_m} are translated B-spline evaluations at Omega:
     entry (i, j) is B_m(w_i - (2 w_j - sum X))."""
@@ -690,7 +724,8 @@ def test_matrix_matches_reference_on_univariate_and_sublattice():
 
 @st.composite
 def fiber_configs(draw):
-    """Configurations on the fiber route (m - s <= 2)."""
+    """Configurations with m - s <= 2: the planar fiber route and the 1-D
+    truncated-power route."""
     dim = draw(st.integers(1, 2))
     m = draw(st.integers(dim, dim + 2))
     vectors = tuple(tuple(draw(st.integers(-2, 2)) for _ in range(dim))

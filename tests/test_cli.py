@@ -70,6 +70,23 @@ def test_boxspline_eval(capsys):
     assert "B_X(1,1) = 1" in out
 
 
+def test_univariate_configurations_past_degree_two(capsys):
+    """Any 1-D configuration up to MAX_CARDINAL_DEGREE evaluates, not only
+    the all-ones family: 71/288 is also the value of the recurrence oracle
+    in tests/test_boxspline.py."""
+    code, out, _ = run(capsys, "boxspline", "--vectors", "1;2;3;-1",
+                       "--eval", "3/2")
+    assert code == 0
+    assert "B_X(3/2) = 71/288" in out
+    for vectors, omega_size, det in (("1;1;2;2", 11, "0"),
+                                     ("1;-1;1;-1;1", 9, "5/927712935936")):
+        code, out, _ = run(capsys, "conjecture", "--vectors", vectors, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["omega_size"] == omega_size
+        assert doc["determinant"] == det
+
+
 def test_verify_exit_zero_and_determinism(capsys):
     argv = ["verify", "--kind", "theorem9", "--m", "1", "--knots", "4",
             "--trials", "20", "--seed", "42", "--json"]
@@ -391,17 +408,22 @@ def test_extend_refuses_degrees_above_the_cap_quickly(capsys, tmp_path):
 
 
 def test_box_spline_caps_refuse_quickly(capsys):
-    """Long runs of one vector and high-degree mixed configurations are
-    refused before any evaluation: past degree 2 only the all-ones family
-    is evaluable, and only up to MAX_CARDINAL_DEGREE."""
+    """Long runs of one vector and long 1-D configurations are refused
+    before any evaluation: 1-D box splines are built up to
+    MAX_CARDINAL_DEGREE, and a candidate box for Omega past
+    MAX_OMEGA_CANDIDATES (256) is refused before A_X is assembled."""
     for argv, message in (
             (("boxspline", "--vectors", ";".join(["1"] * 2000), "--eval", "3"),
              "got 1999"),
-            (("conjecture", "--vectors", ";".join(["1"] * 200)), "got 199"),
+            (("conjecture", "--vectors", ";".join(["1"] * 14)), "got 13"),
+            (("conjecture", "--vectors", ";".join(["1"] * 200)),
+             "399 candidate points for Omega exceed the limit of 256"),
             (("conjecture", "--vectors", ";".join(["1"] * 24 + ["230"])),
-             "only evaluable for the all-ones univariate family"),
+             "507 candidate points for Omega exceed the limit of 256"),
             (("conjecture", "--vectors", ";".join(["1"] * 10 + ["240"])),
-             "only evaluable for the all-ones univariate family")):
+             "499 candidate points for Omega exceed the limit of 256"),
+            (("conjecture", "--vectors", "1;1;253"),
+             "509 candidate points for Omega exceed the limit of 256")):
         started = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert time.monotonic() - started < 5.0

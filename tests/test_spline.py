@@ -39,7 +39,6 @@ from splinezeros.polynomial import (
     _derivative_int,
     _div_exact_int,
     _prem_positive,
-    _primitive_int,
     _sign_at,
     _trim_int,
     root_census,
@@ -584,7 +583,7 @@ def reference_sturm_chain(c):
 def reference_open_count(p, a, b):
     """Distinct roots of p in the open (a, b) by the Sturm chain of
     p/gcd(p, p'), with the gcd from its own remainder sequence."""
-    c = reference_squarefree_int(_primitive_int(p))
+    c = reference_squarefree_int(_content_normalize(list(p.num)))
     if len(c) == 1:
         return 0
     chain = reference_sturm_chain(c)
