@@ -207,16 +207,16 @@ class Omega:
         return len(self.points)
 
 
-# Candidate half-lattice points semi_integral_interior_points may test. A_X
-# has |Omega|^2 box-spline entries and an exact determinant, so a larger
-# candidate box is refused before any enumeration. In 1-D nearly every
-# candidate lands in Omega, so the limit bounds |Omega| itself.
+# Half-lattice candidates per dimension semi_integral_interior_points may
+# test before refusing: A_X has |Omega|^2 entries and an exact determinant.
+# In 1-D every candidate lands in Omega at degrees up to 12; a planar B_X
+# has degree at most 2, so 512 candidates keep its entries short.
 MAX_OMEGA_CANDIDATES = 256
 
 
 def semi_integral_interior_points(config: VectorConfig) -> Omega:
     """Omega of the configuration; CapabilityError when the bounding box
-    holds more than MAX_OMEGA_CANDIDATES half-lattice candidates."""
+    holds more than MAX_OMEGA_CANDIDATES * dim half-lattice candidates."""
     cols = lattice_basis(config.vectors)
     # doubled coordinates: the half-lattice basis is the lattice basis, and
     # the zonotope's bounding box is [2 sum min(0, x_k), 2 sum max(0, x_k)]
@@ -235,10 +235,10 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
         ranges = [range(math.floor(min(k1s)), math.ceil(max(k1s)) + 1),
                   range(math.floor(min(k2s)), math.ceil(max(k2s)) + 1)]
     count = math.prod(len(r) for r in ranges)
-    if count > MAX_OMEGA_CANDIDATES:
+    limit = MAX_OMEGA_CANDIDATES * config.dim
+    if count > limit:
         raise CapabilityError(
-            f"{count} candidate points for Omega exceed the limit of "
-            f"{MAX_OMEGA_CANDIDATES}"
+            f"{count} candidate points for Omega exceed the limit of {limit}"
         )
     slack = _support_slack(config)
     doubled = []
@@ -334,9 +334,9 @@ def box_spline_eval(config: VectorConfig, point: Sequence) -> Fraction:
         if config.count == 1:
             xi = config.vectors[0][0]
             return Fraction(1, abs(xi)) if 0 <= pt[0] / xi < 1 else Fraction(0)
-        # a list, not a generator: tuple(genexpr) leaves a resized tuple on
-        # CPython's free lists at every call
-        lengths = tuple([v[0] for v in config.vectors])
+        # sorted (B_X ignores the order of X) and from a list: tuple(genexpr)
+        # leaves a resized tuple on CPython's free lists at every call
+        lengths = tuple(sorted([v[0] for v in config.vectors]))
         return spline_eval(univariate_box_spline(lengths), pt[0])
     deg = config.box_degree
     if deg > 2:

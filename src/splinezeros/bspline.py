@@ -84,15 +84,17 @@ def univariate_box_spline(lengths: tuple[int, ...]) -> Spline:
             f"univariate box splines need degree in [1, {MAX_CARDINAL_DEGREE}] "
             f"(MAX_CARDINAL_DEGREE), got {m}"
         )
-    weights = [1]
+    weights = {0: 1}  # sparse: at most 2^k terms, whatever the lengths
     for xi in lengths:
-        pad = [0] * abs(xi)
-        weights = [u - v for u, v in zip(weights + pad, pad + weights)]
+        shifted = dict(weights)
+        for j, w in weights.items():
+            shifted[j + abs(xi)] = shifted.get(j + abs(xi), 0) - w
+        weights = shifted
     lo = sum(min(0, xi) for xi in lengths)
     scale = math.prod(abs(xi) for xi in lengths) * math.factorial(m)
-    jumps = tuple((Fraction(lo + j), Fraction(w, scale))
-                  for j, w in enumerate(weights) if w)
-    window = (Fraction(lo), Fraction(lo + len(weights) - 1))
+    jumps = tuple((Fraction(lo + j), Fraction(weights[j], scale))
+                  for j in sorted(weights) if weights[j])
+    window = (Fraction(lo), Fraction(lo + sum(abs(xi) for xi in lengths)))
     return spline_from_truncated_powers(
         TruncatedPowerSpec(Polynomial(), jumps, window), m)
 

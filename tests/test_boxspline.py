@@ -591,6 +591,17 @@ def test_mixed_sign_univariate_configuration():
     assert box_spline_eval(cfg, (0,)) == 1
 
 
+def test_univariate_cache_ignores_the_order_of_x():
+    """B_X does not depend on the order of X, so every ordering of one
+    multiset shares a single cached spline."""
+    boxspline.univariate_box_spline.cache_clear()
+    values = {box_spline_eval(VectorConfig(1, tuple((xi,) for xi in order)),
+                              (F(5, 2),))
+              for order in itertools.permutations((1, 2, 3, -1))}
+    assert values == {recurrence_oracle(parse_vector_config("1;2;3;-1"))((F(5, 2),))}
+    assert boxspline.univariate_box_spline.cache_info().currsize == 1
+
+
 def univariate_census(entries, counts):
     """(configurations, nonsingular ones, exceptions) over every multiset of
     ``entries`` with a size in ``counts``; an exception is a configuration

@@ -87,6 +87,25 @@ def test_univariate_configurations_past_degree_two(capsys):
         assert doc["determinant"] == det
 
 
+def test_large_univariate_entries_and_planar_candidates_stay_cheap(capsys):
+    """The 1-D jump weights are sparse, so huge lengths cost no more than
+    small ones; the candidate limit is per dimension, so a planar box of
+    469 candidates is still admitted."""
+    started = time.monotonic()
+    code, out, _ = run(capsys, "boxspline", "--vectors", "1;1000000000",
+                       "--eval", "3")
+    assert code == 0
+    assert "B_X(3) = 1/1000000000" in out
+    for vectors, omega_size in (("1000000000;2000000000;3000000000", 11),
+                                ("32,0;0,32;1,1", 131)):
+        code, out, _ = run(capsys, "conjecture", "--vectors", vectors, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["omega_size"] == omega_size
+        assert doc["determinant"] == "0"
+    assert time.monotonic() - started < 10.0
+
+
 def test_verify_exit_zero_and_determinism(capsys):
     argv = ["verify", "--kind", "theorem9", "--m", "1", "--knots", "4",
             "--trials", "20", "--seed", "42", "--json"]
@@ -410,8 +429,9 @@ def test_extend_refuses_degrees_above_the_cap_quickly(capsys, tmp_path):
 def test_box_spline_caps_refuse_quickly(capsys):
     """Long runs of one vector and long 1-D configurations are refused
     before any evaluation: 1-D box splines are built up to
-    MAX_CARDINAL_DEGREE, and a candidate box for Omega past
-    MAX_OMEGA_CANDIDATES (256) is refused before A_X is assembled."""
+    MAX_CARDINAL_DEGREE, and a 1-D candidate box for Omega past
+    MAX_OMEGA_CANDIDATES (256 per dimension) is refused before A_X is
+    assembled."""
     for argv, message in (
             (("boxspline", "--vectors", ";".join(["1"] * 2000), "--eval", "3"),
              "got 1999"),
