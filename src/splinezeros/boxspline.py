@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Sequence
 
 from .bspline import univariate_box_spline
@@ -124,57 +124,52 @@ def parse_vector_config(text: str) -> VectorConfig:
 @dataclass(frozen=True)
 class Zonotope:
     """Support polytope: a segment (dim 1) or a counterclockwise convex
-    polygon with strict turns (dim 2); vertices are exact rationals."""
+    polygon with strict turns from its lexicographically smallest vertex
+    (dim 2); vertices are exact rationals."""
 
     dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
 
 
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points) -> list[tuple[Fraction, Fraction]]:
-    """Monotone-chain hull, collinear points dropped (strict turning)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def zonotope_support(config: VectorConfig) -> Zonotope:
-    """Minkowski sum of the segments [0, a_i], built by iterated sum +
-    hull."""
+    """Z(X), the Minkowski sum of the segments [0, x] over X.
+
+    In 2-D the boundary is the generators in angular order. Each x is turned
+    into the upper half-plane ([0, x] = x + [0, -x]), parallel ones merge
+    into one edge, and the walk goes up along the edges and back along their
+    negatives."""
     if config.dim == 1:
         lo = sum(min(0, v[0]) for v in config.vectors)
         hi = sum(max(0, v[0]) for v in config.vectors)
         return Zonotope(1, ((Fraction(lo),), (Fraction(hi),)))
-    points: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    for v in config.vectors:
-        shifted = [(p[0] + v[0], p[1] + v[1]) for p in points]
-        points = convex_hull(points + shifted)
-    return Zonotope(2, tuple(points))
+    x0 = y0 = 0
+    lengths: dict[tuple[int, int], int] = {}
+    for a, b in config.vectors:
+        if (b, a) < (0, 0):
+            x0, y0, a, b = x0 + a, y0 + b, -a, -b
+        g = math.gcd(a, b)
+        lengths[a // g, b // g] = lengths.get((a // g, b // g), 0) + g
+    edges = sorted(((a * n, b * n) for (a, b), n in lengths.items()),
+                   key=cmp_to_key(lambda e, f: e[1] * f[0] - e[0] * f[1]))
+    walk = [(x0, y0)]
+    for sign in (1, -1):
+        for a, b in edges:
+            walk.append((walk[-1][0] + sign * a, walk[-1][1] + sign * b))
+    walk.pop()  # the walk closes at its start
+    first = walk.index(min(walk))
+    return Zonotope(2, tuple((Fraction(x), Fraction(y))
+                             for x, y in walk[first:] + walk[:first]))
 
 
 def point_strictly_inside(zonotope: Zonotope, point) -> bool:
     pt = tuple(as_rational(c) for c in point)
+    if len(pt) != zonotope.dim:
+        raise DimensionError(f"point dimension {len(pt)} != {zonotope.dim}")
     if zonotope.dim == 1:
         return zonotope.vertices[0][0] < pt[0] < zonotope.vertices[1][0]
     verts = zonotope.vertices
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        if _cross(a, b, pt) <= 0:
-            return False
-    return True
+    return all((b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0]) > 0
+               for a, b in zip(verts, verts[1:] + verts[:1]))
 
 
 def _support_slack(config: VectorConfig):
@@ -223,17 +218,16 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
     lows = [2 * sum(min(0, v[k]) for v in config.vectors) for k in range(config.dim)]
     highs = [2 * sum(max(0, v[k]) for v in config.vectors) for k in range(config.dim)]
 
+    g = cols[0][0]
     if config.dim == 1:
-        ranges = [range(math.floor(Fraction(lows[0], cols[0][0])) + 1,
-                        math.ceil(Fraction(highs[0], cols[0][0])))]
+        ranges = [range(lows[0] // g + 1, -(-highs[0] // g))]
     else:
-        det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        corners = [(x, y) for x in (lows[0], highs[0]) for y in (lows[1], highs[1])]
-        # invert the basis to bound the integer coefficients over the bbox
-        k1s = [Fraction(cx * cols[1][1] - cy * cols[1][0], det) for cx, cy in corners]
-        k2s = [Fraction(-cx * cols[0][1] + cy * cols[0][0], det) for cx, cy in corners]
-        ranges = [range(math.floor(min(k1s)), math.ceil(max(k1s)) + 1),
-                  range(math.floor(min(k2s)), math.ceil(max(k2s)) + 1)]
+        # c = k1 (g, y) + k2 (0, d) gives k1 = c_0 / g and
+        # k2 = (g c_1 - y c_0) / (g d); y >= 0 fixes the extreme corners
+        y, d = cols[0][1], cols[1][1]
+        ranges = [range(lows[0] // g, -(-highs[0] // g) + 1),
+                  range((g * lows[1] - y * highs[0]) // (g * d),
+                        -((y * lows[0] - g * highs[1]) // (g * d)) + 1)]
     count = math.prod(len(r) for r in ranges)
     limit = MAX_OMEGA_CANDIDATES * config.dim
     if count > limit:

@@ -136,7 +136,7 @@ def _cardinal_cached(m: int) -> CardinalBSpline:
 
 def cardinal_bspline(m: int) -> CardinalBSpline:
     """B_m for 1 <= m <= 12 (two-construction cross-check included)."""
-    if not isinstance(m, int) or not 1 <= m <= MAX_CARDINAL_DEGREE:
+    if type(m) is not int or not 1 <= m <= MAX_CARDINAL_DEGREE:
         raise KnotRangeError(
             f"degree must be an int in [1, {MAX_CARDINAL_DEGREE}], got {m!r}"
         )

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .errors import (
     ConsistencyError,
     DimensionError,
+    FormatError,
     RankDeficiencyError,
     SingularMatrixError,
 )
@@ -162,69 +163,38 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def lattice_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Basis columns of the integer lattice generated by the given vectors
-    in Z^s, s in {1, 2}: ((g,),) in 1-D, ((p, q), (0, d)) with 0 <= q < d
-    in 2-D.
+    """Hermite basis columns of the lattice that integer vectors in Z^s,
+    s in {1, 2}, generate: ((g,),) in 1-D, ((g, y), (0, d)) with g, d > 0
+    and 0 <= y < d in 2-D.
 
-    Hermite-style integer reduction: vectors are folded into a triangular
-    basis one at a time using extended-gcd row operations, so the output
-    spans exactly the same lattice. Raises RankDeficiencyError when the
-    vectors do not span R^s."""
-    vecs = [tuple(int(c) for c in v) for v in vectors]
+    One extended-gcd fold: (g, y) spans the lattice's first coordinates, and
+    each vector (a, b) replaces it by its xgcd combination with (g, y) while
+    the leftover (0, (g/h) b - (a/h) y) joins (0, d). FormatError for a
+    component that is not an int; RankDeficiencyError when the vectors do
+    not span R^s."""
+    vecs = [tuple(v) for v in vectors]
+    for c in (c for v in vecs for c in v if type(c) is not int):
+        raise FormatError(f"vector components must be int, got {c!r}")
     if not vecs:
         raise RankDeficiencyError("empty vector list")
     s = len(vecs[0])
     if s not in (1, 2):
         raise RankDeficiencyError(f"ambient dimension {s} not supported (s <= 2)")
-    for v in vecs:
-        if len(v) != s:
-            raise DimensionError("mixed vector dimensions")
-
+    if any(len(v) != s for v in vecs):
+        raise DimensionError("mixed vector dimensions")
     if s == 1:
-        g = 0
-        for (c,) in vecs:
-            g = math.gcd(g, c)
+        g = math.gcd(*(c for (c,) in vecs))
         if g == 0:
             raise RankDeficiencyError("vectors do not span R^1")
         return ((g,),)
-
-    # s == 2: maintain up to two basis rows (b0 with pivot in coord 0,
-    # b1 = (0, d)); fold each vector in with xgcd combinations.
-    b0: list[int] | None = None
-    b1: list[int] | None = None
-
-    def reduce_second(vec: list[int]) -> None:
-        nonlocal b1
-        if vec[1] == 0:
-            return
-        if b1 is None:
-            b1 = [0, abs(vec[1])]
+    g = y = d = 0
+    for a, b in vecs:
+        h, u, w = _xgcd(g, a)
+        if h:
+            d = math.gcd(d, (g // h) * b - (a // h) * y)
+            g, y = h, u * y + w * b
         else:
-            g = math.gcd(b1[1], vec[1])
-            b1 = [0, g]
-
-    for v in vecs:
-        vec = list(v)
-        if vec == [0, 0]:
-            continue
-        if b0 is None:
-            if vec[0] != 0:
-                b0 = vec if vec[0] > 0 else [-vec[0], -vec[1]]
-            else:
-                reduce_second(vec)
-            continue
-        if vec[0] != 0:
-            g, u, w = _xgcd(b0[0], vec[0])
-            # new pivot row spans the same first-coordinate multiples
-            new_b0 = [g, u * b0[1] + w * vec[1]]
-            # leftovers have zero first coordinate
-            left_a = [0, (b0[0] // g) * vec[1] - (vec[0] // g) * b0[1]]
-            reduce_second(left_a)
-            b0 = new_b0
-        else:
-            reduce_second(vec)
-
-    if b0 is None or b1 is None or b1[1] == 0:
+            d = math.gcd(d, b)
+    if g == 0 or d == 0:
         raise RankDeficiencyError("vectors do not span R^2")
-    # canonical form: 0 <= b0[1] < b1[1]
-    return (b0[0], b0[1] % b1[1]), (0, b1[1])
+    return (g, y % d), (0, d)

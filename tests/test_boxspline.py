@@ -258,12 +258,26 @@ def test_zonotope_matches_subset_sum_oracle():
                       for k in range(2))
                 for picks in itertools.product((0, 1), repeat=m)]
         sums = [(F(a), F(b)) for a, b in sums]
-        assert set(zonotope_support(cfg).vertices) == set(jarvis_hull(sums))
+        verts = zonotope_support(cfg).vertices
+        assert set(verts) == set(jarvis_hull(sums))
+        # counterclockwise with strictly positive turns from min(vertices)
+        assert verts[0] == min(verts)
+        assert all((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0
+                   for a, b, c in zip(verts, verts[1:] + verts[:1],
+                                      verts[2:] + verts[:2]))
+        assert verts == tuple(jarvis_hull(sums))
 
 
 def test_zonotope_univariate_segment():
     z = zonotope_support(ones(4))
     assert z.vertices == ((F(0),), (F(4),))
+
+
+def test_point_strictly_inside_checks_the_dimension():
+    with pytest.raises(DimensionError):
+        point_strictly_inside(zonotope_support(ones(2)), (1, 99))
+    with pytest.raises(DimensionError):
+        point_strictly_inside(zonotope_support(A2), (1,))
 
 
 # -- semi-integral interior points --------------------------------------------------
@@ -446,6 +460,25 @@ def test_fiber_route_matches_recurrence_oracle_on_quarter_grids():
             else:
                 assert value == 0, (str(cfg), pt)
     assert len(configs) == 1000 and compared > 40000
+
+
+def test_fiber_route_matches_recurrence_oracle_on_wider_planar_entries():
+    """Exact agreement with the recurrence on 60 planar configurations with
+    entries in [-3, 3], whose pivot determinants reach past the 2 of the
+    quarter-grid configurations, at 40 random points X t of each zonotope,
+    t in [0, 1]^m with one denominator from 2..30 (boundary included)."""
+    rng = random.Random(20240812)
+    configs = distinct_configs(rng, 2, 3, 60)
+    assert max(abs(adjugate(pair)[1]) for cfg in configs
+               for pair in itertools.combinations(cfg.vectors, 2)) > 2
+    for cfg in configs:
+        oracle = recurrence_oracle(cfg)
+        for _ in range(40):
+            denom = rng.randint(2, 30)
+            t = [F(rng.randint(0, denom), denom) for _ in cfg.vectors]
+            pt = tuple(sum(ti * v[k] for ti, v in zip(t, cfg.vectors))
+                       for k in range(2))
+            assert box_spline_eval(cfg, pt) == oracle(pt), (str(cfg), pt)
 
 
 def test_knot_values_of_a_mixed_sign_pair():

@@ -62,6 +62,8 @@ def test_degree_range_enforced():
         cardinal_bspline(0)
     with pytest.raises(KnotRangeError):
         cardinal_bspline(13)
+    with pytest.raises(KnotRangeError):
+        cardinal_bspline(True)
 
 
 def test_two_constructions_agree_up_to_degree_8():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,7 +14,12 @@ from splinezeros.linalg import (
     mat_determinant,
     mat_solve,
 )
-from splinezeros.errors import DimensionError, RankDeficiencyError, SingularMatrixError
+from splinezeros.errors import (
+    DimensionError,
+    FormatError,
+    RankDeficiencyError,
+    SingularMatrixError,
+)
 
 
 def cofactor_det(rows):
@@ -198,23 +205,38 @@ def test_lattice_basis_rank_deficiency():
         lattice_basis([])
 
 
+def test_lattice_basis_refuses_non_int_components():
+    for vecs in ([(1.5, 0), (0, 2.9)], [(True, 0), (0, 1)], [(F(2), 0), (0, 1)],
+                 [(4.0,), (6,)], [(False,)]):
+        with pytest.raises(FormatError):
+            lattice_basis(vecs)
+
+
 def test_lattice_basis_spans_same_lattice():
+    """Every input lies in the basis lattice, and the basis covolume equals
+    the gcd of the 2x2 minors, the covolume of the lattice the inputs
+    generate: the two lattices are equal, and the Hermite form makes the
+    basis the unique one. Zero, parallel and negative vectors included."""
     rng = random.Random(404)
-    for _ in range(50):
-        m = rng.randint(2, 5)
-        vecs = []
-        while True:
-            vecs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(m)]
-            if any(a[0] * b[1] - a[1] * b[0] != 0 for a in vecs for b in vecs):
-                break
-        basis = lattice_basis(vecs)
-        # every input vector is an integer combination of the basis
-        for v in vecs:
-            assert in_lattice(basis, (F(v[0]), F(v[1])))
-        # and conversely: basis columns are integer combos of the inputs,
-        # guaranteed because the reduction only ever used integer row ops;
-        # spot-check via determinant divisibility
-        g = lattice_determinant(basis)
-        for a in vecs:
-            for b in vecs:
-                assert (a[0] * b[1] - a[1] * b[0]) % g == 0
+    for bound in (4, 40):
+        for _ in range(50):
+            while True:
+                vecs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
+                        for _ in range(rng.randint(2, 5))]
+                v, k = rng.choice(vecs), rng.randint(-3, 3)
+                vecs += [(0, 0), (k * v[0], k * v[1])]
+                rng.shuffle(vecs)
+                minors = [a[0] * b[1] - a[1] * b[0]
+                          for a, b in itertools.combinations(vecs, 2)]
+                if any(minors):
+                    break
+            basis = lattice_basis(vecs)
+            (g, y), (zero, d) = basis
+            assert zero == 0 and g > 0 and d > 0 and 0 <= y < d
+            assert g * d == lattice_determinant(basis) == math.gcd(*minors)
+            for v in vecs:
+                assert in_lattice(basis, (F(v[0]), F(v[1])))
+            entries = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 5))]
+            entries += [0, -entries[0]]
+            if any(entries):
+                assert lattice_basis([(c,) for c in entries]) == ((math.gcd(*entries),),)

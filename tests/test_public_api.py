@@ -2,6 +2,7 @@
 
 import ast
 import pkgutil
+import sys
 from pathlib import Path
 
 import splinezeros
@@ -34,3 +35,19 @@ def test_all_is_exactly_what_callers_import():
     assert len(splinezeros.__all__) == len(set(splinezeros.__all__))
     assert set(splinezeros.__all__) == used
     assert all(hasattr(splinezeros, name) for name in splinezeros.__all__)
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every import in the package is relative or names a stdlib module, so
+    the runtime keeps ``dependencies = []``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, (
+                    path.name, module)
