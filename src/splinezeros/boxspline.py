@@ -98,12 +98,12 @@ _INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
 def parse_vector_config(text: str) -> VectorConfig:
     """Parse "1,0;1,1;0,1" (semicolon-separated integer vectors). Each
     component is [+-]digits in ASCII, with surrounding whitespace tolerated;
-    anything else raises FormatError."""
-    chunks = [chunk.strip() for chunk in text.strip().split(";") if chunk.strip()]
-    if not chunks:
+    anything else, an empty vector (";;" or a trailing ";") included, raises
+    FormatError."""
+    if not text.strip():
         raise FormatError("empty vector configuration")
     vectors = []
-    for chunk in chunks:
+    for chunk in (chunk.strip() for chunk in text.split(";")):
         parts = chunk.split(",")
         try:
             if not all(_INTEGER_TEXT.fullmatch(c) for c in parts):

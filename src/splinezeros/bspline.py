@@ -15,9 +15,9 @@ degree (results are cached).
 extend_compact goes through the same truncated-power assembly: the extension
 is sum_k c_k (x - k)_+^m with m+1 jumps at a_0, a_0-1, ..., a_0-m, the jumps
 of s at its interior knots, and m+1 jumps at a_n, ..., a_n+m. Each tail's
-jumps solve one fixed (m+1)x(m+1) system whose exact inverse (a transposed
-Vandermonde inverse on the nodes 0..m) is cached per degree, so an extension
-runs no linear solve and never builds B_m.
+jumps solve one fixed (m+1)x(m+1) system; its exact inverse comes from
+linalg.mat_solve once per degree and is cached, so an extension runs no
+linear solve per call and never builds B_m.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .errors import (
     DegreeError,
     KnotRangeError,
 )
+from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
+from .rational import primitive_integers
 from .spline import (
     Spline,
     TruncatedPowerSpec,
@@ -149,22 +151,16 @@ def _tail_inverse(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     V_m[k][i] = C(m, k) * i^(m-k) maps jumps d_0..d_m at 0, -1, ..., -m to
     the coefficients of sum_i d_i (t + i)^m.
 
-    Dividing row k by C(m, k) leaves the transposed Vandermonde matrix on the
-    nodes 0..m, whose inverse holds the Lagrange basis coefficients:
-    d_i = sum_r [t^r]L_i * q_(m-r) / C(m, r)."""
+    Column c of V_m^-1 solves V_m x = e_c (m + 1 mat_solve calls, once per
+    degree); primitive_integers scales it to one denominator."""
     nodes = range(m + 1)
-    rows = []
-    for i in nodes:
-        basis = Polynomial.constant(1)
-        for j in nodes:
-            if j != i:
-                basis = basis * Polynomial((Fraction(-j, i - j), Fraction(1, i - j)))
-        coeffs = basis.coeffs
-        rows.append([coeffs[m - k] / math.comb(m, k) for k in nodes])
-    den = math.lcm(*(w.denominator for row in rows for w in row))
-    ints = tuple(tuple(w.numerator * (den // w.denominator) for w in row)
-                 for row in rows)
-    return ints, den
+    v = RationalMatrix.from_rows([[math.comb(m, k) * i ** (m - k) for i in nodes]
+                                  for k in nodes])
+    # column-major: entry c * (m + 1) + i is V_m^-1[i][c]
+    flat = [w for c in nodes for w in mat_solve(v, [int(k == c) for k in nodes])]
+    content, ints = primitive_integers(flat)
+    return (tuple(tuple(content.numerator * w for w in ints[i::m + 1])
+                  for i in nodes), content.denominator)
 
 
 def _tail_jumps(p: Polynomial, m: int, sign: int) -> list[Fraction]:

@@ -17,9 +17,10 @@ from .boxspline import (
     format_matrix,
     parse_vector_config,
 )
-from .bspline import cardinal_bspline, extend_compact
+from .bspline import MAX_CARDINAL_DEGREE, cardinal_bspline, extend_compact
 from .errors import SplineZerosError
-from .harness import SUITE_KINDS, GeneratorConfig, run_verification_suite
+from .harness import (MAX_DENOMINATOR_BOUND, MAX_INTERIOR_KNOTS, MAX_NUMERATOR_BOUND,
+                      SUITE_KINDS, GeneratorConfig, run_verification_suite)
 from .rational import format_rational, parse_rational
 from .spline import (
     insert_knot,
@@ -38,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bspline", help="print (and evaluate) a cardinal B-spline")
-    p.add_argument("--m", type=int, required=True, help="degree (1..12)")
+    p.add_argument("--m", type=int, required=True,
+                   help=f"degree (1..{MAX_CARDINAL_DEGREE})")
     p.add_argument("--eval", dest="eval_at", metavar="P/Q",
                    help="evaluate at a rational point")
     p.add_argument("--json", action="store_true")
@@ -57,18 +59,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("--kind", required=True, choices=SUITE_KINDS)
-    p.add_argument("--m", type=int, required=True, help="spline degree (1..12)")
+    p.add_argument("--m", type=int, required=True,
+                   help=f"spline degree (1..{MAX_CARDINAL_DEGREE})")
     p.add_argument("--knots", type=int, required=True,
-                   help="index n of the last knot, 1..1000 (window [0, n], n-1 "
-                        "random interior knots)")
+                   help=f"index n of the last knot, 1..{MAX_INTERIOR_KNOTS + 1} "
+                        "(window [0, n], n-1 random interior knots)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--num-bound", type=int, default=8,
-                   help="largest |numerator| of a random coefficient, 1..10^6 "
-                        "(default 8)")
-    p.add_argument("--den-bound", type=int, default=4,
+    p.add_argument("--num-bound", type=int, default=GeneratorConfig.numerator_bound,
+                   help="largest |numerator| of a random coefficient, "
+                        f"1..{MAX_NUMERATOR_BOUND} (default %(default)s)")
+    p.add_argument("--den-bound", type=int, default=GeneratorConfig.denominator_bound,
                    help="largest denominator of a random knot or coefficient, "
-                        "1..16 (default 4)")
+                        f"1..{MAX_DENOMINATOR_BOUND} (default %(default)s)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("conjecture",

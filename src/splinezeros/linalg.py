@@ -1,11 +1,13 @@
 """Exact dense linear algebra over the rationals, plus small integer-lattice
 basis computation.
 
-Determinants use Bareiss fraction-free elimination on an integer copy of the
-matrix whose rows come from ``rational.primitive_integers`` (the one
-integer-scaling helper of the library), so no rounding can occur anywhere and
-intermediate fractions never blow up. Solving uses exact Gaussian elimination
-and verifies A*x = b by substitution before returning.
+One elimination serves every linear system: Bareiss fraction-free
+elimination (``_bareiss``) on integer rows that come from
+``rational.primitive_integers`` (the one integer-scaling helper of the
+library), so no rounding can occur anywhere and intermediate fractions never
+blow up. ``mat_determinant`` reads its last pivot; ``mat_solve`` runs it on
+[A | b], back-substitutes over the integers and verifies A*x = b by
+substitution before returning.
 """
 
 from __future__ import annotations
@@ -59,92 +61,67 @@ class RationalMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
 
-def _bareiss_det_int(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss).
-
-    Every division below is exact by the Sylvester identity; all values stay
-    integers of modest size."""
+def _bareiss(rows: list[list[int]]) -> int:
+    """Bareiss fraction-free elimination of n integer rows (length >= n) in
+    place, swapping up the first nonzero pivot of each column. Afterwards
+    rows[k][k:] is the upper triangle and rows[-1][n-1] is the determinant
+    of the swapped leading n x n block; every division is exact by
+    Sylvester's identity. Returns the swap sign, or 0 when a column has no
+    pivot."""
     n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    m = [r[:] for r in rows]
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot_row is None:
+    sign, prev = 1, 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
                 return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
+            rows[k], rows[swap], sign = rows[swap], rows[k], -sign
+        pivot, tail = rows[k][k], rows[k][k + 1:]
+        for row in rows[k + 1:]:
+            row[k + 1:] = [(v * pivot - row[k] * w) // prev
+                           for v, w in zip(row[k + 1:], tail)]
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign
 
 
 def mat_determinant(a: RationalMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Each row is split as content * coprime integers (``primitive_integers``),
-    Bareiss runs on the integer rows, and the determinant is the product of
-    the contents times the integer determinant. The empty 0x0 matrix has
-    determinant 1."""
+    """Exact determinant of a square rational matrix: each row is split as
+    content * coprime integers (``primitive_integers``), Bareiss runs on the
+    integer rows, and the determinant is the product of the contents, the
+    swap sign and the last pivot. The empty 0x0 matrix has determinant 1."""
     if a.rows != a.cols:
         raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for i in range(a.rows):
-        content, ints = primitive_integers(a.row(i))
-        int_rows.append(ints)
-        scale *= content
-    return scale * _bareiss_det_int(int_rows)
+    split = [primitive_integers(a.row(i)) for i in range(a.rows)]
+    rows = [ints for _, ints in split]
+    sign = _bareiss(rows)
+    pivot = rows[-1][-1] if rows else 1
+    return math.prod((content for content, _ in split), start=Fraction(sign * pivot))
 
 
 def mat_solve(a: RationalMatrix, b: Sequence) -> tuple[Fraction, ...]:
-    """Solve A*x = b exactly.
-
-    Gaussian elimination with exact pivoting (first nonzero pivot); the
-    result is substituted back into A before returning, so a wrong answer is
-    structurally impossible."""
+    """Solve A*x = b exactly. Bareiss runs on the primitive integer rows of
+    [A | b]; its last pivot D is the determinant of the swapped system, so
+    y = D*x is integral (Cramer's rule) and back-substitution finds it by
+    exact integer divisions. x = y / D is substituted back into A before
+    returning, so a wrong answer is structurally impossible."""
     if a.rows != a.cols:
         raise DimensionError(f"solve with non-square {a.rows}x{a.cols} matrix")
     n = a.rows
     rhs = [as_rational(v) for v in b]
     if len(rhs) != n:
         raise DimensionError(f"rhs length {len(rhs)} != {n}")
-    aug = [list(a.row(i)) + [rhs[i]] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if aug[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            factor = aug[i][k] / pivot
-            if factor:
-                row_i = aug[i]
-                row_k = aug[k]
-                for j in range(k, n + 1):
-                    row_i[j] -= factor * row_k[j]
-    x = [Fraction(0)] * n
+    rows = [primitive_integers(a.row(i) + (rhs[i],))[1] for i in range(n)]
+    if not _bareiss(rows):
+        raise SingularMatrixError("matrix is singular")
+    det = rows[-1][n - 1] if n else 1
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    for i in range(n):
-        row = a.row(i)
-        if sum((row[j] * x[j] for j in range(n)), Fraction(0)) != rhs[i]:
-            raise ConsistencyError("back-substitution check failed")  # pragma: no cover
-    return tuple(x)
+        row = rows[i]
+        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    x = tuple(Fraction(v, det) for v in y)
+    if any(sum(r * v for r, v in zip(a.row(i), x)) != rhs[i] for i in range(n)):
+        raise ConsistencyError("back-substitution check failed")  # pragma: no cover
+    return x
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

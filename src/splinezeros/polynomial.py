@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, IntervalError, InfiniteRootsError
-from .rational import as_rational
+from .rational import as_rational, primitive_integers
 
 
 class Polynomial:
@@ -40,9 +40,8 @@ class Polynomial:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()) -> None:
-        cs = [as_rational(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+        content, ints = primitive_integers([as_rational(c) for c in coeffs])
+        self._store([content.numerator * v for v in ints], content.denominator)
 
     def _store(self, num: list[int], den: int) -> None:
         while num and num[-1] == 0:
@@ -137,17 +136,14 @@ class Polynomial:
                                         c.denominator * self.den)
 
     def eval(self, x) -> Fraction:
-        """Exact value at x = a/b: homogeneous integer Horner for
-        sum num_i a^i b^(d-i), then one Fraction over den * b^d."""
+        """Exact value at x = a/b: the Sturm kernel's homogeneous integer
+        Horner (_horner), then one Fraction over den * b^d."""
         x = as_rational(x)
         if not self.num:
             return Fraction(0)
-        a, b = x.numerator, x.denominator
-        acc, b_power = 0, 1
-        for v in reversed(self.num):
-            acc = acc * a + v * b_power
-            b_power *= b
-        return Fraction(acc, self.den * b_power // b)
+        b = x.denominator
+        return Fraction(_horner(self.num, x.numerator, b),
+                        self.den * b ** (len(self.num) - 1))
 
     def derivative(self) -> "Polynomial":
         return Polynomial.from_integers(
@@ -259,14 +255,15 @@ def root_order(p: Polynomial, x, cap: int) -> int:
     return order
 
 
-def _sign_at(c: list[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den (den > 0), by homogeneous integer
-    Horner: the sum of c_i num^i den^(d-i), with no division."""
+def _horner(c: Sequence[int], num: int, den: int) -> int:
+    """Homogeneous integer Horner: sum c_i num^i den^(d-i), d = len(c) - 1,
+    which is den^d times the value of sum c_i x^i at num/den, with no
+    division."""
     acc, den_power = 0, 1
     for v in reversed(c):
         acc = acc * num + v * den_power
         den_power *= den
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def _sturm_chain(c: list[int]) -> list[list[int]]:
@@ -293,9 +290,10 @@ def _sturm_chain(c: list[int]) -> list[list[int]]:
     return quotients
 
 
-def _variations(signs: list[int]) -> int:
-    nonzero = [s for s in signs if s]
-    return sum(1 for u, v in zip(nonzero, nonzero[1:]) if u != v)
+def _variations(values: list[int]) -> int:
+    """Sign changes along values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
@@ -319,8 +317,8 @@ def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
     if a >= b:
         raise IntervalError(f"need a < b, got {a} >= {b}")
     chain = _sturm_chain(_content_normalize(list(p.num)))
-    at_a = [_sign_at(c, a.numerator, a.denominator) for c in chain]
-    at_b = [_sign_at(c, b.numerator, b.denominator) for c in chain]
+    at_a = [_horner(c, a.numerator, a.denominator) for c in chain]
+    at_b = [_horner(c, b.numerator, b.denominator) for c in chain]
     zero_at_b = at_b[0] == 0
     count = _variations(at_a) - _variations(at_b) - zero_at_b
     return count, at_a[0] == 0, zero_at_b

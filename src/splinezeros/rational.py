@@ -6,9 +6,10 @@ reduced, zero as 0/1), and its equality is structural. The helpers here pin
 down the textual contract: "p/q" with the sign on p, or just "p" when q = 1.
 
 ``primitive_integers`` is the one place where a row of rationals is scaled to
-integers: Bareiss determinants and the box-spline kernel basis use it.
-Polynomials keep integer numerators over one denominator themselves, so
-Sturm counting needs no scaling.
+integers: Bareiss elimination, the extension's tail inverse, the box-spline
+kernel basis and ``Polynomial`` construction use it. The spline generator's
+``harness._random_integers`` scales its raw ints itself, which keeps the
+theorem9 path free of ``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import re
 from fractions import Fraction
 from typing import Sequence
+
+from .errors import FormatError
 
 RationalLike = Fraction | int | str
 
@@ -27,8 +30,6 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (ASCII digits, a sign only on p). Surrounding
     whitespace (also around '/') is tolerated; anything else, a zero
     denominator and literals past Python's int digit limit are rejected."""
-    from .errors import FormatError
-
     if not isinstance(text, str):
         raise FormatError(f"expected a rational string, got {type(text).__name__}")
     match = _RATIONAL_TEXT.fullmatch(text)
@@ -49,9 +50,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to a Fraction."""
+    """Coerce an int, Fraction, or "p/q" string to a Fraction. A bool is
+    refused with FormatError, not read as 0 or 1."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise FormatError(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     return parse_rational(value)

@@ -223,7 +223,8 @@ def test_parse_vector_config():
     assert parse_vector_config(" +1 , -2 ; 0,1 ") == VectorConfig(
         2, ((1, -2), (0, 1)))
     for text in ("1_0;1", "\u0661;1", "1.0;1", "1e1;1", "+-1;1", "0x1;1",
-                 "1,,0;1,1", "1 0;1", "9" * 5000 + ";1"):
+                 "1,,0;1,1", "1,0;;0,1", "1,0;0,1;", "1 0;1",
+                 "9" * 5000 + ";1"):
         with pytest.raises(FormatError):
             parse_vector_config(text)
 

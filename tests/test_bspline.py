@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -305,6 +306,20 @@ def test_every_cardinal_bspline_is_a_fixed_point():
         assert reference_extend_compact(b) == b
 
 
+def test_tail_inverse_inverts_the_tail_matrix():
+    """V_m W = D I for m = 1..12, by integer matrix products alone, with
+    V_m[k][i] = C(m, k) i^(m-k)."""
+    for m in range(1, 13):
+        w, d = bspline._tail_inverse(m)
+        v = [[math.comb(m, k) * i ** (m - k) for i in range(m + 1)]
+             for k in range(m + 1)]
+        product = [[sum(v[k][i] * w[i][c] for i in range(m + 1))
+                    for c in range(m + 1)] for k in range(m + 1)]
+        assert d > 0
+        assert product == [[d * (k == c) for c in range(m + 1)]
+                           for k in range(m + 1)]
+
+
 def test_extension_needs_no_solve_and_no_bspline(monkeypatch):
     """After one warm call per degree, extensions run neither a linear solve
     nor the B_m lookup."""
@@ -319,8 +334,9 @@ def test_extension_needs_no_solve_and_no_bspline(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(linalg, "mat_solve",
-                        counted("mat_solve", linalg.mat_solve))
+    for module in (linalg, bspline):
+        monkeypatch.setattr(module, "mat_solve",
+                            counted("mat_solve", module.mat_solve))
     monkeypatch.setattr(bspline, "cardinal_bspline",
                         counted("cardinal_bspline", bspline.cardinal_bspline))
     for trial in range(50):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splinezeros.bspline as bspline
 import splinezeros.harness as harness
 from splinezeros import parse_vector_config, zigzag_spline
 from splinezeros.cli import main
@@ -223,6 +224,34 @@ def test_vectors_outside_the_integer_grammar_exit_2(capsys):
             assert code == 2
             assert out == ""
             assert "malformed vector" in err
+
+
+def test_empty_vectors_exit_2(capsys):
+    for vectors in ("1,0;;0,1", "1,0;0,1;"):
+        code, out, err = run(capsys, "conjecture", "--vectors", vectors)
+        assert code == 2
+        assert out == ""
+        assert "malformed vector ''" in err
+
+
+def test_help_states_the_caps_and_defaults(capsys):
+    """The verify and bspline help text is derived from the library's caps
+    and GeneratorConfig's defaults."""
+    texts = {}
+    for command in ("verify", "bspline"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        texts[command] = " ".join(capsys.readouterr().out.split())
+    for text in texts.values():
+        assert f"degree (1..{bspline.MAX_CARDINAL_DEGREE})" in text
+    verify = texts["verify"]
+    assert f"1..{harness.MAX_INTERIOR_KNOTS + 1} " in verify
+    assert f"1..{harness.MAX_NUMERATOR_BOUND} " in verify
+    assert f"1..{harness.MAX_DENOMINATOR_BOUND} " in verify
+    defaults = harness.GeneratorConfig(seed=0, degree=1, interior_knots=0)
+    assert f"(default {defaults.numerator_bound})" in verify
+    assert f"(default {defaults.denominator_bound})" in verify
 
 
 def test_boxspline_rejects_exponent_literal(capsys):

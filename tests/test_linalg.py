@@ -164,6 +164,58 @@ def test_solve_exactness_property():
             assert sum(rows[i][j] * x[j] for j in range(n)) == b[i]
 
 
+def sympy_solution(rows, b):
+    """Oracle (sympy): the solution of rows * x = b as Fractions."""
+    x = sympy_matrix(rows).LUsolve(sympy_matrix([[v] for v in b]))
+    return tuple(F(int(v.p), int(v.q)) for v in x)
+
+
+def test_solve_agrees_with_sympy_oracle():
+    """Random systems of order 1..8, integer or rational entries up to
+    +-10^6, with sympy's LUsolve as the oracle; singular draws must raise."""
+    rng = random.Random(1313)
+    solved = 0
+    for trial in range(120):
+        n = 1 + trial % 8
+        den = 1 if trial % 2 else 7
+
+        def draw():
+            return F(rng.randint(-10**6, 10**6), rng.randint(1, den))
+
+        rows = [[draw() for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n >= 3:
+            # a singular leading (n-1)x(n-1) block: the pivot at column
+            # n - 2 is 0 until the last two rows swap
+            rows[n - 2][:n - 1] = rows[0][:n - 1]
+        elif trial % 3 == 1:
+            for row in rows[:-1]:  # the first pivot sits in the last row
+                row[0] = F(0)
+        b = [draw() for _ in range(n)]
+        if sympy_matrix(rows).det() == 0:
+            with pytest.raises(SingularMatrixError):
+                mat_solve(RationalMatrix.from_rows(rows), b)
+            continue
+        assert mat_solve(RationalMatrix.from_rows(rows), b) == \
+            sympy_solution(rows, b)
+        solved += 1
+    assert solved > 100
+
+
+def test_solve_swaps_rows_at_the_last_pivot():
+    """The second pivot is 0 until the last two rows swap, the last
+    elimination step that has a row below it."""
+    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(7)], [F(3), F(5), F(0)]]
+    b = [F(1), F(-2), F(5, 3)]
+    x = mat_solve(RationalMatrix.from_rows(rows), b)
+    assert x == sympy_solution(rows, b)
+    assert mat_determinant(RationalMatrix.from_rows(rows)) == \
+        cofactor_det(rows)
+
+
+def test_solve_empty_system():
+    assert mat_solve(RationalMatrix(0, 0, ()), []) == ()
+
+
 def test_solve_singular_and_dimension_errors_distinct():
     with pytest.raises(SingularMatrixError):
         mat_solve(RationalMatrix.from_rows([[1, 2], [2, 4]]), [1, 1])

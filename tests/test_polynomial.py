@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from splinezeros import Polynomial
 from splinezeros.errors import InfiniteRootsError, IntervalError
 from splinezeros.polynomial import (
-    _sign_at,
+    _horner,
     count_distinct_roots,
     root_census,
     root_order,
@@ -233,13 +233,16 @@ def test_canonical_form_examples():
 @given(st.lists(st.integers(-10**12, 10**12), max_size=14),
        st.integers(-10**6, 10**6), st.integers(1, 10**6))
 @settings(max_examples=400, deadline=None)
-def test_sign_at_matches_exact_fraction_value(c, a, b):
-    """The Sturm kernel's homogeneous integer Horner gives the sign of the
-    exact value sum c_i (a/b)^i, for any b > 0, reduced with a or not."""
+def test_horner_matches_exact_fraction_value(c, a, b):
+    """The homogeneous integer Horner that Polynomial.eval and the Sturm
+    kernel share gives b^d times the exact value sum c_i (a/b)^i, for any
+    b > 0, reduced with a or not, and eval agrees with it."""
     x = F(a, b)
     value = sum(v * x ** i for i, v in enumerate(c))
-    assert _sign_at(c, a, b) == (value > 0) - (value < 0)
-    assert _sign_at(c, 3 * a, 3 * b) == _sign_at(c, a, b)
+    d = max(len(c) - 1, 0)
+    assert _horner(c, a, b) == value * b ** d
+    assert _horner(c, 3 * a, 3 * b) == 3 ** d * _horner(c, a, b)
+    assert Polynomial(c).eval(x) == value
 
 
 def test_count_roots_x2_minus_2():

@@ -5,6 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from splinezeros import (
+    Polynomial,
+    VectorConfig,
+    box_spline_eval,
+    cardinal_bspline,
+    spline_eval,
+)
 from splinezeros.errors import FormatError
 from splinezeros.rational import (
     as_rational,
@@ -54,6 +61,20 @@ def test_as_rational_coercions():
     assert as_rational(3) == F(3)
     assert as_rational("2/8") == F(1, 4)
     assert as_rational(F(5, 7)) == F(5, 7)
+
+
+def test_as_rational_refuses_bool():
+    """A bool is not read as 0 or 1, here or through public entries that
+    coerce with as_rational."""
+    for flag in (True, False):
+        with pytest.raises(FormatError):
+            as_rational(flag)
+        with pytest.raises(FormatError):
+            Polynomial([flag, 1])
+        with pytest.raises(FormatError):
+            spline_eval(cardinal_bspline(2).spline, flag)
+        with pytest.raises(FormatError):
+            box_spline_eval(VectorConfig(1, ((1,), (1,))), (flag,))
 
 
 @given(st.integers(min_value=-10**12, max_value=10**12),

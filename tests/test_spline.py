@@ -38,8 +38,8 @@ from splinezeros.polynomial import (
     _content_normalize,
     _derivative_int,
     _div_exact_int,
+    _horner,
     _prem_positive,
-    _sign_at,
     _trim_int,
     root_census,
     root_order,
@@ -589,10 +589,11 @@ def reference_open_count(p, a, b):
     chain = reference_sturm_chain(c)
 
     def variations(x):
-        signs = [v for e in chain if (v := _sign_at(e, x.numerator, x.denominator))]
+        signs = [v > 0 for e in chain
+                 if (v := _horner(e, x.numerator, x.denominator))]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    return variations(a) - variations(b) - (_sign_at(c, b.numerator, b.denominator) == 0)
+    return variations(a) - variations(b) - (_horner(c, b.numerator, b.denominator) == 0)
 
 
 def reference_census(s, ia, ib):
