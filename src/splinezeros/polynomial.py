@@ -1,20 +1,24 @@
 """Exact univariate polynomial algebra and distinct-real-root counting.
 
 Root counting is the engine behind every zero census in this library. It
-never locates a root: Sturm sequences over exact integers report how many
-distinct real roots sit in an interval, with explicit endpoint control, and
-that is all the spline layer needs (roots are frequently irrational).
+never locates a root: it reports how many distinct real roots sit in an
+interval, with explicit endpoint control, over exact integers, and that is
+all the spline layer needs (roots are frequently irrational).
 
-One remainder sequence per polynomial: the pseudo-remainder sequence of
-(p, p') ends in g = gcd(p, p'), and dividing every entry by g gives a Sturm
-sequence of the square-free part p/g, so no separate gcd is computed.
-root_census evaluates that sequence once at each endpoint and returns the
-open-interval count together with the endpoint zero flags p(a) == 0 and
-p(b) == 0, read from the sign of its first entry.
+root_census returns the open-interval count together with the endpoint zero
+flags p(a) == 0 and p(b) == 0. It first maps (a, b) onto (0, inf) by an
+integer Moebius transform (two Taylor shifts, a scaling and a reversal) and
+applies Descartes' rule of signs: zero or one sign variation is the exact
+count, and the transform's end coefficients are the endpoint flags. Only
+when the rule cannot decide (two or more variations) does it build a Sturm
+sequence, one remainder sequence per polynomial: the pseudo-remainder
+sequence of (p, p') ends in g = gcd(p, p'), and dividing every entry by g
+gives a Sturm sequence of the square-free part p/g, so no separate gcd is
+computed. That sequence is evaluated once at each endpoint.
 
 A Polynomial is integer numerators over one positive denominator, so its
-algebra runs on ints and the Sturm kernel takes a primitive integer copy by
-one content division. The kernel divides content out after every
+algebra runs on ints and the census takes a primitive integer copy by one
+content division. The Sturm kernel divides content out after every
 pseudo-remainder step, which keeps coefficient growth tame.
 """
 
@@ -161,10 +165,7 @@ class Polynomial:
         h = as_rational(h)
         s, q = h.numerator, h.denominator
         d = len(self.num) - 1
-        c = [v * q ** (d - i) for i, v in enumerate(self.num)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                c[j] += s * c[j + 1]
+        c = _shift_int([v * q ** (d - i) for i, v in enumerate(self.num)], s)
         return Polynomial.from_integers([v * q ** i for i, v in enumerate(c)],
                                         self.den * q ** max(d, 0))
 
@@ -174,7 +175,17 @@ class Polynomial:
             [-v if i % 2 else v for i, v in enumerate(self.num)], self.den)
 
 
-# -- integer kernel for Sturm sequences ----------------------------------------
+# -- integer kernel for the census ----------------------------------------------
+
+
+def _shift_int(c: list[int], s: int) -> list[int]:
+    """c(y + s), the classic integer Taylor shift (Horner's scheme, repeated),
+    computed in place and returned."""
+    d = len(c) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
 
 
 def _trim_int(c: list[int]) -> list[int]:
@@ -298,13 +309,26 @@ def _variations(values: list[int]) -> int:
 
 def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
     """(distinct real roots of p in the open interval (a, b), p(a) == 0,
-    p(b) == 0), all from one Sturm sequence.
+    p(b) == 0).
 
-    The sequence is that of the square-free part p/gcd(p, p') (see
-    _sturm_chain), evaluated once at each endpoint. The zero-skip
-    sign-variation difference V(a) - V(b) counts the distinct roots in the
-    half-open (a, b]; the sign of the first entry, which has the same roots
-    as p, gives both endpoint flags, and p(b) == 0 is subtracted to open the
+    Descartes' rule of signs decides most pieces without a Sturm sequence.
+    With a = a1/a2, b = b1/b2, D = a2 b2 and W = b1 a2 - a1 b2 (> 0 exactly
+    when a < b), the primitive integer copy c of p, of degree d, is mapped
+    to q(t) = D^d (1 + t)^d p((b + a t)/(1 + t)), which takes (0, inf) onto
+    (a, b), entirely on ints: a homogeneous Taylor shift by a1 b2 over D
+    gives D^d p((y + a1 b2)/D), scaling coefficient i by W^i gives
+    D^d p(a + (b - a) x), and reversing and shifting by 1 gives q. So
+    q[0] == 0 is p(b) == 0 and q[d] == 0 is p(a) == 0, and the sign
+    variations V of q bound the roots in (a, b), counted with multiplicity,
+    with an even excess (Collins & Akritas 1976; Basu, Pollack & Roy,
+    Algorithms in Real Algebraic Geometry, ch. 10): V = 0 means no root and
+    V = 1 exactly one, a simple one.
+
+    Only when V >= 2 (two roots, a multiple root, or complex roots the rule
+    cannot exclude) does the Sturm sequence of the square-free part
+    p/gcd(p, p') (see _sturm_chain) run, evaluated once at each endpoint:
+    the zero-skip sign-variation difference V(a) - V(b) counts the distinct
+    roots in the half-open (a, b], and p(b) == 0 is subtracted to open the
     right end.
 
     Raises InfiniteRootsError for the zero polynomial (callers must branch on
@@ -314,14 +338,24 @@ def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
         raise InfiniteRootsError("root count of the zero polynomial")
     a = as_rational(a)
     b = as_rational(b)
-    if a >= b:
+    a1, a2 = a.numerator, a.denominator
+    b1, b2 = b.numerator, b.denominator
+    w = b1 * a2 - a1 * b2
+    if w <= 0:
         raise IntervalError(f"need a < b, got {a} >= {b}")
-    chain = _sturm_chain(_content_normalize(list(p.num)))
-    at_a = [_horner(c, a.numerator, a.denominator) for c in chain]
-    at_b = [_horner(c, b.numerator, b.denominator) for c in chain]
-    zero_at_b = at_b[0] == 0
-    count = _variations(at_a) - _variations(at_b) - zero_at_b
-    return count, at_a[0] == 0, zero_at_b
+    c = _content_normalize(list(p.num))
+    d = len(c) - 1
+    den = a2 * b2
+    q = _shift_int([v * den ** (d - i) for i, v in enumerate(c)], a1 * b2)
+    q = _shift_int([v * w ** i for i, v in enumerate(q)][::-1], 1)
+    zero_at_a, zero_at_b = q[d] == 0, q[0] == 0
+    count = _variations(q)
+    if count >= 2:
+        chain = _sturm_chain(c)
+        at_a = [_horner(e, a1, a2) for e in chain]
+        at_b = [_horner(e, b1, b2) for e in chain]
+        count = _variations(at_a) - _variations(at_b) - zero_at_b
+    return count, zero_at_a, zero_at_b
 
 
 def count_distinct_roots(p: Polynomial, a, b,
@@ -331,7 +365,9 @@ def count_distinct_roots(p: Polynomial, a, b,
 
     The default interval is closed; the flags drop either endpoint. A thin
     wrapper over root_census, which reads the open-interval count and both
-    endpoint zeros from one Sturm sequence; it raises the same errors.
+    endpoint zeros from Descartes' rule on one integer Moebius transform, or
+    from one Sturm sequence when the rule cannot decide; it raises the same
+    errors.
     """
     count, zero_at_a, zero_at_b = root_census(p, a, b)
     return count + (zero_at_a and not open_left) + (zero_at_b and not open_right)

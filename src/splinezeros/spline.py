@@ -23,11 +23,12 @@ u < v are separated iff s is not identically zero on [u, v]):
 
 Hence the maximum separated family has exactly one member per component, and
 Z is computable from exact per-domain root counts and knot-value flags alone
-(no root locations needed). Both come from one Sturm sequence per domain
-(polynomial.root_census): it counts the roots in the open domain and says
-whether the piece vanishes at either end, and each knot takes its flag from
-an adjacent domain, which continuity allows for degree >= 1. The census
-evaluates no piece on its own.
+(no root locations needed). Both come from one exact census per domain
+(polynomial.root_census): Descartes' rule on an integer Moebius transform of
+the piece, or a Sturm sequence when the rule cannot decide, counts the roots
+in the open domain and says whether the piece vanishes at either end. Each
+knot takes its flag from an adjacent domain, which continuity allows for
+degree >= 1. The census evaluates no piece on its own.
 """
 
 from __future__ import annotations
@@ -314,8 +315,10 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
     """Z and its census on [a, b], where a and b must be knots of s (use
     insert_knot first for other windows).
 
-    One Sturm sequence per domain (polynomial.root_census) gives the distinct
-    roots in the open domain and whether the piece vanishes at each end. Each
+    One exact census per domain (polynomial.root_census: Descartes' rule of
+    signs, with a Sturm sequence only where the rule cannot decide) gives the
+    distinct roots in the open domain and whether the piece vanishes at each
+    end. Each
     knot flag is the left-end flag of the domain to its right, and the last
     knot's is the right-end flag of the last domain: the spline is continuous
     (degree >= 1), so either adjacent piece decides the knot value. An

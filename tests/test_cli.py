@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,34 @@ def test_verify_exit_zero_and_determinism(capsys):
     doc2.pop("elapsed_ms")
     assert doc1 == doc2
     assert doc1["violations"] == 0
+
+
+# sha256 per suite kind over the `verify --json` documents of degrees 1..12
+# (2..12 for rolle), elapsed_ms removed, keys sorted, one line each, at
+# --knots 9 --trials 10 --seed 11. Recorded before the Descartes test joined
+# the census; any change to the census or the random draw that moves a
+# report shows here.
+GOLDEN_VERIFY_DIGESTS = {
+    "theorem9": "979bec6345c37d6c7676581f898268294c262c701d227558fe75dd31383d8d07",
+    "prop5": "ff586c7d626be150910025d9c8030b7a4adc20b89c4c1d4d0a4bc05293219057",
+    "corollary10": "8da5cf1d001a620bf36bec959f255f536c06d66a763c8a30124a3cb6fdfd62e4",
+    "extension": "42854b1ef6ff52cbe496f9ddae434ca4d6079c716247a5178d2688f8f5ba2f2d",
+    "rolle": "4119e61fba9ed91222e915ded99cf68fbe5d687bcc576b868ad613d24698599e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_VERIFY_DIGESTS))
+def test_verify_reports_match_golden_digests(capsys, kind):
+    digest = hashlib.sha256()
+    for m in range(2 if kind == "rolle" else 1, 13):
+        code, out, _ = run(capsys, "verify", "--kind", kind, "--m", str(m),
+                           "--knots", "9", "--trials", "10", "--seed", "11",
+                           "--json")
+        assert code == 0
+        doc = json.loads(out)
+        doc.pop("elapsed_ms")
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_VERIFY_DIGESTS[kind]
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):

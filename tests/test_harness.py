@@ -250,3 +250,36 @@ def test_check_zero_bound_matches_direct_call():
     cfg = GeneratorConfig(seed=77, degree=3, interior_knots=4)
     s = random_spline(cfg)
     assert check_zero_bound(s).passed
+
+
+def test_census_builds_few_sturm_chains_on_suite_splines(monkeypatch):
+    """Descartes' rule decides almost every domain: over 200 random splines
+    run through all five suite kinds at degrees 1..12, a Sturm sequence is
+    built for under 2% of the non-zero domains censused. A census that
+    always fell back to the Sturm sequence fails here."""
+    import splinezeros.polynomial as polynomial
+    import splinezeros.spline as spline
+
+    domains, chains = [], []
+    real_census, real_chain = polynomial.root_census, polynomial._sturm_chain
+
+    def census(p, a, b):
+        domains.append(p)
+        return real_census(p, a, b)
+
+    def chain(c):
+        chains.append(c)
+        return real_chain(c)
+
+    monkeypatch.setattr(spline, "root_census", census)
+    monkeypatch.setattr(polynomial, "root_census", census)
+    monkeypatch.setattr(polynomial, "_sturm_chain", chain)
+    for i in range(200):
+        kind = harness.SUITE_KINDS[i % 5]
+        degree = 1 + (i // 5) % 12
+        if kind == "rolle":
+            degree = max(degree, 2)
+        cfg = GeneratorConfig(seed=i, degree=degree, interior_knots=1 + i % 8)
+        assert run_verification_suite(kind, cfg, 1).violations == 0
+    assert len(domains) > 2000
+    assert 0 < len(chains) < 0.02 * len(domains)

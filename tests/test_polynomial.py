@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from splinezeros import Polynomial
 from splinezeros.errors import InfiniteRootsError, IntervalError
+import splinezeros.polynomial as polynomial
 from splinezeros.polynomial import (
+    _content_normalize,
     _horner,
+    _sturm_chain,
+    _variations,
     count_distinct_roots,
     root_census,
     root_order,
@@ -365,6 +369,121 @@ def test_count_roots_agrees_with_sympy_oracle(case, open_left, open_right):
         expected -= 1
     assert count_distinct_roots(p, a, b, open_left=open_left,
                                 open_right=open_right) == expected
+
+
+def sturm_census(p, a, b):
+    """Reference census from the Sturm sequence alone, evaluated at both
+    endpoints, with no Descartes shortcut."""
+    a, b = F(a), F(b)
+    chain = _sturm_chain(_content_normalize(list(p.num)))
+    at_a = [_horner(e, a.numerator, a.denominator) for e in chain]
+    at_b = [_horner(e, b.numerator, b.denominator) for e in chain]
+    zero_at_b = at_b[0] == 0
+    return (_variations(at_a) - _variations(at_b) - zero_at_b, at_a[0] == 0,
+            zero_at_b)
+
+
+def sympy_census(p, a, b):
+    """Reference census from sympy: count_roots over the closed [a, b], with
+    the endpoint zeros taken off."""
+    a, b = F(a), F(b)
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy_rational(c) for c in reversed(p.coeffs)], x)
+    zero_at_a, zero_at_b = p.eval(a) == 0, p.eval(b) == 0
+    closed = poly.count_roots(sympy_rational(a), sympy_rational(b))
+    return closed - zero_at_a - zero_at_b, zero_at_a, zero_at_b
+
+
+def counting_sturm_chain(monkeypatch):
+    """Patch polynomial._sturm_chain with a wrapper that counts its calls."""
+    calls = []
+    real = polynomial._sturm_chain
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(polynomial, "_sturm_chain", counted)
+    return calls
+
+
+h = F(1, 2)
+# (polynomial, a, b, expected census) for which the sign variations of the
+# Moebius image decide: V = 0 or V = 1, with and without endpoint roots
+DESCARTES_DECIDES = [
+    (Polynomial([1, 0, 1]), 0, 1, (0, False, False)),          # V = 0
+    (Polynomial([-5, 1]), 0, 1, (0, False, False)),
+    (Polynomial([0, 1]), 0, 1, (0, True, False)),               # root at a
+    (Polynomial([-1, 1]), 0, 1, (0, False, True)),              # root at b
+    (from_roots([0, 1]), 0, 1, (0, True, True)),
+    (from_roots([h]), 0, 1, (1, False, False)),                 # V = 1
+    (from_roots([0, h]), 0, 1, (1, True, False)),
+    (from_roots([h, 1]), 0, 1, (1, False, True)),
+    (from_roots([0, h, 1]), 0, 1, (1, True, True)),
+    (from_roots([0, 0, h, 1, 1]), 0, 1, (1, True, True)),       # multiple ends
+    (Polynomial([7]), -3, F(1, 10**6), (0, False, False)),      # degree 0
+    (Polynomial([-1, 2]), F(1, 999983), F(10**6, 999999),
+     (1, False, False)),                                        # degree 1
+    (from_roots([F(1, 10**6)]), F(1, 10**6), 1, (0, True, False)),
+]
+# the rule cannot decide: two roots, a double root inside, and a complex
+# pair with no real root, so the Sturm sequence runs
+STURM_DECIDES = [
+    (from_roots([F(1, 3), F(2, 3)]), 0, 1, (2, False, False)),
+    (from_roots([h, h]), 0, 1, (1, False, False)),
+    (from_roots([h, h]) + Polynomial.constant(F(1, 100)), 0, 1,
+     (0, False, False)),
+    (from_roots([0, F(1, 3), F(2, 3), 1]), 0, 1, (2, True, True)),
+    (from_roots([F(1, 999999), F(2, 999999), F(1, 999999)]),
+     0, F(3, 10**6), (2, False, False)),
+    (from_roots([F(k, 13) for k in range(1, 13)]), 0, 1, (12, False, False)),
+]
+
+
+@pytest.mark.parametrize("p, a, b, expected",
+                         DESCARTES_DECIDES + STURM_DECIDES)
+def test_census_branches_agree_with_sturm_and_sympy(p, a, b, expected):
+    assert root_census(p, a, b) == expected
+    assert sturm_census(p, a, b) == expected
+    assert sympy_census(p, a, b) == expected
+
+
+def test_census_builds_a_sturm_chain_only_when_descartes_cannot_decide(
+        monkeypatch):
+    calls = counting_sturm_chain(monkeypatch)
+    for p, a, b, _ in DESCARTES_DECIDES:
+        root_census(p, a, b)
+    assert calls == []
+    for count, (p, a, b, _) in enumerate(STURM_DECIDES, start=1):
+        root_census(p, a, b)
+        assert len(calls) == count
+
+
+@st.composite
+def high_degree_windows(draw):
+    """Degree 0 to 12: planted rational roots (repeats allowed) times a
+    random integer cofactor, on windows whose endpoint denominators reach
+    10^6 and which sometimes end at a planted root."""
+    fine = st.fractions(min_value=-2, max_value=2, max_denominator=10**6)
+    roots = draw(st.lists(st.one_of(rationals, fine), max_size=8))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
+    cofactor = Polynomial(draw(st.lists(st.integers(-20, 20), min_size=1,
+                                        max_size=13 - len(roots))))
+    assume(not cofactor.is_zero)
+    endpoints = st.one_of(rationals, fine, *([st.sampled_from(roots)]
+                                              if roots else []))
+    a, b = sorted((draw(endpoints), draw(endpoints)))
+    assume(a < b)
+    return from_roots(roots) * cofactor, a, b
+
+
+@given(high_degree_windows())
+@settings(max_examples=150, deadline=None)
+def test_census_agrees_with_sturm_and_sympy_up_to_degree_12(case):
+    p, a, b = case
+    census = root_census(p, a, b)
+    assert census == sturm_census(p, a, b)
+    assert census == sympy_census(p, a, b)
 
 
 def sympy_root_order(p, x, cap):
