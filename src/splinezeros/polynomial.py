@@ -140,7 +140,7 @@ class Polynomial:
                                         c.denominator * self.den)
 
     def eval(self, x) -> Fraction:
-        """Exact value at x = a/b: the Sturm kernel's homogeneous integer
+        """Exact value at x = a/b: the census kernel's homogeneous integer
         Horner (_horner), then one Fraction over den * b^d."""
         x = as_rational(x)
         if not self.num:
@@ -175,7 +175,7 @@ class Polynomial:
             [-v if i % 2 else v for i, v in enumerate(self.num)], self.den)
 
 
-# -- integer kernel for the census ----------------------------------------------
+# -- integer kernel for the census ---------------------------------------------
 
 
 def _shift_int(c: list[int], s: int) -> list[int]:
@@ -314,10 +314,10 @@ def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
     Descartes' rule of signs decides most pieces without a Sturm sequence.
     With a = a1/a2, b = b1/b2, D = a2 b2 and W = b1 a2 - a1 b2 (> 0 exactly
     when a < b), the primitive integer copy c of p, of degree d, is mapped
-    to q(t) = D^d (1 + t)^d p((b + a t)/(1 + t)), which takes (0, inf) onto
-    (a, b), entirely on ints: a homogeneous Taylor shift by a1 b2 over D
-    gives D^d p((y + a1 b2)/D), scaling coefficient i by W^i gives
-    D^d p(a + (b - a) x), and reversing and shifting by 1 gives q. So
+    to q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)), whose positive roots are
+    the roots of p in (a, b), entirely on ints: a homogeneous Taylor shift
+    by a1 b2 over D gives D^d c((y + a1 b2)/D), scaling coefficient i by W^i
+    gives D^d c(a + (b - a) x), and reversing and shifting by 1 gives q. So
     q[0] == 0 is p(b) == 0 and q[d] == 0 is p(a) == 0, and the sign
     variations V of q bound the roots in (a, b), counted with multiplicity,
     with an even excess (Collins & Akritas 1976; Basu, Pollack & Roy,

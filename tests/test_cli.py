@@ -123,9 +123,9 @@ def test_verify_exit_zero_and_determinism(capsys):
 
 # sha256 per suite kind over the `verify --json` documents of degrees 1..12
 # (2..12 for rolle), elapsed_ms removed, keys sorted, one line each, at
-# --knots 9 --trials 10 --seed 11. Recorded before the Descartes test joined
-# the census; any change to the census or the random draw that moves a
-# report shows here.
+# --knots 9 --trials 10 --seed 11. The digests were recorded with the
+# Sturm-only census, so they pin every report through later changes to the
+# census or the random draw.
 GOLDEN_VERIFY_DIGESTS = {
     "theorem9": "979bec6345c37d6c7676581f898268294c262c701d227558fe75dd31383d8d07",
     "prop5": "ff586c7d626be150910025d9c8030b7a4adc20b89c4c1d4d0a4bc05293219057",

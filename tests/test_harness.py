@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import splinezeros.harness as harness
+import splinezeros.polynomial as polynomial
+import splinezeros.spline as spline
 from splinezeros import (
     GeneratorConfig,
     Polynomial,
@@ -257,9 +259,6 @@ def test_census_builds_few_sturm_chains_on_suite_splines(monkeypatch):
     run through all five suite kinds at degrees 1..12, a Sturm sequence is
     built for under 2% of the non-zero domains censused. A census that
     always fell back to the Sturm sequence fails here."""
-    import splinezeros.polynomial as polynomial
-    import splinezeros.spline as spline
-
     domains, chains = [], []
     real_census, real_chain = polynomial.root_census, polynomial._sturm_chain
 

@@ -394,44 +394,31 @@ def sympy_census(p, a, b):
     return closed - zero_at_a - zero_at_b, zero_at_a, zero_at_b
 
 
-def counting_sturm_chain(monkeypatch):
-    """Patch polynomial._sturm_chain with a wrapper that counts its calls."""
-    calls = []
-    real = polynomial._sturm_chain
-
-    def counted(c):
-        calls.append(c)
-        return real(c)
-
-    monkeypatch.setattr(polynomial, "_sturm_chain", counted)
-    return calls
-
-
-h = F(1, 2)
+HALF = F(1, 2)
 # (polynomial, a, b, expected census) for which the sign variations of the
 # Moebius image decide: V = 0 or V = 1, with and without endpoint roots
 DESCARTES_DECIDES = [
-    (Polynomial([1, 0, 1]), 0, 1, (0, False, False)),          # V = 0
+    (Polynomial([1, 0, 1]), 0, 1, (0, False, False)),         # V = 0
     (Polynomial([-5, 1]), 0, 1, (0, False, False)),
-    (Polynomial([0, 1]), 0, 1, (0, True, False)),               # root at a
-    (Polynomial([-1, 1]), 0, 1, (0, False, True)),              # root at b
+    (Polynomial([0, 1]), 0, 1, (0, True, False)),             # root at a
+    (Polynomial([-1, 1]), 0, 1, (0, False, True)),            # root at b
     (from_roots([0, 1]), 0, 1, (0, True, True)),
-    (from_roots([h]), 0, 1, (1, False, False)),                 # V = 1
-    (from_roots([0, h]), 0, 1, (1, True, False)),
-    (from_roots([h, 1]), 0, 1, (1, False, True)),
-    (from_roots([0, h, 1]), 0, 1, (1, True, True)),
-    (from_roots([0, 0, h, 1, 1]), 0, 1, (1, True, True)),       # multiple ends
-    (Polynomial([7]), -3, F(1, 10**6), (0, False, False)),      # degree 0
+    (from_roots([HALF]), 0, 1, (1, False, False)),            # V = 1
+    (from_roots([0, HALF]), 0, 1, (1, True, False)),
+    (from_roots([HALF, 1]), 0, 1, (1, False, True)),
+    (from_roots([0, HALF, 1]), 0, 1, (1, True, True)),
+    (from_roots([0, 0, HALF, 1, 1]), 0, 1, (1, True, True)),  # multiple ends
+    (Polynomial([7]), -3, F(1, 10**6), (0, False, False)),    # degree 0
     (Polynomial([-1, 2]), F(1, 999983), F(10**6, 999999),
-     (1, False, False)),                                        # degree 1
+     (1, False, False)),                                      # degree 1
     (from_roots([F(1, 10**6)]), F(1, 10**6), 1, (0, True, False)),
 ]
 # the rule cannot decide: two roots, a double root inside, and a complex
 # pair with no real root, so the Sturm sequence runs
 STURM_DECIDES = [
     (from_roots([F(1, 3), F(2, 3)]), 0, 1, (2, False, False)),
-    (from_roots([h, h]), 0, 1, (1, False, False)),
-    (from_roots([h, h]) + Polynomial.constant(F(1, 100)), 0, 1,
+    (from_roots([HALF, HALF]), 0, 1, (1, False, False)),
+    (from_roots([HALF, HALF]) + Polynomial.constant(F(1, 100)), 0, 1,
      (0, False, False)),
     (from_roots([0, F(1, 3), F(2, 3), 1]), 0, 1, (2, True, True)),
     (from_roots([F(1, 999999), F(2, 999999), F(1, 999999)]),
@@ -450,7 +437,10 @@ def test_census_branches_agree_with_sturm_and_sympy(p, a, b, expected):
 
 def test_census_builds_a_sturm_chain_only_when_descartes_cannot_decide(
         monkeypatch):
-    calls = counting_sturm_chain(monkeypatch)
+    calls = []
+    real = polynomial._sturm_chain
+    monkeypatch.setattr(polynomial, "_sturm_chain",
+                        lambda c: calls.append(c) or real(c))
     for p, a, b, _ in DESCARTES_DECIDES:
         root_census(p, a, b)
     assert calls == []
