@@ -12,7 +12,6 @@ from fractions import Fraction as F
 
 from splinezeros import (
     Polynomial,
-    TruncatedPowerSpec,
     check_zero_bound,
     insert_knot,
     piecewise_linear,
@@ -25,8 +24,7 @@ print("=" * 72)
 print("1. A pure polynomial viewed as a spline")
 print("=" * 72)
 # x^2 - 2 on the window [0, 2]: knots declared but not genuine
-spec = TruncatedPowerSpec(Polynomial([-2, 0, 1]), (), (0, 2))
-s = spline_from_truncated_powers(spec, 2)
+s = spline_from_truncated_powers(Polynomial([-2, 0, 1]), (), (0, 2), 2)
 verdict = check_zero_bound(s)
 print(f"x^2 - 2 on [0, 2]: Z = {verdict.Z} (the zero at sqrt(2) is counted "
       f"without ever being located)")

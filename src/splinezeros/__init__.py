@@ -13,7 +13,6 @@ other name lives in its submodule (``splinezeros.linalg``,
 from .polynomial import Polynomial
 from .spline import (
     Spline,
-    TruncatedPowerSpec,
     check_interior_bound,
     check_zero_bound,
     insert_knot,
@@ -45,9 +44,9 @@ from .harness import (
 
 __all__ = [
     "Polynomial",
-    "Spline", "TruncatedPowerSpec", "check_interior_bound", "check_zero_bound",
-    "insert_knot", "normalize", "piecewise_linear", "separated_zero_count",
-    "spline_eval", "spline_from_truncated_powers", "zero_order_at",
+    "Spline", "check_interior_bound", "check_zero_bound", "insert_knot",
+    "normalize", "piecewise_linear", "separated_zero_count", "spline_eval",
+    "spline_from_truncated_powers", "zero_order_at",
     "cardinal_bspline", "convolution_bspline_pieces", "extend_compact",
     "VectorConfig", "box_spline_eval", "conjecture_verdict", "format_matrix",
     "parse_vector_config", "point_strictly_inside",

@@ -38,7 +38,6 @@ from .polynomial import Polynomial, count_distinct_roots
 from .rational import primitive_integers
 from .spline import (
     Spline,
-    TruncatedPowerSpec,
     normalize,
     spline_eval,
     spline_from_truncated_powers,
@@ -94,11 +93,10 @@ def univariate_box_spline(lengths: tuple[int, ...]) -> Spline:
         weights = shifted
     lo = sum(min(0, xi) for xi in lengths)
     scale = math.prod(abs(xi) for xi in lengths) * math.factorial(m)
-    jumps = tuple((Fraction(lo + j), Fraction(weights[j], scale))
-                  for j in sorted(weights) if weights[j])
-    window = (Fraction(lo), Fraction(lo + sum(abs(xi) for xi in lengths)))
-    return spline_from_truncated_powers(
-        TruncatedPowerSpec(Polynomial(), jumps, window), m)
+    jumps = [(lo + j, Fraction(weights[j], scale))
+             for j in sorted(weights) if weights[j]]
+    window = (lo, lo + sum(abs(xi) for xi in lengths))
+    return spline_from_truncated_powers(Polynomial(), jumps, window, m)
 
 
 def convolution_bspline_pieces(m: int) -> tuple[Polynomial, ...]:
@@ -213,5 +211,5 @@ def extend_compact(s: Spline) -> Spline:
         + interior
         + [(an + i, right[i]) for i in range(m + 1)]
     )
-    spec = TruncatedPowerSpec(Polynomial(), tuple(jumps), (a0 - m, an + m))
-    return normalize(spline_from_truncated_powers(spec, m), trim_ends=True)
+    s = spline_from_truncated_powers(Polynomial(), jumps, (a0 - m, an + m), m)
+    return normalize(s, trim_ends=True)

@@ -8,7 +8,9 @@ Every report field except elapsed_ms is byte-deterministic.
 Generation runs on integers. Knot candidates num/den are told apart by their
 reduced int pair and sorted by an exact int key, the base polynomial is
 built from integer numerators over their common denominator, and a Fraction
-is built only for each accepted knot and its jump coefficient. The rng
+is built only for each accepted knot and its jump coefficient. The window
+[0, interior_knots + 1] goes to spline_from_truncated_powers as two ints,
+and the Spline constructor is the one check of the knot order. The rng
 draws, in their order, define every generated spline, so they are part of
 the determinism contract.
 
@@ -43,7 +45,6 @@ from .errors import CapabilityError, DegreeError, FormatError
 from .polynomial import Polynomial
 from .spline import (
     Spline,
-    TruncatedPowerSpec,
     check_interior_bound,
     check_zero_bound,
     normalize,
@@ -114,10 +115,6 @@ class GeneratorConfig:
                 f"(MAX_DENOMINATOR_BOUND), got {self.denominator_bound}"
             )
 
-    @property
-    def window(self) -> tuple[Fraction, Fraction]:
-        return Fraction(0), Fraction(self.interior_knots + 1)
-
 
 def _trial_seed(master: int, index: int) -> int:
     digest = hashlib.sha256(f"{master}:{index}".encode()).digest()
@@ -142,7 +139,6 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
     num strictly between 0 and (interior_knots + 1) * den, so it lies inside
     the window."""
     rng = random.Random(_trial_seed(cfg.seed, trial))
-    lo, hi = cfg.window
     width = cfg.interior_knots + 1
     keys: set[tuple[int, int]] = set()
     attempts = 0
@@ -171,8 +167,7 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
             c = rng.randint(-cfg.numerator_bound, cfg.numerator_bound)
             c_den = rng.randint(1, cfg.denominator_bound)
         jumps.append((Fraction(p, q), Fraction(c, c_den)))
-    spec = TruncatedPowerSpec(base, tuple(jumps), (lo, hi))
-    return spline_from_truncated_powers(spec, cfg.degree)
+    return spline_from_truncated_powers(base, jumps, (0, width), cfg.degree)
 
 
 def zigzag_spline(n: int) -> Spline:

@@ -10,7 +10,9 @@ every knot k = p/q with one integer identity: the jump's numerators N_i
 over a common denominator must satisfy N_i q^(m-i) = N_m C(m, i) (-p)^(m-i),
 the coefficients of N_m (x - k)^m. Every transformation here builds its
 result through that constructor, so every Spline in circulation is
-certified.
+certified, and the constructor is the one check of the knot order.
+spline_from_truncated_powers(base, jumps, window, m) authors a spline as
+base(x) + sum c_i (x - k_i)_+^m, which is C^(m-1) by construction.
 
 Z(s) on a window counts the connected components of the zero set. Why that
 equals the maximum size of a pairwise "separated" zero family (two zeros
@@ -207,37 +209,6 @@ def insert_knot(s: Spline, x) -> Spline:
 # -- truncated-power construction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedPowerSpec:
-    """Recipe base(x) + sum_i c_i * (x - k_i)_+^m  on a window [lo, hi].
-
-    The truncated powers make C^(m-1) smoothness automatic, so this is the
-    safe way to author splines. Knots with c_i = 0 are dropped up front."""
-
-    base: Polynomial
-    jumps: tuple[tuple[Fraction, Fraction], ...]
-    window: tuple[Fraction, Fraction]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "jumps",
-            tuple((as_rational(k), as_rational(c)) for k, c in self.jumps),
-        )
-        object.__setattr__(
-            self, "window",
-            (as_rational(self.window[0]), as_rational(self.window[1])),
-        )
-        for (a, _), (b, _) in zip(self.jumps, self.jumps[1:]):
-            if a >= b:
-                raise KnotOrderError(f"jump knots not strictly increasing: {a} >= {b}")
-        lo, hi = self.window
-        if lo >= hi:
-            raise KnotOrderError(f"empty window [{lo}, {hi}]")
-        if self.jumps:
-            if self.jumps[0][0] < lo or self.jumps[-1][0] > hi:
-                raise KnotRangeError("jump knots must lie inside the window")
-
-
 def _binomial_power(c: Fraction, knot: Fraction, m: int) -> Polynomial:
     """c * (x - knot)^m expanded by the binomial theorem on integers: with
     knot = p/q the x^(m-e) numerator is c.num * C(m, e) * (-p)^e * q^(m-e)
@@ -249,28 +220,38 @@ def _binomial_power(c: Fraction, knot: Fraction, m: int) -> Polynomial:
     return Polynomial.from_integers(num, c.denominator * q ** m)
 
 
-def spline_from_truncated_powers(spec: TruncatedPowerSpec, m: int) -> Spline:
-    """Assemble the spline; smoothness holds by construction and is
-    re-verified by the Spline constructor."""
+def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
+                                 window: Sequence, m: int) -> Spline:
+    """The degree-m spline base(x) + sum_i c_i (x - k_i)_+^m on the window
+    [lo, hi], for the (k_i, c_i) pairs in jumps. The truncated powers make
+    C^(m-1) smoothness automatic, so this is the safe way to author splines.
+
+    The jump knots must increase inside the window. The spline is built on
+    every jump knot and on both window ends, and normalize then drops the
+    knots whose jump is 0. The Spline constructor checks the knot order
+    (an empty window included) and the base degree, and re-verifies
+    smoothness; only a degree below 1 and a jump outside a nonempty window
+    are refused here."""
     if m < 1:
         raise DegreeError(f"spline degree must be >= 1, got {m}")
-    if not spec.base.is_zero and spec.base.degree > m:
-        raise DegreeError(f"base degree {spec.base.degree} exceeds {m}")
-    # the spec's knots already increase inside [lo, hi], so adding the
-    # window ends where they are missing keeps the knots sorted and distinct
-    lo, hi = spec.window
-    jumps = [(k, c) for k, c in spec.jumps if c != 0]
-    if not jumps or jumps[0][0] != lo:
-        jumps.insert(0, (lo, None))
-    if jumps[-1][0] != hi:
-        jumps.append((hi, None))
-    cumulative = spec.base
-    pieces = [cumulative]
+    lo, hi = as_rational(window[0]), as_rational(window[1])
+    cumulative = base
+    knots, pieces = [], [base]
     for knot, c in jumps:
-        if c is not None:
+        knot, c = as_rational(knot), as_rational(c)
+        if c:
             cumulative = cumulative + _binomial_power(c, knot, m)
+        knots.append(knot)
         pieces.append(cumulative)
-    return Spline(m, tuple(k for k, _ in jumps), tuple(pieces))
+    if lo < hi and knots and (knots[0] < lo or knots[-1] > hi):
+        raise KnotRangeError("jump knots must lie inside the window")
+    if not knots or knots[0] != lo:
+        knots.insert(0, lo)
+        pieces.insert(0, base)
+    if knots[-1] != hi:
+        knots.append(hi)
+        pieces.append(cumulative)
+    return normalize(Spline(m, tuple(knots), tuple(pieces)))
 
 
 def piecewise_linear(knots: Sequence, values: Sequence) -> Spline:

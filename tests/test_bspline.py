@@ -10,7 +10,6 @@ from splinezeros import (
     GeneratorConfig,
     Polynomial,
     Spline,
-    TruncatedPowerSpec,
     cardinal_bspline,
     check_interior_bound,
     check_zero_bound,
@@ -275,8 +274,7 @@ def extension_inputs(draw):
         knots.append(knots[0] + 1)
     base = Polynomial(draw(st.lists(small_rationals, max_size=m + 1)))
     jumps = tuple((k, draw(small_rationals)) for k in knots[1:-1])
-    spec = TruncatedPowerSpec(base, jumps, (knots[0], knots[-1]))
-    s = spline_from_truncated_powers(spec, m)
+    s = spline_from_truncated_powers(base, jumps, (knots[0], knots[-1]), m)
     if draw(st.booleans()):
         s = insert_knot(s, (3 * s.knots[0] + s.knots[1]) / 4)
     return s

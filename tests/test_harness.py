@@ -109,8 +109,8 @@ def test_random_spline_deterministic():
 def test_random_spline_zero_interior_knots():
     cfg = GeneratorConfig(seed=1, degree=2, interior_knots=0)
     s = random_spline(cfg)
-    assert s.knots == cfg.window
-    assert normalize(s).knots == cfg.window
+    assert s.knots == (0, 1)
+    assert normalize(s).knots == (0, 1)
     assert not all(p.is_zero for p in s.pieces)
 
 

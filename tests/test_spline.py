@@ -11,7 +11,6 @@ from splinezeros import (
     GeneratorConfig,
     Polynomial,
     Spline,
-    TruncatedPowerSpec,
     check_interior_bound,
     check_zero_bound,
     extend_compact,
@@ -84,8 +83,7 @@ def scale(s, c):
 
 def ramp(window=(0, 1)):
     """max(x, 0) restricted bookkeeping on the given window."""
-    spec = TruncatedPowerSpec(ZERO, ((F(0), F(1)),), window)
-    return spline_from_truncated_powers(spec, 1)
+    return spline_from_truncated_powers(ZERO, ((F(0), F(1)),), window, 1)
 
 
 # -- construction and validation -----------------------------------------------------
@@ -231,14 +229,12 @@ def test_truncated_powers_ramp():
 
 def test_truncated_powers_flattening_jump():
     # 1 - x + (x)_+ : pieces 1-x then constant 1
-    spec = TruncatedPowerSpec(Polynomial([1, -1]), ((F(0), F(1)),), (0, 1))
-    s = spline_from_truncated_powers(spec, 1)
+    s = spline_from_truncated_powers(Polynomial([1, -1]), ((F(0), F(1)),), (0, 1), 1)
     assert s.pieces == (Polynomial([1, -1]), Polynomial([1]), Polynomial([1]))
 
 
 def test_truncated_powers_drops_zero_jumps():
-    spec = TruncatedPowerSpec(ZERO, ((F(0), F(1)), (F(1, 2), F(0))), (0, 1))
-    s = spline_from_truncated_powers(spec, 1)
+    s = spline_from_truncated_powers(ZERO, ((F(0), F(1)), (F(1, 2), F(0))), (0, 1), 1)
     assert F(1, 2) not in s.knots
 
 
@@ -250,19 +246,64 @@ def test_truncated_powers_window_ends_join_the_jump_knots():
     for jumps, right in ((((F(0), F(0)), (F(2), F(1))), base + step),
                          (((F(2), F(1)),), base + step),
                          ((), base)):
-        s = spline_from_truncated_powers(TruncatedPowerSpec(base, jumps, (0, 2)), 1)
+        s = spline_from_truncated_powers(base, jumps, (0, 2), 1)
         assert s.knots == (F(0), F(2))
         assert s.pieces == (base, base, right)
-    spec = TruncatedPowerSpec(base, ((F(0), F(3)), (F(1), F(-1)), (F(2), F(1))),
-                              (0, 2))
-    s = spline_from_truncated_powers(spec, 1)
+    s = spline_from_truncated_powers(
+        base, ((F(0), F(3)), (F(1), F(-1)), (F(2), F(1))), (0, 2), 1)
     assert s.knots == (F(0), F(1), F(2))
     assert s.pieces[:2] == (base, base + Polynomial([0, 3]))
 
 
 def test_truncated_powers_rejects_unordered_jumps():
     with pytest.raises(KnotOrderError):
-        TruncatedPowerSpec(ZERO, ((F(1), F(1)), (F(0), F(1))), (0, 2))
+        spline_from_truncated_powers(ZERO, ((F(1), F(1)), (F(0), F(1))), (0, 2), 1)
+
+
+@pytest.mark.parametrize("base, jumps, window, m, error", [
+    (ZERO, ((F(1), F(1)),), (0, 2), 0, DegreeError),
+    (Polynomial([0, 0, 1]), ((F(1), F(1)),), (0, 2), 1, DegreeError),
+    (ZERO, ((F(1), F(0)), (F(0), F(0))), (0, 2), 1, KnotOrderError),
+    (ZERO, ((F(1), F(1)), (F(1), F(2))), (0, 2), 1, KnotOrderError),
+    (ZERO, ((F(3), F(1)),), (0, 2), 1, KnotRangeError),
+    (ZERO, ((F(-1), F(1)), (F(1), F(1))), (0, 2), 1, KnotRangeError),
+    (ZERO, ((F(3), F(0)),), (0, 2), 1, KnotRangeError),
+    (ZERO, (), (1, 1), 1, KnotOrderError),
+    (ZERO, (), (2, 0), 1, KnotOrderError),
+    (ZERO, ((F(1), F(1)),), (1, 1), 1, KnotOrderError),
+    (ZERO, ((F(1), F(1)),), (2, 0), 1, KnotOrderError),
+    (ZERO, ((F(0), F(1)), (F(2), F(1))), (2, 0), 1, KnotOrderError),
+], ids=["degree-0", "base-above-m", "unordered-zero-jumps", "repeated-knot",
+        "jump-right-of-window", "jump-left-of-window", "zero-jump-outside",
+        "point-window", "reversed-window", "point-window-with-jump",
+        "reversed-window-with-jump", "reversed-window-with-jumps"])
+def test_truncated_powers_refusals(base, jumps, window, m, error):
+    with pytest.raises(error):
+        spline_from_truncated_powers(base, jumps, window, m)
+
+
+def test_truncated_powers_order_each_knot_once(monkeypatch):
+    """The Spline constructor is the one knot-order check: building a random
+    spline makes one Fraction ordering comparison per adjacent knot pair,
+    and at most three more for the window."""
+    calls = 0
+
+    def counted(real):
+        def compare(self, other):
+            nonlocal calls
+            calls += 1
+            return real(self, other)
+        return compare
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+    for trial in range(200):
+        cfg = GeneratorConfig(seed=24000 + trial, degree=1 + trial % 12,
+                              interior_knots=trial % 31)
+        calls = 0
+        s = random_spline(cfg, trial)
+        assert len(s.knots) == cfg.interior_knots + 2
+        assert calls <= len(s.knots) - 1 + 3, (trial, calls)
 
 
 # -- evaluation and calculus ---------------------------------------------------------
@@ -285,8 +326,7 @@ def test_derivative_of_ramp_is_step():
 
 
 def test_derivative_of_polynomial_spline():
-    spec = TruncatedPowerSpec(Polynomial([-2, 0, 1]), (), (0, 2))
-    s = spline_from_truncated_powers(spec, 2)
+    s = spline_from_truncated_powers(Polynomial([-2, 0, 1]), (), (0, 2), 2)
     d = spline_derivative(s)
     assert d.degree == 1
     assert all(p == Polynomial([0, 2]) for p in d.pieces)
@@ -302,8 +342,7 @@ def test_zero_order_examples():
 def test_zero_order_at_one_sided_flat_knot():
     # zero left of the knot, (x_+)^2 right of it: all derivatives below the
     # degree vanish, so the order caps at the degree
-    spec = TruncatedPowerSpec(ZERO, ((F(0), F(1)),), (0, 1))
-    s = spline_from_truncated_powers(spec, 2)
+    s = spline_from_truncated_powers(ZERO, ((F(0), F(1)),), (0, 1), 2)
     assert zero_order_at(s, 0) == 2
     assert zero_order_at(s, F(-1, 2)) == float("inf")
     assert zero_order_at(s, F(1, 2)) == 0
@@ -407,8 +446,7 @@ def test_census_window_subinterval():
 
 def test_polynomial_spline_zero_bound():
     # x^2 - 2 as a degree-2 spline on declared knots {0, 2}: Z = 1 <= 2
-    spec = TruncatedPowerSpec(Polynomial([-2, 0, 1]), (), (0, 2))
-    s = spline_from_truncated_powers(spec, 2)
+    s = spline_from_truncated_powers(Polynomial([-2, 0, 1]), (), (0, 2), 2)
     verdict = check_zero_bound(s)
     assert verdict.n == 1
     assert verdict.Z == 1
@@ -536,8 +574,7 @@ def test_first_domain_census_matches_planted_roots():
         if base.degree > m:
             continue
         jumps = ((F(1), F(rng.randint(1, 5))),)
-        spec = TruncatedPowerSpec(base, jumps, (0, 2))
-        s = spline_from_truncated_powers(spec, m)
+        s = spline_from_truncated_powers(base, jumps, (0, 2), m)
         _, report = separated_zero_count(s, s.knots[0], s.knots[-1])
         first = report.domains[0]
         inside = [r for r in roots if F(0) < r < F(1)]
@@ -630,9 +667,8 @@ def census_cases(draw):
         base = from_roots([knots[1]] * m).scale(c)
         jumps[knots[0]] = F(0)
         jumps[knots[1]] = -c
-    spec = TruncatedPowerSpec(base, tuple(sorted(jumps.items())),
-                              (knots[0], knots[-1]))
-    s = spline_from_truncated_powers(spec, m)
+    s = spline_from_truncated_powers(base, sorted(jumps.items()),
+                                     (knots[0], knots[-1]), m)
     shape = draw(st.sampled_from(("plain", "extended", "padded")))
     if shape != "plain":
         s = extend_compact(s)
