@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bspline import univariate_box_spline
 from .errors import (
@@ -37,24 +37,24 @@ from .errors import (
     DimensionError,
     FormatError,
     RankDeficiencyError,
+    Validated,
 )
 from .linalg import RationalMatrix, lattice_basis, mat_determinant
 from .rational import as_rational, format_rational, primitive_integers
 from .spline import spline_eval
 
 
-@dataclass(frozen=True)
-class VectorConfig:
-    """m non-zero integer vectors spanning R^s, s in {1, 2}."""
+class VectorConfig(Validated, namedtuple("VectorConfig", "dim vectors")):
+    """m non-zero integer vectors (int tuples) spanning R^s, s = dim in {1, 2}."""
 
-    dim: int
-    vectors: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+
+    def __new__(cls, dim, vectors):
+        return super().__new__(cls, dim, tuple(tuple(v) for v in vectors))
 
     def __post_init__(self) -> None:
-        vectors = tuple(tuple(v) for v in self.vectors)
-        for c in (c for v in vectors for c in v if type(c) is not int):
+        for c in (c for v in self.vectors for c in v if type(c) is not int):
             raise FormatError(f"vector components must be int, got {c!r}")
-        object.__setattr__(self, "vectors", vectors)
         if self.dim not in (1, 2):
             raise DimensionError(f"ambient dimension must be 1 or 2, got {self.dim}")
         if len(self.vectors) < self.dim:
@@ -121,8 +121,7 @@ def parse_vector_config(text: str) -> VectorConfig:
 # -- zonotope ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zonotope:
+class Zonotope(NamedTuple):
     """Support polytope: a segment (dim 1) or a counterclockwise convex
     polygon with strict turns from its lexicographically smallest vertex
     (dim 2); vertices are exact rationals."""
@@ -191,10 +190,9 @@ def _support_slack(config: VectorConfig):
 # -- semi-integral interior points --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Omega:
+class Omega(NamedTuple):
     """Points of half the lattice generated by X lying strictly inside the
-    zonotope, sorted lexicographically."""
+    zonotope, sorted lexicographically; len() counts the points."""
 
     points: tuple[tuple[Fraction, ...], ...]
 
@@ -404,8 +402,7 @@ def box_spline_eval(config: VectorConfig, point: Sequence) -> Fraction:
 # -- unimodularity and the conjecture matrix ----------------------------------------
 
 
-@dataclass(frozen=True)
-class UnimodularityReport:
+class UnimodularityReport(NamedTuple):
     unimodular: bool
     witness_indices: tuple[int, ...] | None
     witness_det: int | None
@@ -451,8 +448,7 @@ def conjecture_matrix(config: VectorConfig, omega: Omega) -> RationalMatrix:
     return RationalMatrix(len(twice), len(twice), tuple(entries))
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
+class ConjectureVerdict(NamedTuple):
     config: VectorConfig
     unimodular: bool
     omega: Omega

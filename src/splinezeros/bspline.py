@@ -23,7 +23,7 @@ linear solve per call and never builds B_m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,6 +32,7 @@ from .errors import (
     ConsistencyError,
     DegreeError,
     KnotRangeError,
+    Validated,
 )
 from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
@@ -46,13 +47,11 @@ from .spline import (
 MAX_CARDINAL_DEGREE = 12
 
 
-@dataclass(frozen=True)
-class CardinalBSpline:
-    """B_m with knots {0, 1, ..., m+1}: supported exactly on [0, m+1] and
-    strictly positive inside (verified on construction)."""
+class CardinalBSpline(Validated, namedtuple("CardinalBSpline", "m spline")):
+    """B_m as a Spline with knots {0, 1, ..., m+1}: supported exactly on
+    [0, m+1] and strictly positive inside (verified on construction)."""
 
-    m: int
-    spline: Spline
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         s = self.spline

@@ -31,6 +31,7 @@ from .spline import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = GeneratorConfig._field_defaults
     parser = argparse.ArgumentParser(
         prog="splinezeros",
         description="Exact spline zero counting and box-spline "
@@ -66,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(window [0, n], n-1 random interior knots)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--num-bound", type=int, default=GeneratorConfig.numerator_bound,
+    p.add_argument("--num-bound", type=int, default=defaults["numerator_bound"],
                    help="largest |numerator| of a random coefficient, "
                         f"1..{MAX_NUMERATOR_BOUND} (default %(default)s)")
-    p.add_argument("--den-bound", type=int, default=GeneratorConfig.denominator_bound,
+    p.add_argument("--den-bound", type=int, default=defaults["denominator_bound"],
                    help="largest denominator of a random knot or coefficient, "
                         f"1..{MAX_DENOMINATOR_BOUND} (default %(default)s)")
     p.add_argument("--json", action="store_true")

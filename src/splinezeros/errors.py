@@ -56,3 +56,20 @@ class ConsistencyError(SplineZerosError):
 
 class FormatError(SplineZerosError):
     """Malformed textual or JSON input."""
+
+
+class Validated:
+    """Base of the namedtuple value types whose ``__post_init__`` checks the
+    fields: every instance is checked, including those that ``_make``,
+    ``_replace`` and unpickling build."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)

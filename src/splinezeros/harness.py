@@ -37,11 +37,12 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bspline import MAX_CARDINAL_DEGREE, extend_compact
-from .errors import CapabilityError, DegreeError, FormatError
+from .errors import CapabilityError, DegreeError, FormatError, Validated
 from .polynomial import Polynomial
 from .spline import (
     Spline,
@@ -68,8 +69,10 @@ MAX_DENOMINATOR_BOUND = 16
 MAX_NUMERATOR_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Validated, namedtuple(
+        "GeneratorConfig",
+        "seed degree interior_knots numerator_bound denominator_bound",
+        defaults=(8, 4))):
     """Knobs for random spline generation. The window is
     [0, interior_knots + 1]; interior knots all receive nonzero truncated-
     power jumps, so every requested knot is genuine. Every field must be an
@@ -80,14 +83,10 @@ class GeneratorConfig:
     MAX_NUMERATOR_BOUND or MAX_DENOMINATOR_BOUND, are refused the same
     way."""
 
-    seed: int
-    degree: int
-    interior_knots: int
-    numerator_bound: int = 8
-    denominator_bound: int = 4
+    __slots__ = ()
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+        for name, value in zip(self._fields, self):
             if type(value) is not int:
                 raise FormatError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.degree <= MAX_CARDINAL_DEGREE:
@@ -184,8 +183,7 @@ def zigzag_spline(n: int) -> Spline:
     return Spline(1, tuple(Fraction(k) for k in range(n + 1)), tuple(pieces))
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     """Aggregated suite outcome. ``witnesses`` holds up to MAX_WITNESSES
     bound-tight splines (as documents), in trial order."""
 
@@ -195,20 +193,15 @@ class TrialReport:
     violations: int
     max_Z: int
     bound: int
-    witnesses: list = field(default_factory=list)
+    witnesses: tuple = ()
     elapsed_ms: int = 0
 
     def to_document(self) -> dict:
-        return {
-            "command": self.kind,
-            "seed": self.seed,
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_Z": self.max_Z,
-            "bound": self.bound,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The fields in order, with kind named "command"."""
+        document = {"command": self.kind, **self._asdict()}
+        del document["kind"]
+        document["witnesses"] = list(self.witnesses)
+        return document
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), indent=2)
@@ -309,7 +302,7 @@ def run_verification_suite(kind: str, cfg: GeneratorConfig,
     elapsed = int((time.monotonic() - start) * 1000)
     return TrialReport(kind=kind, seed=cfg.seed, trials=total_trials,
                        violations=violations, max_Z=max_z, bound=bound_seen,
-                       witnesses=witnesses, elapsed_ms=elapsed)
+                       witnesses=tuple(witnesses), elapsed_ms=elapsed)
 
 
 def _check_extension_trial(s: Spline, extension: Spline) -> bool:

@@ -13,7 +13,7 @@ substitution before returning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,17 +23,15 @@ from .errors import (
     FormatError,
     RankDeficiencyError,
     SingularMatrixError,
+    Validated,
 )
 from .rational import as_rational, primitive_integers
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense row-major matrix of Fractions."""
+class RationalMatrix(Validated, namedtuple("RationalMatrix", "rows cols entries")):
+    """Dense row-major matrix: rows x cols Fractions, as one entries tuple."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:

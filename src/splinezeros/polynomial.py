@@ -97,6 +97,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial.from_integers, (self.num, self.den)
+
     # -- algebra ---------------------------------------------------------------
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":

@@ -8,8 +8,8 @@ down the textual contract: "p/q" with the sign on p, or just "p" when q = 1.
 ``primitive_integers`` is the one place where a row of rationals is scaled to
 integers: Bareiss elimination, the extension's tail inverse, the box-spline
 kernel basis and ``Polynomial`` construction use it. The spline generator's
-``harness._random_integers`` scales its raw ints itself, which keeps the
-theorem9 path free of ``Fraction``.
+``harness._random_integers`` scales its raw ints itself, so ``random_spline``
+builds a ``Fraction`` only per accepted knot and per jump coefficient.
 """
 
 from __future__ import annotations

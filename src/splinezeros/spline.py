@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegreeError,
@@ -48,14 +48,15 @@ from .errors import (
     KnotOrderError,
     KnotRangeError,
     SmoothnessError,
+    Validated,
 )
 from .polynomial import Polynomial, root_census, root_order
 from .rational import as_rational, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class Spline:
-    """Certified piecewise polynomial.
+class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
+    """Certified piecewise polynomial: an int degree, a tuple of Fraction
+    knots and a tuple of Polynomial pieces.
 
     pieces[0] lives on (-inf, knots[0]], pieces[j] on [knots[j-1], knots[j]],
     pieces[-1] on [knots[-1], +inf). Degree 0 is admitted only so that the
@@ -66,13 +67,13 @@ class Spline:
     Construction rejects any knot where the two adjacent pieces differ by
     something that is not a multiple of (x - knot)^degree."""
 
-    degree: int
-    knots: tuple[Fraction, ...]
-    pieces: tuple[Polynomial, ...]
+    __slots__ = ()
+
+    def __new__(cls, degree, knots, pieces):
+        return super().__new__(cls, degree, tuple(map(as_rational, knots)),
+                               tuple(pieces))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "knots", tuple(as_rational(k) for k in self.knots))
-        object.__setattr__(self, "pieces", tuple(self.pieces))
         # type() rather than isinstance(): bool is an int subclass
         if type(self.degree) is not int or self.degree < 0:
             raise DegreeError(f"invalid spline degree {self.degree!r}")
@@ -272,8 +273,7 @@ def piecewise_linear(knots: Sequence, values: Sequence) -> Spline:
 # -- zero census ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainCensus:
+class DomainCensus(NamedTuple):
     """Structural zero data for one polynomiality domain [left, right]."""
 
     left: Fraction
@@ -282,8 +282,7 @@ class DomainCensus:
     open_interior_distinct_roots: int | None  # None when identically zero
 
 
-@dataclass(frozen=True)
-class ZeroReport:
+class ZeroReport(NamedTuple):
     """Per-domain and per-knot census on a window; Z = component_count."""
 
     window: tuple[Fraction, Fraction]
@@ -397,8 +396,7 @@ def zero_order_at(s: Spline, z) -> int | float:
 # -- bound checkers ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroBoundVerdict:
+class ZeroBoundVerdict(NamedTuple):
     """Z versus the sharp bound n + m - 1 and the gross bound m(n+1)."""
 
     Z: int
@@ -426,20 +424,19 @@ def check_zero_bound(s: Spline) -> ZeroBoundVerdict:
     )
 
 
-@dataclass(frozen=True)
-class InteriorBoundVerdict:
+class InteriorBoundVerdict(NamedTuple):
     """For splines whose outermost knots are zeros of order >= degree:
     interior zeros obey Z_open <= n - m - 1 (and closed-window zeros obey
     Z <= n - m + 1). Never silently passes on inapplicable input."""
 
     applicable: bool
     reason: str | None
-    n_ge_m_plus_1: bool
-    interior_Z: int | None
-    interior_bound: int | None
-    total_Z: int | None
-    total_bound: int | None
-    passed: bool
+    n_ge_m_plus_1: bool = False
+    interior_Z: int | None = None
+    interior_bound: int | None = None
+    total_Z: int | None = None
+    total_bound: int | None = None
+    passed: bool = False
     report: ZeroReport | None = None
 
 
@@ -448,14 +445,11 @@ def check_interior_bound(s: Spline) -> InteriorBoundVerdict:
     m, n = sn.degree, sn.n
     a, b = sn.window
     if all(p.is_zero for p in sn.pieces[1:-1]):
-        return InteriorBoundVerdict(False, "identically zero on the window",
-                                    False, None, None, None, None, False)
+        return InteriorBoundVerdict(False, "identically zero on the window")
     if zero_order_at(sn, a) < m:
-        return InteriorBoundVerdict(False, f"order at {a} below degree",
-                                    False, None, None, None, None, False)
+        return InteriorBoundVerdict(False, f"order at {a} below degree")
     if zero_order_at(sn, b) < m:
-        return InteriorBoundVerdict(False, f"order at {b} below degree",
-                                    False, None, None, None, None, False)
+        return InteriorBoundVerdict(False, f"order at {b} below degree")
     total_z, report = separated_zero_count(sn, a, b)
     interior_z = open_component_count(report)
     n_ok = n >= m + 1
@@ -466,8 +460,7 @@ def check_interior_bound(s: Spline) -> InteriorBoundVerdict:
                                 total_z, total_bound, passed, report)
 
 
-@dataclass(frozen=True)
-class VanishingVerdict:
+class VanishingVerdict(NamedTuple):
     """If a spline has >= n + m zeros on its window (hyp. enough_zeros) that
     touch every domain either in the open interior or at both ends
     (hyp. scattered), it must vanish identically on the window. ``consistent``

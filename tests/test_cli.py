@@ -121,6 +121,20 @@ def test_verify_exit_zero_and_determinism(capsys):
     assert doc1["violations"] == 0
 
 
+def test_verify_default_bounds_are_the_generator_defaults(capsys):
+    """Without --num-bound/--den-bound, verify runs with GeneratorConfig's
+    defaults 8 and 4 and prints the same report."""
+    argv = ["verify", "--kind", "theorem9", "--m", "2", "--knots", "5",
+            "--trials", "20", "--seed", "3", "--json"]
+    outputs = []
+    for extra in ((), ("--num-bound", "8", "--den-bound", "4")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 0, err
+        outputs.append([line for line in out.splitlines()
+                        if '"elapsed_ms"' not in line])
+    assert outputs[0] == outputs[1]
+
+
 # sha256 per suite kind over the `verify --json` documents of degrees 1..12
 # (2..12 for rolle), elapsed_ms removed, keys sorted, one line each, at
 # --knots 9 --trials 10 --seed 11. The digests were recorded with the

@@ -1,11 +1,29 @@
-"""The package namespace exports exactly the names its callers import."""
+"""The package namespace exports exactly the names its callers import, the
+value types keep their contract, and the benchmark tracer's hooks resolve."""
 
 import ast
+import importlib
+import importlib.util
+import pickle
 import pkgutil
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import splinezeros
+from splinezeros import GeneratorConfig, Polynomial, Spline, VectorConfig
+from splinezeros.bspline import cardinal_bspline
+from splinezeros.errors import (
+    ConsistencyError,
+    DegreeError,
+    DimensionError,
+    KnotOrderError,
+    RankDeficiencyError,
+)
+from splinezeros.linalg import RationalMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splinezeros"
@@ -51,3 +69,78 @@ def test_runtime_imports_only_the_standard_library():
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, (
                     path.name, module)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The value types are namedtuples, so a fresh ``import splinezeros``
+    (site hooks off) pulls in neither module."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "import splinezeros; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+# (instance, field, bad value, error) for each type whose constructor checks
+# its fields
+VALIDATED = [
+    (Spline(1, (0, 1), (Polynomial(),) * 3), "knots", (1, 0), KnotOrderError),
+    (VectorConfig(2, ((1, 0), (0, 1))), "vectors", ((1, 0), (0, 0)),
+     RankDeficiencyError),
+    (RationalMatrix(1, 1, (Fraction(2),)), "rows", -1, DimensionError),
+    (GeneratorConfig(seed=1, degree=2, interior_knots=3), "degree", 0,
+     DegreeError),
+    (cardinal_bspline(2), "m", 3, ConsistencyError),
+]
+
+
+@pytest.mark.parametrize("value, field, bad, error", VALIDATED,
+                         ids=[type(case[0]).__name__ for case in VALIDATED])
+def test_validated_value_types(value, field, bad, error):
+    """_replace checks like the constructor, pickling round-trips through
+    it, fields cannot be assigned, and repr names every field."""
+    with pytest.raises(error):
+        value._replace(**{field: bad})
+    assert value._replace() == value
+    assert type(value._make(value)) is type(value)
+    restored = pickle.loads(pickle.dumps(value))
+    assert restored == value and type(restored) is type(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, bad)
+    name = type(value).__name__
+    assert repr(value) == name + "(" + ", ".join(
+        f"{f}={getattr(value, f)!r}" for f in value._fields) + ")"
+
+
+def _tracer_layers():
+    """LAYERS of the benchmark tracer, loaded from its file unchanged."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+LAYERS = _tracer_layers()
+
+
+@pytest.mark.parametrize("module_name, attribute, span", LAYERS,
+                         ids=[span for _, _, span in LAYERS])
+def test_tracer_layers_resolve(module_name, attribute, span, monkeypatch):
+    """Every hook the benchmark tracer wraps exists, so ``--trace 1`` can
+    install it. Spline.__post_init__ is wrapped on the class and must run
+    exactly once per construction, or the spline.Spline row would miscount."""
+    owner = importlib.import_module(module_name)
+    *path, name = attribute.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(getattr(owner, name)), span
+    if attribute == "Spline.__post_init__":
+        calls = []
+        check = Spline.__post_init__
+        monkeypatch.setattr(Spline, "__post_init__",
+                            lambda self: calls.append(check(self)))
+        Spline(1, (0, 1), (Polynomial(),) * 3)._replace(knots=(0, 2))
+        assert len(calls) == 2
