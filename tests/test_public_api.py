@@ -2,7 +2,6 @@
 value types keep their contract, and the benchmark tracer's hooks resolve."""
 
 import ast
-import importlib
 import importlib.util
 import pickle
 import pkgutil
