@@ -5,7 +5,8 @@ For a configuration X, collect the semi-integral interior points Omega of
 its zonotope and form A_X with entries B_X(sum(X) + w_i - 2 w_j). Is A_X
 always invertible? Exact arithmetic gives a clean split:
 
-  * unimodular X (every s x s minor in {-1, 0, 1}): yes in every case this
+  * unimodular X (every s x s minor in {-1, 0, 1} once divided by the
+    determinant of the lattice X generates): yes in every case this
     library can reach, including the full univariate family;
   * drop unimodularity and a four-vector planar configuration already has
     det A_X = 0 -- a determinant so structurally zero that floating point

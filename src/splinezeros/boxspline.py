@@ -409,16 +409,20 @@ class UnimodularityReport(NamedTuple):
 
 
 def unimodular_check(config: VectorConfig) -> UnimodularityReport:
-    """True iff every s x s minor of X has determinant in {-1, 0, 1}; the
-    first offending minor is returned as a witness."""
+    """True iff X is unimodular on the lattice it generates, where Omega and
+    A_X live: every s x s minor divided by that lattice's determinant (g in
+    1-D, g d in 2-D) lies in {-1, 0, 1}. The first minor that fails is the
+    witness."""
     s = config.dim
+    cols = lattice_basis(config.vectors)
+    index = cols[0][0] if s == 1 else cols[0][0] * cols[1][1]
     for idx in itertools.combinations(range(config.count), s):
         if s == 1:
             det = config.vectors[idx[0]][0]
         else:
             a, b = config.vectors[idx[0]], config.vectors[idx[1]]
             det = a[0] * b[1] - a[1] * b[0]
-        if det not in (-1, 0, 1):
+        if det // index not in (-1, 0, 1):
             return UnimodularityReport(False, idx, det)
     return UnimodularityReport(True, None, None)
 

@@ -17,7 +17,8 @@ is sum_k c_k (x - k)_+^m with m+1 jumps at a_0, a_0-1, ..., a_0-m, the jumps
 of s at its interior knots, and m+1 jumps at a_n, ..., a_n+m. Each tail's
 jumps solve one fixed (m+1)x(m+1) system; its exact inverse comes from
 linalg.mat_solve once per degree and is cached, so an extension runs no
-linear solve per call and never builds B_m.
+linear solve per call and never builds B_m. It is built on its nonzero jumps
+alone, so it leaves the assembly with only genuine knots.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from .errors import (
 from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
 from .rational import primitive_integers
-from .spline import (
-    Spline,
-    normalize,
-    spline_eval,
-    spline_from_truncated_powers,
-)
+from .spline import Spline, spline_eval, spline_from_truncated_powers
 
 MAX_CARDINAL_DEGREE = 12
 
@@ -189,8 +185,9 @@ def extend_compact(s: Spline) -> Spline:
 
     Both tail systems have the matrix V_m[k][i] = C(m, k) i^(m-k), which
     depends on m alone; its exact inverse is built once per degree, so no
-    linear solve runs per call. Degrees above MAX_CARDINAL_DEGREE are
-    refused before any work."""
+    linear solve runs per call. Only the nonzero jumps are assembled, from
+    the first to the last of them, so every knot is genuine. Degrees above
+    MAX_CARDINAL_DEGREE are refused before any work."""
     m = s.degree
     if not 1 <= m <= MAX_CARDINAL_DEGREE:
         raise DegreeError(
@@ -210,5 +207,6 @@ def extend_compact(s: Spline) -> Spline:
         + interior
         + [(an + i, right[i]) for i in range(m + 1)]
     )
-    s = spline_from_truncated_powers(Polynomial(), jumps, (a0 - m, an + m), m)
-    return normalize(s, trim_ends=True)
+    jumps = [(knot, c) for knot, c in jumps if c]
+    window = (jumps[0][0], jumps[-1][0]) if jumps else (a0 - m, an + m)
+    return spline_from_truncated_powers(Polynomial(), jumps, window, m)

@@ -232,8 +232,17 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. argparse would read a value such as -1/2 as an
+    option, so a single-dash token other than -h after a --option is passed
+    as --option=token."""
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if (tokens and tokens[-1][:2] == "--" and "=" not in tokens[-1]
+                and token[:1] == "-" and token[:2] != "--" and token != "-h"):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         return _HANDLERS[args.command](args)
     except (SplineZerosError, OSError, json.JSONDecodeError) as exc:

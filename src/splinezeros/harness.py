@@ -48,7 +48,6 @@ from .spline import (
     Spline,
     check_interior_bound,
     check_zero_bound,
-    normalize,
     open_component_count,
     separated_zero_count,
     spline_derivative,
@@ -257,36 +256,32 @@ def run_verification_suite(kind: str, cfg: GeneratorConfig,
                     record_witness(extension)
 
         elif kind == "corollary10":
-            sn = normalize(s)
-            z, report = separated_zero_count(sn, sn.knots[0], sn.knots[-1])
-            ok = vanishing_from_report(sn.degree, report).consistent
+            z, report = separated_zero_count(s, *s.window)
+            ok = vanishing_from_report(s.degree, report).consistent
             max_z = max(max_z, z)
-            bound_seen = max(bound_seen, sn.n + sn.degree - 1)
+            bound_seen = max(bound_seen, s.n + s.degree - 1)
 
         elif kind == "extension":
             extension = extend_compact(s)
             ok = _check_extension_trial(s, extension)
             if ok:
-                verdict = check_zero_bound(extension)
-                sn = normalize(s)
-                m = sn.degree
+                _, report = separated_zero_count(extension, *extension.window)
+                m = s.degree
                 # the extension vanishes between these bounds and its window
-                big = open_component_count(verdict.report, sn.knots[0] - m,
-                                           sn.knots[-1] + m)
-                chained_bound = sn.n + m - 1
+                big = open_component_count(report, s.knots[0] - m,
+                                           s.knots[-1] + m)
+                chained_bound = s.n + m - 1
                 ok = big <= chained_bound
-                ok = ok and vanishing_from_report(m, verdict.report).consistent
+                ok = ok and vanishing_from_report(m, report).consistent
                 max_z = max(max_z, big)
                 bound_seen = max(bound_seen, chained_bound)
 
         else:  # rolle
             extension = extend_compact(s)
-            _, rep = separated_zero_count(extension, extension.knots[0],
-                                          extension.knots[-1])
+            _, rep = separated_zero_count(extension, *extension.window)
             z_open = open_component_count(rep)
             derivative = spline_derivative(extension)
-            _, rep_d = separated_zero_count(derivative, derivative.knots[0],
-                                            derivative.knots[-1])
+            _, rep_d = separated_zero_count(derivative, *derivative.window)
             zd_open = open_component_count(rep_d)
             ok = zd_open >= z_open + 1
             ok = ok and vanishing_from_report(extension.degree, rep).consistent
@@ -309,20 +304,19 @@ def _check_extension_trial(s: Spline, extension: Spline) -> bool:
     """Structural contract of extend_compact on one input: exact coincidence
     on the original window, zero outside the widened window, knots within
     the allowed unit-spaced set."""
-    sn = normalize(s)
-    m = sn.degree
-    a0, an = sn.knots[0], sn.knots[-1]
-    # coincidence, piece by piece over the normalized original
-    for j in range(1, len(sn.knots)):
-        mid = (sn.knots[j - 1] + sn.knots[j]) / 2
+    m = s.degree
+    a0, an = s.window
+    # coincidence, piece by piece over the original
+    for j in range(1, len(s.knots)):
+        mid = (s.knots[j - 1] + s.knots[j]) / 2
         idx = bisect_right(extension.knots, mid)
-        if extension.pieces[idx] != sn.pieces[j]:
+        if extension.pieces[idx] != s.pieces[j]:
             return False
     if not (extension.pieces[0].is_zero and extension.pieces[-1].is_zero):
         return False
     if extension.knots[0] < a0 - m or extension.knots[-1] > an + m:
         return False
-    allowed = set(sn.knots) | set(s.knots)
+    allowed = set(s.knots)
     allowed.update(a0 - m + i for i in range(m))
     allowed.update(an + i for i in range(1, m + 1))
     return all(k in allowed for k in extension.knots)

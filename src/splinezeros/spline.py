@@ -164,13 +164,13 @@ def spline_derivative(s: Spline) -> Spline:
     return normalize(Spline(s.degree - 1, s.knots, pieces))
 
 
-def normalize(s: Spline, trim_ends: bool = False) -> Spline:
+def normalize(s: Spline) -> Spline:
     """Drop interior knots whose two adjacent pieces are identical (they are
     not genuine: the function is C^infinity there). The outermost knots are
-    kept: they mark the census window. With trim_ends=True, outer knots whose
-    outside piece equals the inside piece are shed too (used after gluing
-    constructions), never going below two knots. When no knot is dropped
-    the input itself is returned."""
+    kept: they mark the census window. When no knot is dropped the input
+    itself is returned. Library-built splines leave
+    spline_from_truncated_powers normalized (extend_compact passes it only
+    its nonzero jumps); the bound checkers normalize what they are handed."""
     knots = list(s.knots)
     pieces = list(s.pieces)
     kept_knots = [knots[0]]
@@ -180,13 +180,6 @@ def normalize(s: Spline, trim_ends: bool = False) -> Spline:
             continue
         kept_knots.append(knots[j])
         kept_pieces.append(pieces[j + 1])
-    if trim_ends:
-        while len(kept_knots) > 2 and kept_pieces[0] == kept_pieces[1]:
-            kept_knots.pop(0)
-            kept_pieces.pop(0)
-        while len(kept_knots) > 2 and kept_pieces[-1] == kept_pieces[-2]:
-            kept_knots.pop()
-            kept_pieces.pop()
     if len(kept_knots) == len(knots):
         return s  # nothing dropped, and s is certified already
     return Spline(s.degree, tuple(kept_knots), tuple(kept_pieces))

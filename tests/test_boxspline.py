@@ -577,6 +577,24 @@ def test_unimodular_univariate():
     assert unimodular_check(ones(5)).unimodular
 
 
+@pytest.mark.parametrize("text, unimodular, witness", [
+    ("2;2;2", True, None),
+    ("0,1;2,-2;2,-1", True, None),
+    ("3,0;0,3;3,3", True, None),
+    ("2;4", False, ((1,), 4)),
+    ("2,0;0,2;2,2;2,-2", False, ((2, 3), -8)),
+])
+def test_unimodular_on_the_generated_lattice(text, unimodular, witness):
+    """Minors are measured against the lattice X generates, not Z^s: a
+    scaled or sheared unimodular X passes and gives an invertible A_X."""
+    cfg = parse_vector_config(text)
+    report = unimodular_check(cfg)
+    assert report.unimodular == unimodular
+    if witness:
+        assert (report.witness_indices, report.witness_det) == witness
+    assert conjecture_verdict(cfg).invertible == unimodular
+
+
 def test_x1_matrix_and_determinant():
     cfg = ones(2)
     matrix = conjecture_matrix(cfg, semi_integral_interior_points(cfg))
@@ -639,25 +657,24 @@ def test_univariate_cache_ignores_the_order_of_x():
 def univariate_census(entries, counts):
     """(configurations, nonsingular ones, exceptions) over every multiset of
     ``entries`` with a size in ``counts``; an exception is a configuration
-    whose A_X is invertible exactly when not all |xi| are equal."""
+    whose A_X is invertible exactly when X is not unimodular."""
     total = nonsingular = 0
     exceptions = []
     for count in counts:
         for vectors in itertools.combinations_with_replacement(entries, count):
             cfg = VectorConfig(1, tuple((xi,) for xi in vectors))
-            invertible = conjecture_verdict(cfg).invertible
-            equal = len({abs(xi) for xi in vectors}) == 1
+            verdict = conjecture_verdict(cfg)
             total += 1
-            nonsingular += invertible
-            if invertible != equal:
+            nonsingular += verdict.invertible
+            if verdict.invertible != unimodular_check(cfg).unimodular:
                 exceptions.append(str(cfg))
     return total, nonsingular, exceptions
 
 
 def test_univariate_census_invertible_exactly_for_equal_lengths():
     """The paper's univariate statement on small grids: det A_X != 0
-    exactly when all |xi| are equal (the unimodular case up to scaling the
-    lattice). Evidence on 660 configurations, not a proof."""
+    exactly when X is unimodular on the lattice it generates (all |xi|
+    equal). Evidence on 660 configurations, not a proof."""
     assert univariate_census((-3, -2, -1, 1, 2, 3), range(2, 6)) == (455, 54, [])
     assert univariate_census((1, 2, 3, 4), range(2, 7)) == (205, 20, [])
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -26,7 +28,11 @@ from splinezeros import (
 from splinezeros import bspline, linalg
 from splinezeros.errors import DegreeError, KnotRangeError
 from splinezeros.linalg import RationalMatrix, mat_solve
-from splinezeros.spline import open_component_count, spline_derivative
+from splinezeros.spline import (
+    open_component_count,
+    spline_derivative,
+    spline_to_document,
+)
 
 ZERO = Polynomial()
 
@@ -246,7 +252,9 @@ def _reference_left_tail(s):
 
 def reference_extend_compact(s):
     """extend_compact by B-spline tails: the left tail above, the right one
-    through reflection, glued to the interior pieces and normalized."""
+    through reflection, glued to the interior pieces, normalized, and with
+    the outer knots shed while the zero tails continue across them (never
+    below two knots)."""
     m = s.degree
     a0, an = s.knots[0], s.knots[-1]
     left = _reference_left_tail(s)
@@ -256,7 +264,13 @@ def reference_extend_compact(s):
     knots = (tuple(a0 - m + i for i in range(m)) + s.knots
              + tuple(an + i for i in range(1, m + 1)))
     pieces = (ZERO,) + tuple(left) + s.pieces[1:-1] + tuple(right) + (ZERO,)
-    return normalize(Spline(m, knots, pieces), trim_ends=True)
+    s = normalize(Spline(m, knots, pieces))
+    knots, pieces = list(s.knots), list(s.pieces)
+    while len(knots) > 2 and pieces[0] == pieces[1]:
+        del knots[0], pieces[0]
+    while len(knots) > 2 and pieces[-1] == pieces[-2]:
+        del knots[-1], pieces[-1]
+    return Spline(m, tuple(knots), tuple(pieces))
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -286,6 +300,45 @@ def extension_inputs(draw):
 @settings(max_examples=120, deadline=None)
 def test_extension_matches_bspline_tail_construction(s):
     assert extend_compact(s) == reference_extend_compact(s)
+
+
+def golden_extension_inputs():
+    """A fixed seeded set over m = 1..12: all-zero windows, bases of any
+    degree up to m (the zero base included), one jump in three zero, and one
+    input in two with a non-genuine knot from insert_knot."""
+    rng = random.Random(20261019)
+
+    def rational():
+        return F(rng.randint(-12, 12), rng.randint(1, 4))
+
+    for m in range(1, 13):
+        yield Spline(m, (0, 1), (ZERO,) * 3)
+        yield Spline(m, (F(-m, 3), F(m, 2)), (ZERO,) * 3)
+        for _ in range(12):
+            knots = sorted({rational() for _ in range(rng.randint(2, 8))})
+            if len(knots) < 2:
+                knots.append(knots[0] + 1)
+            base = Polynomial([rational() for _ in range(rng.randint(0, m + 1))])
+            jumps = [(k, rational() if rng.randrange(3) else 0)
+                     for k in knots[1:-1]]
+            s = spline_from_truncated_powers(base, jumps, (knots[0], knots[-1]), m)
+            if rng.randrange(2):
+                s = insert_knot(s, (s.knots[0] + s.knots[1]) / 2)
+            yield s
+
+
+# sha256 of the extension documents of golden_extension_inputs(), as
+# extend_compact built them when it normalized its result with end trimming
+GOLDEN_EXTENSION_DIGEST = \
+    "ba645e1f03c660458d757ffc5dbfeadc09dbc8956d4c452aa330ef3cc493fc9b"
+
+
+def test_extensions_match_golden_digest():
+    documents = [spline_to_document(extend_compact(s))
+                 for s in golden_extension_inputs()]
+    assert len(documents) == 168
+    encoded = json.dumps(documents, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == GOLDEN_EXTENSION_DIGEST
 
 
 def test_extension_matches_reference_on_low_degree_pieces():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import splinezeros.bspline as bspline
 import splinezeros.harness as harness
-from splinezeros import parse_vector_config, zigzag_spline
+from splinezeros import parse_vector_config, piecewise_linear, zigzag_spline
 from splinezeros.cli import main
 from splinezeros.errors import SplineZerosError
 from splinezeros.spline import spline_from_document, spline_to_document
@@ -534,3 +534,47 @@ def test_unknown_kind_rejected_by_argparse(capsys):
         main(["verify", "--kind", "bogus", "--m", "1", "--knots", "2",
               "--trials", "1", "--seed", "0"])
     assert exc.value.code == 2
+
+
+VERIFY = ("verify", "--kind", "corollary10", "--m", "2", "--knots", "3",
+          "--trials", "2", "--seed", "1", "--json")
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (("bspline", "--eval", "1/2"), "--m", "-1"),
+    (("bspline", "--m", "2"), "--eval", "-1/2"),
+    (("zeros", "--from", "-1"), "--in", "-spline.json"),
+    (("zeros", "--in", "-spline.json"), "--from", "-1/2"),
+    (("zeros", "--in", "-spline.json", "--from", "-2"), "--to", "-1/3"),
+    (("extend", "--out", "-ext.json"), "--in", "-spline.json"),
+    (("extend", "--in", "-spline.json"), "--out", "-ext.json"),
+    (VERIFY, "--kind", "-x"),
+    (VERIFY, "--m", "-2"),
+    (VERIFY, "--knots", "-3"),
+    (VERIFY, "--trials", "-1"),
+    (VERIFY, "--seed", "-7"),
+    (VERIFY, "--num-bound", "-8"),
+    (VERIFY, "--den-bound", "-4"),
+    (("conjecture", "--json"), "--vectors", "-1,0;0,1;1,1"),
+    (("boxspline", "--eval", "1/2,1/2"), "--vectors", "-1,0;0,1;1,1"),
+    (("boxspline", "--vectors", "1,0;0,1"), "--eval", "-1/2,1"),
+])
+def test_option_values_may_begin_with_a_dash(capsys, monkeypatch, tmp_path,
+                                             command, option, value):
+    """`--option -value` runs exactly as `--option=-value`."""
+    monkeypatch.chdir(tmp_path)
+    spline = piecewise_linear((-2, 0, 2), (1, -1, 1))
+    Path("-spline.json").write_text(json.dumps(spline_to_document(spline)))
+
+    def outcome(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = Path("-ext.json").read_text() if option == "--out" else None
+        return code, captured.out, captured.err, written
+
+    spaced = outcome(*command, option, value)
+    assert spaced == outcome(*command, f"{option}={value}")
+    assert "expected one argument" not in spaced[2]

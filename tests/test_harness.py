@@ -1,6 +1,9 @@
+import contextlib
 import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from splinezeros import (
     Polynomial,
     Spline,
     check_zero_bound,
+    extend_compact,
     normalize,
     piecewise_linear,
     random_spline,
@@ -282,3 +286,54 @@ def test_census_builds_few_sturm_chains_on_suite_splines(monkeypatch):
         assert run_verification_suite(kind, cfg, 1).violations == 0
     assert len(domains) > 2000
     assert 0 < len(chains) < 0.02 * len(domains)
+
+
+# -- where splines get normalized ------------------------------------------------
+
+
+@contextlib.contextmanager
+def traced_calls(*functions):
+    """Record (function name, caller name) for every call into functions,
+    whatever name the caller bound them under."""
+    names = {f.__code__: f.__name__ for f in functions}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls.append((names[frame.f_code], frame.f_back.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_extend_compact_normalizes_once_and_builds_one_spline():
+    """The recipe's normalize is the only one an extension runs, and it
+    drops nothing: extend_compact hands it the nonzero jumps alone."""
+    for i in range(200):
+        cfg = GeneratorConfig(seed=i, degree=1 + i % 12, interior_knots=i % 9)
+        s = random_spline(cfg)
+        with traced_calls(spline.normalize, Spline.__post_init__) as calls:
+            extend_compact(s)
+        assert sorted(calls) == [("__post_init__", "__new__"),
+                                 ("normalize", "spline_from_truncated_powers")]
+
+
+@pytest.mark.parametrize("kind", ["prop5", "extension", "corollary10"])
+def test_suite_trials_normalize_only_in_the_recipe_and_checkers(kind):
+    """Generated splines and their extensions are normalized by
+    construction, so the suites leave normalize to the checkers."""
+    trials = 4
+    per_trial = Counter({"spline_from_truncated_powers": 2,
+                         "check_interior_bound": kind == "prop5"})
+    if kind == "corollary10":
+        per_trial["spline_from_truncated_powers"] = 1
+    for degree in (1, 5, 12):
+        cfg = GeneratorConfig(seed=degree, degree=degree, interior_knots=4)
+        with traced_calls(spline.normalize) as calls:
+            assert run_verification_suite(kind, cfg, trials).violations == 0
+        expected = Counter({caller: trials * count
+                            for caller, count in per_trial.items() if count})
+        assert Counter(caller for _, caller in calls) == expected
