@@ -348,12 +348,18 @@ def test_zero_order_at_one_sided_flat_knot():
     assert zero_order_at(s, F(1, 2)) == 0
 
 
+def test_normalize_trim_ends():
+    s = Spline(1, (-2, -1, 0, 1), (ZERO, ZERO, Polynomial([1, 1]),
+                                   Polynomial([1]), Polynomial([1])))
+    # both outermost knots are non-genuine: the zero tail and the constant
+    # tail each continue across them; normalization keeps window ends no
+    # matter what
+    assert normalize(s).knots == (F(-2), F(-1), F(0), F(1))
+    assert normalize(s) is s
+
+
 def test_normalize_returns_input_when_nothing_drops():
-    # both outermost knots of the last one are non-genuine (the zero tail and
-    # the constant tail continue across them), yet they mark the window
-    window_ends = Spline(1, (-2, -1, 0, 1), (ZERO, ZERO, Polynomial([1, 1]),
-                                             Polynomial([1]), Polynomial([1])))
-    for s in (zigzag_spline(4), ramp(), ramp((-1, 1)), window_ends):
+    for s in (zigzag_spline(4), ramp(), ramp((-1, 1))):
         assert normalize(s) is s
     tent = Spline(1, (-1, 0, 1), (ZERO, Polynomial([1, 1]),
                                   Polynomial([1, -1]), ZERO))
