@@ -44,9 +44,15 @@ def parse_rational(text: str) -> Fraction:
         raise FormatError(f"rational literal too long in {text!r}") from None
 
 
+def format_ratio(num: int, den: int) -> str:
+    """Canonical "p/q" (or "p") text of num/den, ints with den > 0: one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def format_rational(value: Fraction) -> str:
-    """Canonical textual form: "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Canonical text of a rational value: format_ratio of its terms."""
+    return format_ratio(*Fraction(value).as_integer_ratio())
 
 
 def as_rational(value: RationalLike) -> Fraction:

@@ -12,7 +12,8 @@ the coefficients of N_m (x - k)^m. Every transformation here builds its
 result through that constructor, so every Spline in circulation is
 certified, and the constructor is the one check of the knot order.
 spline_from_truncated_powers(base, jumps, window, m) authors a spline as
-base(x) + sum c_i (x - k_i)_+^m, which is C^(m-1) by construction.
+base(x) + sum c_i (x - k_i)_+^m, which is C^(m-1) by construction; it sums
+the pieces on integer numerators over one running denominator.
 
 Z(s) on a window counts the connected components of the zero set. Why that
 equals the maximum size of a pairwise "separated" zero family (two zeros
@@ -51,7 +52,7 @@ from .errors import (
     Validated,
 )
 from .polynomial import Polynomial, root_census, root_order
-from .rational import as_rational, format_rational, parse_rational
+from .rational import as_rational, format_ratio, format_rational, parse_rational
 
 
 class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
@@ -203,22 +204,15 @@ def insert_knot(s: Spline, x) -> Spline:
 # -- truncated-power construction -------------------------------------------------
 
 
-def _binomial_power(c: Fraction, knot: Fraction, m: int) -> Polynomial:
-    """c * (x - knot)^m expanded by the binomial theorem on integers: with
-    knot = p/q the x^(m-e) numerator is c.num * C(m, e) * (-p)^e * q^(m-e)
-    over the one denominator c.den * q^m."""
-    p, q = knot.numerator, knot.denominator
-    num = [c.numerator * math.comb(m, e) * (-p) ** e * q ** (m - e)
-           for e in range(m + 1)]
-    num.reverse()
-    return Polynomial.from_integers(num, c.denominator * q ** m)
-
-
 def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
                                  window: Sequence, m: int) -> Spline:
     """The degree-m spline base(x) + sum_i c_i (x - k_i)_+^m on the window
     [lo, hi], for the (k_i, c_i) pairs in jumps. The truncated powers make
     C^(m-1) smoothness automatic, so this is the safe way to author splines.
+
+    Pieces are summed on ints: a jump c (x - p/q)^m adds c.num C(m, i)
+    (-p)^(m-i) q^i to x^i over the lcm of c.den q^m and the running piece's
+    denominator, and each piece is reduced once (from_integers, one gcd).
 
     The jump knots must increase inside the window. The spline is built on
     every jump knot and on both window ends, and normalize then drops the
@@ -229,12 +223,21 @@ def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
     if m < 1:
         raise DegreeError(f"spline degree must be >= 1, got {m}")
     lo, hi = as_rational(window[0]), as_rational(window[1])
+    row = [math.comb(m, i) for i in range(m + 1)]
     cumulative = base
     knots, pieces = [], [base]
     for knot, c in jumps:
         knot, c = as_rational(knot), as_rational(c)
         if c:
-            cumulative = cumulative + _binomial_power(c, knot, m)
+            p, q = knot.numerator, knot.denominator
+            jump_den = c.denominator * q ** m
+            den = math.lcm(cumulative.den, jump_den)
+            num = [v * (den // cumulative.den) for v in cumulative.num]
+            num += [0] * (m + 1 - len(num))
+            scale = c.numerator * (den // jump_den)
+            for i, binom in enumerate(row):
+                num[i] += scale * binom * (-p) ** (m - i) * q ** i
+            cumulative = Polynomial.from_integers(num, den)
         knots.append(knot)
         pieces.append(cumulative)
     if lo < hi and knots and (knots[0] < lo or knots[-1] > hi):
@@ -492,11 +495,12 @@ def vanishing_from_report(degree: int, report: ZeroReport) -> VanishingVerdict:
 
 def spline_to_document(s: Spline) -> dict:
     """Bit-exact document: canonical "p/q" strings, ascending coefficients,
-    one piece per domain (knot count + 1 pieces)."""
+    one piece per domain (knot count + 1 pieces). Coefficients are written
+    from each piece's ints (format_ratio of num[i] over den: one gcd each)."""
     return {
         "degree": s.degree,
         "knots": [format_rational(k) for k in s.knots],
-        "pieces": [[format_rational(c) for c in p.coeffs] for p in s.pieces],
+        "pieces": [[format_ratio(v, p.den) for v in p.num] for p in s.pieces],
     }
 
 

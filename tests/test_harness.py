@@ -24,7 +24,7 @@ from splinezeros import (
     zigzag_spline,
 )
 from splinezeros.errors import CapabilityError, DegreeError, FormatError
-from splinezeros.spline import _binomial_power, spline_to_document
+from splinezeros.spline import spline_to_document
 
 
 # -- reference generator: the Fraction-based draw and assembly ------------------
@@ -43,11 +43,20 @@ def _random_knot(rng, lo, hi, den_bound):
     return Fraction(rng.randint(lowest, highest), den)
 
 
+def _power_by_products(c, knot, m):
+    """c (x - knot)^m as a product of m linear factors: no binomial sum."""
+    term = Polynomial([c])
+    for _ in range(m):
+        term = term * Polynomial((-knot, 1))
+    return term
+
+
 def reference_random_spline(cfg, trial=0):
     """random_spline drawn and assembled on Fractions: a knot set of
-    Fraction candidates, Fraction coefficients, and the knots of the
+    Fraction candidates, Fraction coefficients, the knots of the
     truncated-power sum sorted from a set with the jumps looked up in a
-    dict. The library must build the same spline from the same draws."""
+    dict, and each jump's power built from linear factors. The library must
+    build the same spline from the same draws."""
     rng = random.Random(harness._trial_seed(cfg.seed, trial))
     lo, hi = Fraction(0), Fraction(cfg.interior_knots + 1)
     knots = set()
@@ -80,8 +89,8 @@ def reference_random_spline(cfg, trial=0):
     pieces = [base]
     for knot in all_knots:
         if knot in jump_at:
-            pieces.append(pieces[-1] + _binomial_power(jump_at[knot], knot,
-                                                       cfg.degree))
+            pieces.append(pieces[-1] + _power_by_products(jump_at[knot], knot,
+                                                          cfg.degree))
         else:
             pieces.append(pieces[-1])
     return Spline(cfg.degree, tuple(all_knots), tuple(pieces))

@@ -15,6 +15,7 @@ from splinezeros import (
 from splinezeros.errors import FormatError
 from splinezeros.rational import (
     as_rational,
+    format_ratio,
     format_rational,
     parse_rational,
     primitive_integers,
@@ -86,6 +87,8 @@ def test_canonical_invariants_and_roundtrip(num, den):
     if q == 0:
         assert (q.numerator, q.denominator) == (0, 1)
     assert parse_rational(format_rational(q)) == q
+    # the one-gcd formatter on unreduced terms writes what Fraction writes
+    assert format_ratio(num, den) == format_rational(q) == str(q)
 
 
 def test_primitive_integers_examples():

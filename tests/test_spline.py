@@ -33,6 +33,7 @@ from splinezeros.errors import (
     SmoothnessError,
 )
 import splinezeros.spline as spline_module
+from splinezeros.harness import MAX_DENOMINATOR_BOUND, MAX_NUMERATOR_BOUND
 from splinezeros.polynomial import (
     _content_normalize,
     _derivative_int,
@@ -43,9 +44,9 @@ from splinezeros.polynomial import (
     root_census,
     root_order,
 )
+from splinezeros.rational import format_rational
 from splinezeros.spline import (
     DomainCensus,
-    _binomial_power,
     open_component_count,
     spline_derivative,
     spline_from_document,
@@ -369,21 +370,55 @@ def test_normalize_returns_input_when_nothing_drops():
     assert normalize(inserted) == tent
 
 
-@given(small_rationals, small_rationals.filter(bool), st.integers(0, 12))
-@settings(max_examples=200, deadline=None)
-def test_binomial_power_matches_products_and_sympy(knot, c, m):
-    expanded = _binomial_power(c, knot, m)
-    product = Polynomial([1])
-    for _ in range(m):
-        product = product * Polynomial((-knot, 1))
-    assert expanded == product.scale(c)
+def sympy_coeffs(expr):
+    """Ascending Fraction coefficients of a sympy expression in x, trailing
+    zeros dropped, as Polynomial.coeffs lists them."""
     x = sympy.Symbol("x")
-    reference = sympy.Poly(
-        sympy.expand(sympy.Rational(c.numerator, c.denominator)
-                     * (x - sympy.Rational(knot.numerator, knot.denominator)) ** m),
-        x)
-    assert expanded.coeffs == tuple(
-        F(int(v.p), int(v.q)) for v in reversed(reference.all_coeffs()))
+    coeffs = [F(int(v.p), int(v.q))
+              for v in reversed(sympy.Poly(sympy.expand(expr), x).all_coeffs())]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def sympy_rational(value):
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_binomial_power_matches_products_and_sympy(m, data):
+    """The recipe's integer binomial sums against two independent oracles:
+    the piece right of each knot equals base + sum c_i (x - k_i)^m over the
+    jumps up to that knot, with each power built as a Polynomial product of
+    linear factors and again as a sympy expansion. Zero jumps leave no
+    knot; both window ends stay."""
+    base = Polynomial(data.draw(st.lists(small_rationals, max_size=m + 1)))
+    jump_knots = sorted(data.draw(st.lists(knots_off_the_integers, unique=True,
+                                           max_size=5)))
+    coeffs = [data.draw(small_rationals) for _ in jump_knots]
+    lo = (jump_knots[0] if jump_knots else 0) - data.draw(st.integers(0, 1))
+    hi = (jump_knots[-1] if jump_knots else 0) + data.draw(st.integers(0, 1))
+    if lo == hi:
+        hi += 1
+    s = spline_from_truncated_powers(base, list(zip(jump_knots, coeffs)),
+                                     (lo, hi), m)
+    nonzero = {k for k, c in zip(jump_knots, coeffs) if c}
+    assert s.knots == tuple(sorted({lo, hi} | nonzero))
+    x = sympy.Symbol("x")
+    expected = base
+    reference = sum(sympy_rational(c) * x ** i for i, c in enumerate(base.coeffs))
+    assert s.pieces[0] == expected
+    jumps = iter(zip(jump_knots, coeffs))
+    pending = next(jumps, None)
+    for knot, piece in zip(s.knots, s.pieces[1:]):
+        while pending is not None and pending[0] <= knot:
+            k, c = pending
+            expected = expected + from_roots([k] * m, lead=c)
+            reference += sympy_rational(c) * (x - sympy_rational(k)) ** m
+            pending = next(jumps, None)
+        assert piece == expected
+        assert piece.coeffs == sympy_coeffs(reference)
 
 
 def test_transforms_commute_with_knot_insertion():
@@ -752,14 +787,41 @@ def test_smoothness_check_and_census_build_no_fraction(monkeypatch):
 # -- JSON contract ---------------------------------------------------------------------
 
 
-def test_json_roundtrip():
-    s = zigzag_spline(3)
+def assert_document_contract(s):
+    """The document round-trips through JSON text to an equal spline, and
+    every string is the canonical text of its exact value."""
     doc = spline_to_document(s)
-    text = json.dumps(doc)
-    back = spline_from_document(json.loads(text))
-    assert back.degree == s.degree
-    assert back.knots == s.knots
-    assert back.pieces == s.pieces
+    assert spline_from_document(json.loads(json.dumps(doc))) == s
+    assert doc["degree"] == s.degree
+    assert doc["knots"] == [format_rational(k) for k in s.knots]
+    assert doc["pieces"] == [[format_rational(F(v, p.den)) for v in p.num]
+                             for p in s.pieces]
+
+
+def test_json_roundtrip():
+    """zigzag, the generator at its caps, and drawn splines with zero,
+    negative and integer coefficients and denominators up to 10^30 in the
+    base and the jumps."""
+    assert_document_contract(zigzag_spline(3))
+    rng = random.Random(5100)
+
+    def coefficient():
+        kind, num = rng.randrange(3), rng.randint(-10**6, 10**6)
+        return (F(0), F(num), F(num, rng.randint(1, 10**30)))[kind]
+
+    for trial in range(60):
+        m = 1 + trial % 12
+        cfg = GeneratorConfig(seed=5100 + trial, degree=m,
+                              interior_knots=trial % 9,
+                              numerator_bound=MAX_NUMERATOR_BOUND,
+                              denominator_bound=MAX_DENOMINATOR_BOUND)
+        assert_document_contract(random_spline(cfg, trial))
+        base = Polynomial(coefficient() for _ in range(rng.randint(0, m + 1)))
+        knots = sorted({F(rng.randint(-400, 400), rng.randint(1, 12))
+                        for _ in range(rng.randint(1, 4))})
+        jumps = [(k, coefficient()) for k in knots]
+        assert_document_contract(spline_from_truncated_powers(
+            base, jumps, (knots[0] - 1, knots[-1] + 1), m))
 
 
 def test_json_rejects_smoothness_violation():
