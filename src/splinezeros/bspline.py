@@ -17,8 +17,9 @@ is sum_k c_k (x - k)_+^m with m+1 jumps at a_0, a_0-1, ..., a_0-m, the jumps
 of s at its interior knots, and m+1 jumps at a_n, ..., a_n+m. Each tail's
 jumps solve one fixed (m+1)x(m+1) system; its exact inverse comes from
 linalg.mat_solve once per degree and is cached, so an extension runs no
-linear solve per call and never builds B_m. It is built on its nonzero jumps
-alone, so it leaves the assembly with only genuine knots.
+linear solve per call and never builds B_m. Its jumps are computed on ints,
+and only the nonzero ones become Fractions, so it leaves the assembly with
+only genuine knots.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     CapabilityError,
@@ -156,18 +158,6 @@ def _tail_inverse(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
                   for i in nodes), content.denominator)
 
 
-def _tail_jumps(p: Polynomial, m: int, sign: int) -> list[Fraction]:
-    """d_0..d_m with sum_i d_i (t + i)^m = sign * p(t), by the cached
-    per-degree inverse (one integer dot product per jump)."""
-    rows, den = _tail_inverse(m)
-    return [Fraction(sign * sum(w * v for w, v in zip(row, p.num)), den * p.den)
-            for row in rows]
-
-
-def _top_coefficient(p: Polynomial, m: int) -> Fraction:
-    return Fraction(p.num[m], p.den) if len(p.num) > m else Fraction(0)
-
-
 def extend_compact(s: Spline) -> Spline:
     """Extend s beyond its window to a compactly supported spline.
 
@@ -184,9 +174,12 @@ def extend_compact(s: Spline) -> Spline:
       into the left system times (-1)^m.
 
     Both tail systems have the matrix V_m[k][i] = C(m, k) i^(m-k), which
-    depends on m alone; its exact inverse is built once per degree, so no
-    linear solve runs per call. Only the nonzero jumps are assembled, from
-    the first to the last of them, so every knot is genuine. Degrees above
+    depends on m alone; its exact inverse W / D is built once per degree, so
+    no linear solve runs per call. Jumps are found on ints: a tail jump is a
+    row of W dotted with the shifted piece's numerators, over D times that
+    piece's denominator; an interior jump is the difference of the x^m
+    numerators over the two pieces' denominators. Only nonzero jumps become
+    Fractions and are assembled, so every knot is genuine. Degrees above
     MAX_CARDINAL_DEGREE are refused before any work."""
     m = s.degree
     if not 1 <= m <= MAX_CARDINAL_DEGREE:
@@ -194,19 +187,22 @@ def extend_compact(s: Spline) -> Spline:
             f"extension needs degree in [1, {MAX_CARDINAL_DEGREE}] "
             f"(MAX_CARDINAL_DEGREE), got {m}"
         )
+    rows, den = _tail_inverse(m)
     a0, an = s.knots[0], s.knots[-1]
-    first, last = s.pieces[1], s.pieces[-2]
-    left = _tail_jumps(first.taylor_shift(a0), m, 1)
-    right = _tail_jumps(last.taylor_shift(an).reflect(), m, (-1) ** (m + 1))
-    interior = [
-        (knot, _top_coefficient(after, m) - _top_coefficient(before, m))
-        for knot, before, after in zip(s.knots[1:-1], s.pieces[1:], s.pieces[2:-1])
-    ]
-    jumps = (
-        [(a0 - i, left[i]) for i in range(m, -1, -1)]
-        + interior
-        + [(an + i, right[i]) for i in range(m + 1)]
-    )
-    jumps = [(knot, c) for knot, c in jumps if c]
+    first = s.pieces[1].taylor_shift(a0)
+    last = s.pieces[-2].taylor_shift(an).reflect()
+    sign = (-1) ** (m + 1)
+    left = [sum(map(mul, row, first.num)) for row in rows]
+    right = [sign * sum(map(mul, row, last.num)) for row in rows]
+    p0, q0, pn, qn = a0.numerator, a0.denominator, an.numerator, an.denominator
+    jumps = [(Fraction(p0 - i * q0, q0), Fraction(left[i], den * first.den))
+             for i in range(m, -1, -1) if left[i]]
+    for knot, before, after in zip(s.knots[1:-1], s.pieces[1:], s.pieces[2:-1]):
+        b = before.num[m] if len(before.num) > m else 0
+        c = after.num[m] if len(after.num) > m else 0
+        if jump := c * before.den - b * after.den:
+            jumps.append((knot, Fraction(jump, before.den * after.den)))
+    jumps += [(Fraction(pn + i * qn, qn), Fraction(right[i], den * last.den))
+              for i in range(m + 1) if right[i]]
     window = (jumps[0][0], jumps[-1][0]) if jumps else (a0 - m, an + m)
     return spline_from_truncated_powers(Polynomial(), jumps, window, m)

@@ -17,9 +17,10 @@ gives a Sturm sequence of the square-free part p/g, so no separate gcd is
 computed. That sequence is evaluated once at each endpoint.
 
 A Polynomial is integer numerators over one positive denominator, so its
-algebra runs on ints and the census takes a primitive integer copy by one
-content division. The Sturm kernel divides content out after every
-pseudo-remainder step, which keeps coefficient growth tame.
+algebra runs on ints. The Moebius image is built in one pass from the
+numerators as stored (a positive content changes no sign); only the Sturm
+path takes a primitive copy by one content division, and its kernel divides
+content out after every pseudo-remainder step, keeping coefficients tame.
 """
 
 from __future__ import annotations
@@ -316,12 +317,13 @@ def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
 
     Descartes' rule of signs decides most pieces without a Sturm sequence.
     With a = a1/a2, b = b1/b2, D = a2 b2 and W = b1 a2 - a1 b2 (> 0 exactly
-    when a < b), the primitive integer copy c of p, of degree d, is mapped
+    when a < b), the integer numerators c of p, of degree d, are mapped
     to q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)), whose positive roots are
     the roots of p in (a, b), entirely on ints: a homogeneous Taylor shift
     by a1 b2 over D gives D^d c((y + a1 b2)/D), scaling coefficient i by W^i
-    gives D^d c(a + (b - a) x), and reversing and shifting by 1 gives q. So
-    q[0] == 0 is p(b) == 0 and q[d] == 0 is p(a) == 0, and the sign
+    gives D^d c(a + (b - a) x), and reversing and shifting by 1 gives q
+    (the powers of D and W are running products). So q[0] == 0 is
+    p(b) == 0 and q[d] == 0 is p(a) == 0, and the sign
     variations V of q bound the roots in (a, b), counted with multiplicity,
     with an even excess (Collins & Akritas 1976; Basu, Pollack & Roy,
     Algorithms in Real Algebraic Geometry, ch. 10): V = 0 means no root and
@@ -346,15 +348,29 @@ def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
     w = b1 * a2 - a1 * b2
     if w <= 0:
         raise IntervalError(f"need a < b, got {a} >= {b}")
-    c = _content_normalize(list(p.num))
-    d = len(c) - 1
+    num = p.num
+    d = len(num) - 1
     den = a2 * b2
-    q = _shift_int([v * den ** (d - i) for i, v in enumerate(c)], a1 * b2)
-    q = _shift_int([v * w ** i for i, v in enumerate(q)][::-1], 1)
+    q, power = [0] * (d + 1), 1
+    for i in range(d, -1, -1):  # num_i D^(d-i)
+        q[i] = num[i] * power
+        power *= den
+    _shift_int(q, a1 * b2)
+    power = 1
+    for i in range(1, d + 1):  # then times W^i
+        power *= w
+        q[i] *= power
+    q.reverse()
+    _shift_int(q, 1)
     zero_at_a, zero_at_b = q[d] == 0, q[0] == 0
-    count = _variations(q)
+    count, negative = 0, None  # sign variations of q, zeros skipped
+    for v in q:
+        if v:
+            if negative is not None and (v < 0) != negative:
+                count += 1
+            negative = v < 0
     if count >= 2:
-        chain = _sturm_chain(c)
+        chain = _sturm_chain(_content_normalize(list(num)))
         at_a = [_horner(e, a1, a2) for e in chain]
         at_b = [_horner(e, b1, b2) for e in chain]
         count = _variations(at_a) - _variations(at_b) - zero_at_b

@@ -37,9 +37,10 @@ degree >= 1. The census evaluates no piece on its own.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -81,7 +82,7 @@ class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
         if len(self.knots) < 2:
             raise KnotOrderError("a spline needs at least two knots")
         for a, b in zip(self.knots, self.knots[1:]):
-            if a >= b:
+            if a.numerator * b.denominator >= b.numerator * a.denominator:
                 raise KnotOrderError(f"knots not strictly increasing: {a} >= {b}")
         if len(self.pieces) != len(self.knots) + 1:
             raise FormatError(
@@ -122,7 +123,7 @@ def _verify_smoothness(degree: int, knots, pieces) -> None:
             jump[i] = v * left.den
         for i, v in enumerate(left.num):
             jump[i] -= v * right.den
-        if not _is_power_multiple(jump, degree, knot):
+        if not _is_power_multiple(jump, degree, knot.numerator, knot.denominator):
             order = root_order(right - left, knot, degree)
             raise SmoothnessError(
                 f"derivative order {order} jumps at knot {knot} "
@@ -130,20 +131,25 @@ def _verify_smoothness(degree: int, knots, pieces) -> None:
             )
 
 
-def _is_power_multiple(jump: list[int], m: int, knot: Fraction) -> bool:
-    """Whether sum jump_i x^i (degree <= m) is a multiple of (x - knot)^m.
-    A nonzero multiple has degree m, and with knot = p/q it is
-    (jump_m / q^m) (q x - p)^m exactly when, for every i,
-    jump_i q^(m-i) == jump_m C(m, i) (-p)^(m-i), an identity on ints."""
+@lru_cache(maxsize=16)
+def _binomial_row(m: int) -> tuple[int, ...]:
+    """C(m, e) for e = 0..m, for the certificate and the recipe."""
+    return tuple(math.comb(m, e) for e in range(m + 1))
+
+
+def _is_power_multiple(jump: list[int], m: int, p: int, q: int) -> bool:
+    """Whether sum jump_i x^i (degree <= m) is a multiple of (x - p/q)^m.
+    A nonzero multiple has degree m, and it is (jump_m / q^m) (q x - p)^m
+    exactly when, for every i, jump_i q^(m-i) == jump_m C(m, i) (-p)^(m-i),
+    an identity on ints; the cached binomial row is read only then."""
     if len(jump) <= m or not jump[m]:
         return not any(jump)
-    top, minus_p, q = jump[m], -knot.numerator, knot.denominator
-    q_power = p_power = 1
-    for e in range(m + 1):
-        if jump[m - e] * q_power != top * math.comb(m, e) * p_power:
+    top, q_power, p_power = jump[m], 1, 1
+    for e, binom in enumerate(_binomial_row(m)):
+        if jump[m - e] * q_power != top * binom * p_power:
             return False
         q_power *= q
-        p_power *= minus_p
+        p_power *= -p
     return True
 
 
@@ -223,7 +229,7 @@ def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
     if m < 1:
         raise DegreeError(f"spline degree must be >= 1, got {m}")
     lo, hi = as_rational(window[0]), as_rational(window[1])
-    row = [math.comb(m, i) for i in range(m + 1)]
+    row = _binomial_row(m)
     cumulative = base
     knots, pieces = [], [base]
     for knot, c in jumps:
@@ -312,11 +318,10 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
     b = as_rational(b)
     if a >= b:
         raise IntervalError(f"need a < b, got {a} >= {b}")
-    try:
-        ia = s.knots.index(a)
-        ib = s.knots.index(b)
-    except ValueError:
-        raise KnotRangeError("census endpoints must be knots of the spline") from None
+    ia = bisect_left(s.knots, a)
+    ib = bisect_left(s.knots, b, ia)
+    if ib == len(s.knots) or s.knots[ia] != a or s.knots[ib] != b:
+        raise KnotRangeError("census endpoints must be knots of the spline")
 
     domains = []
     knot_zero = []

@@ -274,20 +274,22 @@ def reference_extend_compact(s):
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+wide_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
 
 
 @st.composite
-def extension_inputs(draw):
-    """Splines of degree 1..12 on 0-6 interior knots. The base may have any
-    degree up to m and jumps may be zero, so pieces of degree below m, fewer
-    genuine knots than drawn and all-zero windows occur; one input in two
-    gets a non-genuine knot through insert_knot."""
+def extension_inputs(draw, rationals=small_rationals):
+    """Splines of degree 1..12 on 0-6 interior knots, with knots and
+    coefficients drawn from rationals. The base may have any degree up to m
+    and jumps may be zero, so pieces of degree below m, fewer genuine knots
+    than drawn and all-zero windows occur; one input in two gets a
+    non-genuine knot through insert_knot."""
     m = draw(st.integers(1, 12))
-    knots = sorted(set(draw(st.lists(small_rationals, min_size=2, max_size=8))))
+    knots = sorted(set(draw(st.lists(rationals, min_size=2, max_size=8))))
     if len(knots) < 2:
         knots.append(knots[0] + 1)
-    base = Polynomial(draw(st.lists(small_rationals, max_size=m + 1)))
-    jumps = tuple((k, draw(small_rationals)) for k in knots[1:-1])
+    base = Polynomial(draw(st.lists(rationals, max_size=m + 1)))
+    jumps = tuple((k, draw(rationals)) for k in knots[1:-1])
     s = spline_from_truncated_powers(base, jumps, (knots[0], knots[-1]), m)
     if draw(st.booleans()):
         s = insert_knot(s, (3 * s.knots[0] + s.knots[1]) / 4)
@@ -299,6 +301,15 @@ def extension_inputs(draw):
 @example(Spline(12, (F(-1, 3), F(5, 2)), (ZERO, ZERO, ZERO)))
 @settings(max_examples=120, deadline=None)
 def test_extension_matches_bspline_tail_construction(s):
+    assert extend_compact(s) == reference_extend_compact(s)
+
+
+@given(extension_inputs(wide_rationals))
+@settings(max_examples=60, deadline=None)
+def test_extension_matches_bspline_tail_construction_on_wide_denominators(s):
+    """Knots and coefficients with denominators up to 10^6. A tail jump sits
+    over the denominator of the piece shifted to the window end, which
+    differs from the piece's own whenever that end is not an integer."""
     assert extend_compact(s) == reference_extend_compact(s)
 
 

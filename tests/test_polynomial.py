@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splinezeros import Polynomial
@@ -453,21 +453,38 @@ def test_census_builds_a_sturm_chain_only_when_descartes_cannot_decide(
 def high_degree_windows(draw):
     """Degree 0 to 12: planted rational roots (repeats allowed) times a
     random integer cofactor, on windows whose endpoint denominators reach
-    10^6 and which sometimes end at a planted root."""
+    10^6 or 10^18 and which sometimes end at a planted root. One polynomial
+    in three is stored with non-primitive numerators (content 2^40 or
+    more), which the census's Moebius image must not need divided out."""
     fine = st.fractions(min_value=-2, max_value=2, max_denominator=10**6)
+    huge = st.fractions(min_value=-2, max_value=2, max_denominator=10**18)
     roots = draw(st.lists(st.one_of(rationals, fine), max_size=8))
     roots += draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
     cofactor = Polynomial(draw(st.lists(st.integers(-20, 20), min_size=1,
                                         max_size=13 - len(roots))))
     assume(not cofactor.is_zero)
-    endpoints = st.one_of(rationals, fine, *([st.sampled_from(roots)]
-                                              if roots else []))
+    endpoints = st.one_of(rationals, fine, huge,
+                          *([st.sampled_from(roots)] if roots else []))
     a, b = sorted((draw(endpoints), draw(endpoints)))
     assume(a < b)
-    return from_roots(roots) * cofactor, a, b
+    p = from_roots(roots) * cofactor
+    if draw(st.integers(0, 2)) == 0:
+        p = shifted_left_40(p)
+    return p, a, b
+
+
+def shifted_left_40(p):
+    """p times 2^40 times its denominator: integer numerators whose content
+    is 2^40 or more."""
+    return Polynomial.from_integers([v << 40 for v in p.num])
 
 
 @given(high_degree_windows())
+@example((shifted_left_40(from_roots([F(1, 3), F(2, 3)])),
+          F(1, 10**12 + 39), F(999999999989, 10**12)))       # Sturm decides
+@example((shifted_left_40(from_roots([F(1, 7), 3])),
+          F(-1, 10**18 + 3), F(10**17 + 1, 10**18 - 11)))     # V = 1
+@example((shifted_left_40(Polynomial([0, 1])), -2, 0))         # root at b
 @settings(max_examples=150, deadline=None)
 def test_census_agrees_with_sturm_and_sympy_up_to_degree_12(case):
     p, a, b = case

@@ -462,11 +462,24 @@ def test_plateau_insertion_regression():
 
 
 def test_census_errors():
-    s = zigzag_spline(3)
+    s = zigzag_spline(3)  # knots 0, 1, 2, 3
     with pytest.raises(IntervalError):
         separated_zero_count(s, 2, 2)
-    with pytest.raises(KnotRangeError):
-        separated_zero_count(s, 0, F(5, 2))
+    not_knots = [
+        (0, F(5, 2)), (F(1, 2), 2), (F(1, 2), F(5, 2)),  # between two knots
+        (-1, 2), (F(-1, 2), 0), (-2, -1),                # below the window
+        (1, 4), (3, F(7, 2)), (F(7, 2), 4),              # above the window
+        (-1, 4), ("1/2", "2"), (0, "5/2"),
+    ]
+    for a, b in not_knots:
+        with pytest.raises(KnotRangeError):
+            separated_zero_count(s, a, b)
+    # int and string endpoints name the same knots as Fractions
+    expected = separated_zero_count(s, F(1), F(3))
+    assert expected[0] == 2
+    assert separated_zero_count(s, 1, 3) == expected
+    assert separated_zero_count(s, "1", "3") == expected
+    assert separated_zero_count(s, 0, "3")[0] == 3
 
 
 def test_census_window_subinterval():
