@@ -40,7 +40,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -131,25 +130,21 @@ def _verify_smoothness(degree: int, knots, pieces) -> None:
             )
 
 
-@lru_cache(maxsize=16)
-def _binomial_row(m: int) -> tuple[int, ...]:
-    """C(m, e) for e = 0..m, for the certificate and the recipe."""
-    return tuple(math.comb(m, e) for e in range(m + 1))
-
-
 def _is_power_multiple(jump: list[int], m: int, p: int, q: int) -> bool:
     """Whether sum jump_i x^i (degree <= m) is a multiple of (x - p/q)^m.
     A nonzero multiple has degree m, and it is (jump_m / q^m) (q x - p)^m
     exactly when, for every i, jump_i q^(m-i) == jump_m C(m, i) (-p)^(m-i),
-    an identity on ints; the cached binomial row is read only then."""
+    an identity on ints. C(m, e) is a running product, so a mismatch at a
+    low e returns before any large binomial is formed."""
     if len(jump) <= m or not jump[m]:
         return not any(jump)
-    top, q_power, p_power = jump[m], 1, 1
-    for e, binom in enumerate(_binomial_row(m)):
+    top, q_power, p_power, binom = jump[m], 1, 1, 1
+    for e in range(m + 1):
         if jump[m - e] * q_power != top * binom * p_power:
             return False
         q_power *= q
         p_power *= -p
+        binom = binom * (m - e) // (e + 1)
     return True
 
 
@@ -229,7 +224,7 @@ def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
     if m < 1:
         raise DegreeError(f"spline degree must be >= 1, got {m}")
     lo, hi = as_rational(window[0]), as_rational(window[1])
-    row = _binomial_row(m)
+    row = [math.comb(m, i) for i in range(m + 1)]
     cumulative = base
     knots, pieces = [], [base]
     for knot, c in jumps:
