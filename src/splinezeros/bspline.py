@@ -17,9 +17,11 @@ is sum_k c_k (x - k)_+^m with m+1 jumps at a_0, a_0-1, ..., a_0-m, the jumps
 of s at its interior knots, and m+1 jumps at a_n, ..., a_n+m. Each tail's
 jumps solve one fixed (m+1)x(m+1) system; its exact inverse comes from
 linalg.mat_solve once per degree and is cached, so an extension runs no
-linear solve per call and never builds B_m. Its jumps are computed on ints,
-and only the nonzero ones become Fractions, so it leaves the assembly with
-only genuine knots.
+linear solve per call and never builds B_m. Its jumps are computed on ints
+and go to the truncated-power assembly kernel (spline._spline_from_int_jumps)
+as (knot, numerator, denominator), with no Fraction per coefficient; only
+the nonzero ones are passed, so it leaves the assembly with only genuine
+knots.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from .errors import (
 from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
 from .rational import primitive_integers
-from .spline import Spline, spline_eval, spline_from_truncated_powers
+from .spline import (
+    Spline,
+    _spline_from_int_jumps,
+    spline_eval,
+    spline_from_truncated_powers,
+)
 
 MAX_CARDINAL_DEGREE = 12
 
@@ -178,9 +185,9 @@ def extend_compact(s: Spline) -> Spline:
     no linear solve runs per call. Jumps are found on ints: a tail jump is a
     row of W dotted with the shifted piece's numerators, over D times that
     piece's denominator; an interior jump is the difference of the x^m
-    numerators over the two pieces' denominators. Only nonzero jumps become
-    Fractions and are assembled, so every knot is genuine. Degrees above
-    MAX_CARDINAL_DEGREE are refused before any work."""
+    numerators over the two pieces' denominators. Only nonzero jumps are
+    assembled, each as its knot and two ints, so every knot is genuine.
+    Degrees above MAX_CARDINAL_DEGREE are refused before any work."""
     m = s.degree
     if not 1 <= m <= MAX_CARDINAL_DEGREE:
         raise DegreeError(
@@ -195,14 +202,14 @@ def extend_compact(s: Spline) -> Spline:
     left = [sum(map(mul, row, first.num)) for row in rows]
     right = [sign * sum(map(mul, row, last.num)) for row in rows]
     p0, q0, pn, qn = a0.numerator, a0.denominator, an.numerator, an.denominator
-    jumps = [(Fraction(p0 - i * q0, q0), Fraction(left[i], den * first.den))
+    jumps = [(Fraction(p0 - i * q0, q0), left[i], den * first.den)
              for i in range(m, -1, -1) if left[i]]
     for knot, before, after in zip(s.knots[1:-1], s.pieces[1:], s.pieces[2:-1]):
         b = before.num[m] if len(before.num) > m else 0
         c = after.num[m] if len(after.num) > m else 0
         if jump := c * before.den - b * after.den:
-            jumps.append((knot, Fraction(jump, before.den * after.den)))
-    jumps += [(Fraction(pn + i * qn, qn), Fraction(right[i], den * last.den))
+            jumps.append((knot, jump, before.den * after.den))
+    jumps += [(Fraction(pn + i * qn, qn), right[i], den * last.den)
               for i in range(m + 1) if right[i]]
-    window = (jumps[0][0], jumps[-1][0]) if jumps else (a0 - m, an + m)
-    return spline_from_truncated_powers(Polynomial(), jumps, window, m)
+    lo, hi = (jumps[0][0], jumps[-1][0]) if jumps else (a0 - m, an + m)
+    return _spline_from_int_jumps(Polynomial(), jumps, lo, hi, m)

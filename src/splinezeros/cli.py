@@ -18,11 +18,12 @@ from .boxspline import (
     parse_vector_config,
 )
 from .bspline import MAX_CARDINAL_DEGREE, cardinal_bspline, extend_compact
-from .errors import SplineZerosError
+from .errors import FormatError, SplineZerosError
 from .harness import (MAX_DENOMINATOR_BOUND, MAX_INTERIOR_KNOTS, MAX_NUMERATOR_BOUND,
                       SUITE_KINDS, GeneratorConfig, run_verification_suite)
 from .rational import format_rational, parse_rational
 from .spline import (
+    Spline,
     insert_knot,
     separated_zero_count,
     spline_from_document,
@@ -110,9 +111,21 @@ def _cmd_bspline(args) -> int:
     return 0
 
 
+def _read_spline(path: str) -> Spline:
+    """The spline document in the file at path. Text that is not UTF-8 or
+    not JSON and an integer literal past Python's digit limit (each a
+    ValueError), and arrays nested past the recursion limit, raise
+    FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    return spline_from_document(doc)
+
+
 def _cmd_zeros(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        s = spline_from_document(json.load(fh))
+    s = _read_spline(args.infile)
     a = parse_rational(args.from_) if args.from_ else s.knots[0]
     b = parse_rational(args.to) if args.to else s.knots[-1]
     for point in (a, b):
@@ -150,8 +163,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        s = spline_from_document(json.load(fh))
+    s = _read_spline(args.infile)
     extension = extend_compact(s)
     with open(args.outfile, "w", encoding="utf-8") as fh:
         json.dump(spline_to_document(extension), fh, indent=2)
@@ -245,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(tokens)
     try:
         return _HANDLERS[args.command](args)
-    except (SplineZerosError, OSError, json.JSONDecodeError) as exc:
+    except (SplineZerosError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,11 +8,13 @@ Every report field except elapsed_ms is byte-deterministic.
 Generation runs on integers. Knot candidates num/den are told apart by their
 reduced int pair and sorted by an exact int key, the base polynomial is
 built from integer numerators over their common denominator, and a Fraction
-is built only for each accepted knot and its jump coefficient. The window
-[0, interior_knots + 1] goes to spline_from_truncated_powers as two ints,
-and the Spline constructor is the one check of the knot order. The rng
-draws, in their order, define every generated spline, so they are part of
-the determinism contract.
+is built only for each accepted knot. Each jump goes to the truncated-power
+assembly kernel (spline._spline_from_int_jumps) as (knot, c_num, c_den), the
+coefficient as the two ints drawn, and the window [0, interior_knots + 1]
+as two ints; the Spline constructor is the one check of the knot order. The
+rng draws, in their order, define every generated spline, so they are part
+of the determinism contract. The extension checker compares knots as
+(numerator, denominator) pairs.
 
 Suite kinds:
   theorem9    Z <= n + m - 1 on every generated spline (for degree 1 an
@@ -36,7 +38,6 @@ import json
 import math
 import random
 import time
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
@@ -46,12 +47,12 @@ from .errors import CapabilityError, DegreeError, FormatError, Validated
 from .polynomial import Polynomial
 from .spline import (
     Spline,
+    _spline_from_int_jumps,
     check_interior_bound,
     check_zero_bound,
     open_component_count,
     separated_zero_count,
     spline_derivative,
-    spline_from_truncated_powers,
     spline_to_document,
     vanishing_from_report,
 )
@@ -164,8 +165,8 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
         while c == 0:
             c = rng.randint(-cfg.numerator_bound, cfg.numerator_bound)
             c_den = rng.randint(1, cfg.denominator_bound)
-        jumps.append((Fraction(p, q), Fraction(c, c_den)))
-    return spline_from_truncated_powers(base, jumps, (0, width), cfg.degree)
+        jumps.append((Fraction(p, q), c, c_den))
+    return _spline_from_int_jumps(base, jumps, 0, width, cfg.degree)
 
 
 def zigzag_spline(n: int) -> Spline:
@@ -301,22 +302,29 @@ def run_verification_suite(kind: str, cfg: GeneratorConfig,
 
 
 def _check_extension_trial(s: Spline, extension: Spline) -> bool:
-    """Structural contract of extend_compact on one input: exact coincidence
-    on the original window, zero outside the widened window, knots within
-    the allowed unit-spaced set."""
-    m = s.degree
-    a0, an = s.window
-    # coincidence, piece by piece over the original
-    for j in range(1, len(s.knots)):
-        mid = (s.knots[j - 1] + s.knots[j]) / 2
-        idx = bisect_right(extension.knots, mid)
-        if extension.pieces[idx] != s.pieces[j]:
-            return False
+    """Structural contract of extend_compact on one input: zero outside the
+    widened window, knots within the allowed unit-spaced set (which bounds
+    them by a_0 - m and a_n + m), and exact coincidence on the original
+    window. Knots are compared as (numerator, denominator) pairs: a tail
+    knot a_0 - i or a_n + i keeps the denominator of a_0 or a_n."""
     if not (extension.pieces[0].is_zero and extension.pieces[-1].is_zero):
         return False
-    if extension.knots[0] < a0 - m or extension.knots[-1] > an + m:
+    m = s.degree
+    original = [(k.numerator, k.denominator) for k in s.knots]
+    knots = [(k.numerator, k.denominator) for k in extension.knots]
+    (p0, q0), (pn, qn) = original[0], original[-1]
+    allowed = set(original)
+    allowed.update((p0 - i * q0, q0) for i in range(1, m + 1))
+    allowed.update((pn + i * qn, qn) for i in range(1, m + 1))
+    if not allowed.issuperset(knots):
         return False
-    allowed = set(s.knots)
-    allowed.update(a0 - m + i for i in range(m))
-    allowed.update(an + i for i in range(1, m + 1))
-    return all(k in allowed for k in extension.knots)
+    # every extension knot inside the original window is an original knot,
+    # so the piece right of the extension knots up to a domain's left end
+    # covers that whole domain
+    idx = 0
+    for (p, q), piece in zip(original, s.pieces[1:-1]):
+        while idx < len(knots) and knots[idx][0] * q <= p * knots[idx][1]:
+            idx += 1
+        if extension.pieces[idx] != piece:
+            return False
+    return True

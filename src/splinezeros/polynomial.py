@@ -6,21 +6,28 @@ interval, with explicit endpoint control, over exact integers, and that is
 all the spline layer needs (roots are frequently irrational).
 
 root_census returns the open-interval count together with the endpoint zero
-flags p(a) == 0 and p(b) == 0. It first maps (a, b) onto (0, inf) by an
-integer Moebius transform (two Taylor shifts, a scaling and a reversal) and
-applies Descartes' rule of signs: zero or one sign variation is the exact
-count, and the transform's end coefficients are the endpoint flags. Only
-when the rule cannot decide (two or more variations) does it build a Sturm
-sequence, one remainder sequence per polynomial: the pseudo-remainder
-sequence of (p, p') ends in g = gcd(p, p'), and dividing every entry by g
-gives a Sturm sequence of the square-free part p/g, so no separate gcd is
-computed. That sequence is evaluated once at each endpoint.
+flags p(a) == 0 and p(b) == 0. It is the coercing public edge of one integer
+kernel, _census_int(num, a1, a2, b1, b2), which takes the numerators and the
+interval ends as (numerator, denominator) pairs; the spline census calls the
+kernel directly with the knot pairs it already holds. The kernel first maps
+(a, b) onto (0, inf) by an integer Moebius transform (two Taylor shifts, a
+scaling and a reversal) and applies Descartes' rule of signs: zero or one
+sign variation is the exact count, and the transform's end coefficients are
+the endpoint flags. Only when the rule cannot decide (two or more
+variations) does it build a Sturm sequence, one remainder sequence per
+polynomial: the pseudo-remainder sequence of (p, p') ends in g = gcd(p, p'),
+and dividing every entry by g gives a Sturm sequence of the square-free part
+p/g, so no separate gcd is computed. That sequence is evaluated once at each
+endpoint.
 
 A Polynomial is integer numerators over one positive denominator, so its
 algebra runs on ints. The Moebius image is built in one pass from the
 numerators as stored (a positive content changes no sign); only the Sturm
 path takes a primitive copy by one content division, and its kernel divides
 content out after every pseudo-remainder step, keeping coefficients tame.
+One homogeneous Taylor shift (_homogeneous_shift) serves the census,
+taylor_shift and root_order, which reads a root's multiplicity from the
+leading zeros of the shifted numerators.
 """
 
 from __future__ import annotations
@@ -164,14 +171,15 @@ class Polynomial:
         return Polynomial(out)
 
     def taylor_shift(self, h) -> "Polynomial":
-        """p(x + h) with h = s/q: the classic integer Taylor shift by s of
-        P(y) = sum num_i q^(d-i) y^i = den q^d p(y/q), then y = q x."""
+        """p(x + h) with h = s/q: _homogeneous_shift by s over q gives
+        den q^d p((y + s)/q), then y = q x."""
         h = as_rational(h)
-        s, q = h.numerator, h.denominator
-        d = len(self.num) - 1
-        c = _shift_int([v * q ** (d - i) for i, v in enumerate(self.num)], s)
-        return Polynomial.from_integers([v * q ** i for i, v in enumerate(c)],
-                                        self.den * q ** max(d, 0))
+        q = h.denominator
+        c, power = _homogeneous_shift(self.num, h.numerator, q), 1
+        for i in range(1, len(c)):  # y = q x: coefficient i times q^i
+            power *= q
+            c[i] *= power
+        return Polynomial.from_integers(c, self.den * power)
 
     def reflect(self) -> "Polynomial":
         """p(-x)."""
@@ -255,17 +263,29 @@ def _derivative_int(c: list[int]) -> list[int]:
     return [i * v for i, v in enumerate(c) if i]
 
 
+def _homogeneous_shift(num: Sequence[int], s: int, b: int) -> list[int]:
+    """The coefficients of sum num_i b^(d-i) (y + s)^i, d = len(num) - 1,
+    which is b^d times the polynomial at (y + s)/b: a Taylor shift by s of
+    the numerators scaled by running powers of b."""
+    d = len(num) - 1
+    c, power = [0] * (d + 1), 1
+    for i in range(d, -1, -1):
+        c[i] = num[i] * power
+        power *= b
+    return _shift_int(c, s)
+
+
 def root_order(p: Polynomial, x, cap: int) -> int:
     """Multiplicity of the rational x as a root of p, capped at cap; the zero
-    polynomial gets cap. With x = a/b in lowest terms, the primitive integer
-    copy of p is divided by b*t - a until a division is not exact."""
+    polynomial gets cap. With x = a/b in lowest terms, the coefficient of y^k
+    in _homogeneous_shift(p.num, a, b) is b^(d-k) den p^(k)(x) / k!, so the
+    order is its count of leading zero coefficients."""
     if p.is_zero:
         return cap
     x = as_rational(x)
-    c = _content_normalize(list(p.num))
-    linear = [-x.numerator, x.denominator]
+    c = _homogeneous_shift(p.num, x.numerator, x.denominator)
     order = 0
-    while order < cap and (c := _div_exact_int(c, linear)) is not None:
+    while order < cap and not c[order]:
         order += 1
     return order
 
@@ -313,51 +333,49 @@ def _variations(values: list[int]) -> int:
 
 def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
     """(distinct real roots of p in the open interval (a, b), p(a) == 0,
-    p(b) == 0).
-
-    Descartes' rule of signs decides most pieces without a Sturm sequence.
-    With a = a1/a2, b = b1/b2, D = a2 b2 and W = b1 a2 - a1 b2 (> 0 exactly
-    when a < b), the integer numerators c of p, of degree d, are mapped
-    to q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)), whose positive roots are
-    the roots of p in (a, b), entirely on ints: a homogeneous Taylor shift
-    by a1 b2 over D gives D^d c((y + a1 b2)/D), scaling coefficient i by W^i
-    gives D^d c(a + (b - a) x), and reversing and shifting by 1 gives q
-    (the powers of D and W are running products). So q[0] == 0 is
-    p(b) == 0 and q[d] == 0 is p(a) == 0, and the sign
-    variations V of q bound the roots in (a, b), counted with multiplicity,
-    with an even excess (Collins & Akritas 1976; Basu, Pollack & Roy,
-    Algorithms in Real Algebraic Geometry, ch. 10): V = 0 means no root and
-    V = 1 exactly one, a simple one.
-
-    Only when V >= 2 (two roots, a multiple root, or complex roots the rule
-    cannot exclude) does the Sturm sequence of the square-free part
-    p/gcd(p, p') (see _sturm_chain) run, evaluated once at each endpoint:
-    the zero-skip sign-variation difference V(a) - V(b) counts the distinct
-    roots in the half-open (a, b], and p(b) == 0 is subtracted to open the
-    right end.
-
-    Raises InfiniteRootsError for the zero polynomial (callers must branch on
-    identically-zero pieces first) and IntervalError when a >= b.
-    """
+    p(b) == 0): the public edge of _census_int, which coerces a and b and
+    refuses the zero polynomial (InfiniteRootsError: callers must branch on
+    identically-zero pieces first) and a >= b (IntervalError)."""
     if p.is_zero:
         raise InfiniteRootsError("root count of the zero polynomial")
     a = as_rational(a)
     b = as_rational(b)
     a1, a2 = a.numerator, a.denominator
     b1, b2 = b.numerator, b.denominator
-    w = b1 * a2 - a1 * b2
-    if w <= 0:
+    if b1 * a2 <= a1 * b2:
         raise IntervalError(f"need a < b, got {a} >= {b}")
-    num = p.num
+    return _census_int(p.num, a1, a2, b1, b2)
+
+
+def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
+                b2: int) -> tuple[int, bool, bool]:
+    """root_census of the nonzero integer numerators num on (a1/a2, b1/b2),
+    with a2, b2 > 0 and a1/a2 < b1/b2 (not checked here).
+
+    Descartes' rule of signs decides most pieces without a Sturm sequence.
+    With a = a1/a2, b = b1/b2, D = a2 b2 and W = b1 a2 - a1 b2 (> 0), num,
+    of degree d and read as a polynomial c, is mapped to
+    q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)), whose positive roots are the
+    roots of c in (a, b), entirely on ints: _homogeneous_shift by a1 b2
+    over D gives D^d c((y + a1 b2)/D), scaling coefficient i by W^i (a
+    running product) gives D^d c(a + (b - a) x), and reversing and shifting
+    by 1 gives q. So q[0] == 0 is c(b) == 0 and q[d] == 0 is c(a) == 0, and
+    the sign variations V of q bound the roots in (a, b), counted with
+    multiplicity, with an even excess (Collins & Akritas 1976; Basu, Pollack
+    & Roy, Algorithms in Real Algebraic Geometry, ch. 10): V = 0 means no
+    root and V = 1 exactly one, a simple one.
+
+    Only when V >= 2 (two roots, a multiple root, or complex roots the rule
+    cannot exclude) does the Sturm sequence of the square-free part
+    c/gcd(c, c') (see _sturm_chain) run, evaluated once at each endpoint:
+    the zero-skip sign-variation difference V(a) - V(b) counts the distinct
+    roots in the half-open (a, b], and c(b) == 0 is subtracted to open the
+    right end."""
     d = len(num) - 1
-    den = a2 * b2
-    q, power = [0] * (d + 1), 1
-    for i in range(d, -1, -1):  # num_i D^(d-i)
-        q[i] = num[i] * power
-        power *= den
-    _shift_int(q, a1 * b2)
+    q = _homogeneous_shift(num, a1 * b2, a2 * b2)
+    w = b1 * a2 - a1 * b2
     power = 1
-    for i in range(1, d + 1):  # then times W^i
+    for i in range(1, d + 1):
         power *= w
         q[i] *= power
     q.reverse()

@@ -12,8 +12,11 @@ the coefficients of N_m (x - k)^m. Every transformation here builds its
 result through that constructor, so every Spline in circulation is
 certified, and the constructor is the one check of the knot order.
 spline_from_truncated_powers(base, jumps, window, m) authors a spline as
-base(x) + sum c_i (x - k_i)_+^m, which is C^(m-1) by construction; it sums
-the pieces on integer numerators over one running denominator.
+base(x) + sum c_i (x - k_i)_+^m, which is C^(m-1) by construction. It is the
+coercing public edge of one assembly kernel, _spline_from_int_jumps, which
+takes each jump as (knot, c_num, c_den) and sums the pieces on integer
+numerators over one running denominator; the spline generator and
+extend_compact call the kernel with the ints they hold.
 
 Z(s) on a window counts the connected components of the zero set. Why that
 equals the maximum size of a pairwise "separated" zero family (two zeros
@@ -27,11 +30,13 @@ u < v are separated iff s is not identically zero on [u, v]):
 Hence the maximum separated family has exactly one member per component, and
 Z is computable from exact per-domain root counts and knot-value flags alone
 (no root locations needed). Both come from one exact census per domain
-(polynomial.root_census): Descartes' rule on an integer Moebius transform of
-the piece, or a Sturm sequence when the rule cannot decide, counts the roots
-in the open domain and says whether the piece vanishes at either end. Each
-knot takes its flag from an adjacent domain, which continuity allows for
-degree >= 1. The census evaluates no piece on its own.
+(polynomial._census_int, the integer kernel behind root_census, given each
+knot as its (numerator, denominator) pair): Descartes' rule on an integer
+Moebius transform of the piece, or a Sturm sequence when the rule cannot
+decide, counts the roots in the open domain and says whether the piece
+vanishes at either end. Each knot takes its flag from an adjacent domain,
+which continuity allows for degree >= 1. The census evaluates no piece on
+its own.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from operator import eq
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -51,7 +57,7 @@ from .errors import (
     SmoothnessError,
     Validated,
 )
-from .polynomial import Polynomial, root_census, root_order
+from .polynomial import Polynomial, _census_int, root_order
 from .rational import as_rational, format_ratio, format_rational, parse_rational
 
 
@@ -91,7 +97,7 @@ class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
         for p in self.pieces:
             if not isinstance(p, Polynomial):
                 raise FormatError("pieces must be Polynomial values")
-            if not p.is_zero and p.degree > self.degree:
+            if len(p.num) > self.degree + 1:
                 raise DegreeError(
                     f"piece degree {p.degree} exceeds spline degree {self.degree}"
                 )
@@ -170,9 +176,12 @@ def normalize(s: Spline) -> Spline:
     """Drop interior knots whose two adjacent pieces are identical (they are
     not genuine: the function is C^infinity there). The outermost knots are
     kept: they mark the census window. When no knot is dropped the input
-    itself is returned. Library-built splines leave
-    spline_from_truncated_powers normalized (extend_compact passes it only
-    its nonzero jumps); the bound checkers normalize what they are handed."""
+    itself is returned, before any list is built. Library-built splines
+    leave the truncated-power assembly normalized (extend_compact passes it
+    only its nonzero jumps); the bound checkers normalize what they are
+    handed."""
+    if not any(map(eq, s.pieces[1:-2], s.pieces[2:-1])):
+        return s  # no interior knot to drop, and s is certified already
     knots = list(s.knots)
     pieces = list(s.pieces)
     kept_knots = [knots[0]]
@@ -182,8 +191,6 @@ def normalize(s: Spline) -> Spline:
             continue
         kept_knots.append(knots[j])
         kept_pieces.append(pieces[j + 1])
-    if len(kept_knots) == len(knots):
-        return s  # nothing dropped, and s is certified already
     return Spline(s.degree, tuple(kept_knots), tuple(kept_pieces))
 
 
@@ -211,33 +218,53 @@ def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
     [lo, hi], for the (k_i, c_i) pairs in jumps. The truncated powers make
     C^(m-1) smoothness automatic, so this is the safe way to author splines.
 
-    Pieces are summed on ints: a jump c (x - p/q)^m adds c.num C(m, i)
-    (-p)^(m-i) q^i to x^i over the lcm of c.den q^m and the running piece's
-    denominator, and each piece is reduced once (from_integers, one gcd).
-
-    The jump knots must increase inside the window. The spline is built on
-    every jump knot and on both window ends, and normalize then drops the
-    knots whose jump is 0. The Spline constructor checks the knot order
-    (an empty window included) and the base degree, and re-verifies
-    smoothness; only a degree below 1 and a jump outside a nonempty window
-    are refused here."""
+    The public edge of _spline_from_int_jumps: it coerces every knot, jump
+    coefficient and window end, and refuses a degree below 1. The jump knots
+    must increase inside the window; see the kernel for the rest."""
     if m < 1:
         raise DegreeError(f"spline degree must be >= 1, got {m}")
     lo, hi = as_rational(window[0]), as_rational(window[1])
+    int_jumps = []
+    for knot, c in jumps:
+        c = as_rational(c)
+        int_jumps.append((as_rational(knot), c.numerator, c.denominator))
+    return _spline_from_int_jumps(base, int_jumps, lo, hi, m)
+
+
+def _spline_from_int_jumps(base: Polynomial, jumps: Sequence, lo, hi,
+                           m: int) -> Spline:
+    """spline_from_truncated_powers for m >= 1, with each jump given as
+    (knot, c_num, c_den): a Fraction knot and the coefficient c_num/c_den as
+    two ints, c_den > 0, not necessarily in lowest terms. lo and hi are
+    rationals (ints or Fractions).
+
+    Pieces are summed on ints: a jump c (x - p/q)^m adds c_num C(m, i)
+    (-p)^(m-i) q^i to x^i over the lcm of c_den q^m and the running piece's
+    denominator, with (-p)^(m-i) and q^i as running products, and each piece
+    is reduced once (from_integers, one gcd).
+
+    The spline is built on every jump knot and on both window ends, and
+    normalize then drops the knots whose jump is 0. The Spline constructor
+    checks the knot order (an empty window included) and the base degree,
+    and re-verifies smoothness; only a jump outside a nonempty window is
+    refused here."""
     row = [math.comb(m, i) for i in range(m + 1)]
     cumulative = base
     knots, pieces = [], [base]
-    for knot, c in jumps:
-        knot, c = as_rational(knot), as_rational(c)
-        if c:
+    for knot, c_num, c_den in jumps:
+        if c_num:
             p, q = knot.numerator, knot.denominator
-            jump_den = c.denominator * q ** m
+            q_powers = [1]
+            for _ in range(m):
+                q_powers.append(q_powers[-1] * q)
+            jump_den = c_den * q_powers[m]
             den = math.lcm(cumulative.den, jump_den)
             num = [v * (den // cumulative.den) for v in cumulative.num]
             num += [0] * (m + 1 - len(num))
-            scale = c.numerator * (den // jump_den)
-            for i, binom in enumerate(row):
-                num[i] += scale * binom * (-p) ** (m - i) * q ** i
+            term = c_num * (den // jump_den)  # times (-p)^(m-i) below
+            for i in range(m, -1, -1):
+                num[i] += term * row[i] * q_powers[i]
+                term *= -p
             cumulative = Polynomial.from_integers(num, den)
         knots.append(knot)
         pieces.append(cumulative)
@@ -292,12 +319,14 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
     """Z and its census on [a, b], where a and b must be knots of s (use
     insert_knot first for other windows).
 
-    One exact census per domain (polynomial.root_census: Descartes' rule of
-    signs, with a Sturm sequence only where the rule cannot decide) gives the
-    distinct roots in the open domain and whether the piece vanishes at each
-    end. Each
-    knot flag is the left-end flag of the domain to its right, and the last
-    knot's is the right-end flag of the last domain: the spline is continuous
+    The window ends are tested against the first and last knots before any
+    bisection. One exact census per domain (polynomial._census_int on the
+    piece's numerators and the (numerator, denominator) pairs of its knots,
+    each read once: Descartes' rule of signs, with a Sturm sequence only
+    where the rule cannot decide) gives the distinct roots in the open
+    domain and whether the piece vanishes at each end. Each knot flag is
+    the left-end flag of the domain to its right, and the last knot's is
+    the right-end flag of the last domain: the spline is continuous
     (degree >= 1), so either adjacent piece decides the knot value. An
     identically zero domain flags both of its knots. No piece is evaluated
     separately.
@@ -311,24 +340,28 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
         raise DegreeError("census requires a spline of degree >= 1")
     a = as_rational(a)
     b = as_rational(b)
-    if a >= b:
+    if a.numerator * b.denominator >= b.numerator * a.denominator:
         raise IntervalError(f"need a < b, got {a} >= {b}")
-    ia = bisect_left(s.knots, a)
-    ib = bisect_left(s.knots, b, ia)
-    if ib == len(s.knots) or s.knots[ia] != a or s.knots[ib] != b:
+    knots = s.knots
+    ia = 0 if a == knots[0] else bisect_left(knots, a)
+    ib = len(knots) - 1 if b == knots[-1] else bisect_left(knots, b, ia)
+    if ib == len(knots) or knots[ia] != a or knots[ib] != b:
         raise KnotRangeError("census endpoints must be knots of the spline")
 
     domains = []
     knot_zero = []
-    for left, right, piece in zip(s.knots[ia:ib], s.knots[ia + 1:ib + 1],
-                                  s.pieces[ia + 1:ib + 1]):
-        if piece.is_zero:
+    left = knots[ia]
+    a1, a2 = left.numerator, left.denominator
+    for right, piece in zip(knots[ia + 1:ib + 1], s.pieces[ia + 1:ib + 1]):
+        b1, b2 = right.numerator, right.denominator
+        if piece.num:
+            count, zero_left, zero_right = _census_int(piece.num, a1, a2, b1, b2)
+            domains.append(DomainCensus(left, right, False, count))
+        else:
             domains.append(DomainCensus(left, right, True, None))
             zero_left = zero_right = True
-        else:
-            count, zero_left, zero_right = root_census(piece, left, right)
-            domains.append(DomainCensus(left, right, False, count))
         knot_zero.append(zero_left)
+        left, a1, a2 = right, b1, b2
     knot_zero.append(zero_right)
 
     isolated = sum(d.open_interior_distinct_roots for d in domains

@@ -453,6 +453,34 @@ def test_zeros_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+UNREADABLE_SPLINE_FILES = {
+    "not-utf8": b'{"degree": 1, "knots": ["0", "\xff1"]}',
+    # past Python's default limit of 4,300 digits for int("...")
+    "long-integer": b'{"degree": ' + b"7" * 5000 + b"}",
+    "deep-nesting": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("command", ["zeros", "extend"])
+@pytest.mark.parametrize("name", UNREADABLE_SPLINE_FILES)
+def test_unreadable_spline_files_are_input_errors(capsys, tmp_path, command,
+                                                  name):
+    """A spline file that is not UTF-8, holds an integer literal too long to
+    convert, or nests arrays past the recursion limit exits 2 with one
+    error line, as any other bad document does, and writes nothing."""
+    src = tmp_path / f"{name}.json"
+    dst = tmp_path / "ext.json"
+    src.write_bytes(UNREADABLE_SPLINE_FILES[name])
+    argv = [command, "--in", str(src)]
+    if command == "extend":
+        argv += ["--out", str(dst)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {src}: ") and err.count("\n") == 1
+    assert not dst.exists()
+
+
 def test_zeros_window_outside_knots_is_input_error(capsys, tmp_path):
     path = tmp_path / "spline.json"
     path.write_text(json.dumps(spline_to_document(zigzag_spline(3))))

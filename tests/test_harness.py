@@ -17,10 +17,12 @@ from splinezeros import (
     Spline,
     check_zero_bound,
     extend_compact,
+    insert_knot,
     normalize,
     piecewise_linear,
     random_spline,
     run_verification_suite,
+    spline_from_truncated_powers,
     zigzag_spline,
 )
 from splinezeros.errors import CapabilityError, DegreeError, FormatError
@@ -273,18 +275,18 @@ def test_census_builds_few_sturm_chains_on_suite_splines(monkeypatch):
     built for under 2% of the non-zero domains censused. A census that
     always fell back to the Sturm sequence fails here."""
     domains, chains = [], []
-    real_census, real_chain = polynomial.root_census, polynomial._sturm_chain
+    real_census, real_chain = polynomial._census_int, polynomial._sturm_chain
 
-    def census(p, a, b):
-        domains.append(p)
-        return real_census(p, a, b)
+    def census(num, a1, a2, b1, b2):
+        domains.append(num)
+        return real_census(num, a1, a2, b1, b2)
 
     def chain(c):
         chains.append(c)
         return real_chain(c)
 
-    monkeypatch.setattr(spline, "root_census", census)
-    monkeypatch.setattr(polynomial, "root_census", census)
+    monkeypatch.setattr(spline, "_census_int", census)
+    monkeypatch.setattr(polynomial, "_census_int", census)
     monkeypatch.setattr(polynomial, "_sturm_chain", chain)
     for i in range(200):
         kind = harness.SUITE_KINDS[i % 5]
@@ -327,7 +329,7 @@ def test_extend_compact_normalizes_once_and_builds_one_spline():
         with traced_calls(spline.normalize, Spline.__post_init__) as calls:
             extend_compact(s)
         assert sorted(calls) == [("__post_init__", "__new__"),
-                                 ("normalize", "spline_from_truncated_powers")]
+                                 ("normalize", "_spline_from_int_jumps")]
 
 
 @pytest.mark.parametrize("kind", ["prop5", "extension", "corollary10"])
@@ -335,10 +337,10 @@ def test_suite_trials_normalize_only_in_the_recipe_and_checkers(kind):
     """Generated splines and their extensions are normalized by
     construction, so the suites leave normalize to the checkers."""
     trials = 4
-    per_trial = Counter({"spline_from_truncated_powers": 2,
+    per_trial = Counter({"_spline_from_int_jumps": 2,
                          "check_interior_bound": kind == "prop5"})
     if kind == "corollary10":
-        per_trial["spline_from_truncated_powers"] = 1
+        per_trial["_spline_from_int_jumps"] = 1
     for degree in (1, 5, 12):
         cfg = GeneratorConfig(seed=degree, degree=degree, interior_knots=4)
         with traced_calls(spline.normalize) as calls:
@@ -346,3 +348,50 @@ def test_suite_trials_normalize_only_in_the_recipe_and_checkers(kind):
         expected = Counter({caller: trials * count
                             for caller, count in per_trial.items() if count})
         assert Counter(caller for _, caller in calls) == expected
+
+
+# -- the extension checker refuses bad extensions --------------------------------
+
+
+def extension_cases():
+    """Generated splines on [0, n] at degrees 1..12, and two with fractional
+    window ends, each with its extension."""
+    splines = [random_spline(GeneratorConfig(seed=31000 + i, degree=1 + i % 12,
+                                             interior_knots=i % 5))
+               for i in range(24)]
+    splines.append(piecewise_linear((Fraction(-1, 3), Fraction(1, 2), Fraction(5, 3)),
+                                    (1, -2, 1)))
+    splines.append(spline_from_truncated_powers(
+        Polynomial([1, -2, 0, 1]),
+        ((Fraction(1, 5), 3), (Fraction(9, 4), Fraction(-1, 2))),
+        (Fraction(-2, 3), Fraction(7, 2)), 3))
+    return [(s, extend_compact(s)) for s in splines]
+
+
+def test_extension_checker_refuses_bad_extensions():
+    """Each bad extension is a certified spline that breaks one part of the
+    contract: a changed interior piece, a nonzero outer piece, a knot off
+    the allowed unit-spaced set (inside the window or in a tail), and a knot
+    past a_0 - m or a_n + m."""
+    check = harness._check_extension_trial
+    for s, e in extension_cases():
+        m = s.degree
+        (a0, an), (lo, hi) = s.window, e.window
+        assert check(s, e)
+
+        doubled = extend_compact(Spline(m, s.knots, tuple(p.scale(2) for p in s.pieces)))
+        assert doubled.knots == e.knots and not check(s, doubled)
+
+        right = Spline(m, e.knots, e.pieces[:-1] + (_power_by_products(1, hi, m),))
+        left = Spline(m, e.knots, (_power_by_products(-1, lo, m),) + e.pieces[1:])
+        assert not check(s, right) and not check(s, left)
+
+        assert not check(s, insert_knot(e, (s.knots[0] + s.knots[1]) / 2))
+        if lo < a0 - Fraction(1, 2):
+            assert not check(s, insert_knot(e, a0 - Fraction(1, 2)))
+        if hi > an + Fraction(1, 2):
+            assert not check(s, insert_knot(e, an + Fraction(1, 2)))
+
+        past_right = Spline(m, e.knots + (an + m + 1,), e.pieces + (Polynomial(),))
+        past_left = Spline(m, (a0 - m - 1,) + e.knots, (Polynomial(),) + e.pieces)
+        assert not check(s, past_right) and not check(s, past_left)

@@ -3,6 +3,7 @@ value types keep their contract, and the benchmark tracer's hooks resolve."""
 
 import ast
 import importlib.util
+import json
 import pickle
 import pkgutil
 import subprocess
@@ -143,3 +144,36 @@ def test_tracer_layers_resolve(module_name, attribute, span, monkeypatch):
                             lambda self: calls.append(check(self)))
         Spline(1, (0, 1), (Polynomial(),) * 3)._replace(knots=(0, 2))
         assert len(calls) == 2
+
+
+def test_tracer_installs_and_sees_suite_traffic():
+    """``run.py --trace 1`` installs the tracer into the imported package.
+    In a fresh process the install finds every hook, and one op of suite
+    traffic reaches the spline and extension layers through the names the
+    tracer wrapped."""
+    code = f"""
+import importlib.util, json, sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+spec = importlib.util.spec_from_file_location(
+    "perfbench_tracer", {str(ROOT / "perfbench" / "tracer.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from splinezeros import GeneratorConfig, run_verification_suite
+tracer = tracing.Tracer()
+tracer.install()
+tracer.begin_op(0)
+for kind in ("prop5", "extension", "rolle"):
+    cfg = GeneratorConfig(seed=1, degree=3, interior_knots=3)
+    assert run_verification_suite(kind, cfg, 2).violations == 0
+tracer.end_op()
+print(json.dumps(tracer.layer_metrics()))
+"""
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout)
+    assert metrics["bench.op.calls"] == 1
+    for span in ("harness.random_spline", "spline.Spline", "spline.normalize",
+                 "spline.separated_zero_count", "spline.spline_derivative",
+                 "bspline.extend_compact"):
+        assert metrics[f"{span}.calls"] > 0, span

@@ -694,11 +694,15 @@ def reference_census(s, ia, ib):
 
 @st.composite
 def census_cases(draw):
-    """A spline and a census window. Roots are planted, with repeats, at the
-    knots and between them; one case in two cancels the base at a knot, which
-    leaves an identically zero domain; an extension by extend_compact, padded
-    with one zero domain per side, puts its zero ends inside the window; an
-    inserted knot may sit on a planted root."""
+    """A spline, a census window (knot indices ia < ib) and its ends as
+    passed. Roots are planted, with repeats, at the knots and between them;
+    one case in two cancels the base at a knot, which leaves an identically
+    zero domain; an extension by extend_compact, padded with one zero domain
+    per side, puts its zero ends inside the window; the derivative of an
+    extension (degree m - 1 >= 1) is the rolle suite's census; an inserted
+    knot may sit on a planted root. One case in two censuses the whole
+    window, and each end is passed as a Fraction, as its canonical text, or
+    as an int when it is one."""
     m = draw(st.integers(1, 5))
     pool = draw(st.lists(small_rationals, min_size=2, max_size=6, unique=True))
     knots = sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5,
@@ -713,26 +717,41 @@ def census_cases(draw):
         jumps[knots[1]] = -c
     s = spline_from_truncated_powers(base, sorted(jumps.items()),
                                      (knots[0], knots[-1]), m)
-    shape = draw(st.sampled_from(("plain", "extended", "padded")))
+    shapes = ("plain", "extended", "padded") + (("derivative",) if m > 1 else ())
+    shape = draw(st.sampled_from(shapes))
     if shape != "plain":
         s = extend_compact(s)
     if shape == "padded":
         s = Spline(m, (s.knots[0] - 1,) + s.knots + (s.knots[-1] + 1,),
                    (ZERO,) + s.pieces + (ZERO,))
+    if shape == "derivative":
+        s = spline_derivative(s)
     lo, hi = s.window
     inside = [x for x in pool + [(lo + hi) / 2] if lo < x < hi and x not in s.knots]
     if inside and draw(st.booleans()):
         s = insert_knot(s, draw(st.sampled_from(inside)))
-    ia = draw(st.integers(0, len(s.knots) - 2))
-    ib = draw(st.integers(ia + 1, len(s.knots) - 1))
-    return s, ia, ib
+    if draw(st.booleans()):
+        ia, ib = 0, len(s.knots) - 1
+    else:
+        ia = draw(st.integers(0, len(s.knots) - 2))
+        ib = draw(st.integers(ia + 1, len(s.knots) - 1))
+    ends = []
+    for knot in (s.knots[ia], s.knots[ib]):
+        form = draw(st.sampled_from(("fraction", "text", "int")))
+        if form == "text":
+            knot = format_rational(knot)
+        elif form == "int" and knot.denominator == 1:
+            knot = int(knot)
+        ends.append(knot)
+    return s, ia, ib, ends
 
 
 @given(census_cases())
 @settings(max_examples=300, deadline=None)
 def test_census_matches_two_sequence_route(case):
-    s, ia, ib = case
-    _, report = separated_zero_count(s, s.knots[ia], s.knots[ib])
+    s, ia, ib, ends = case
+    _, report = separated_zero_count(s, *ends)
+    assert report.window == (s.knots[ia], s.knots[ib])
     assert (report.domains, report.knot_value_zero) == reference_census(s, ia, ib)
     for j in range(ia + 1, ib + 1):
         piece, left, right = s.pieces[j], s.knots[j - 1], s.knots[j]
