@@ -12,16 +12,13 @@ also built by the convolution recurrence B_m(x) = integral of B_{m-1} over
 [x-1, x], and cardinal_bspline checks piecewise-exact agreement once per
 degree (results are cached).
 
-extend_compact goes through the same truncated-power assembly: the extension
-is sum_k c_k (x - k)_+^m with m+1 jumps at a_0, a_0-1, ..., a_0-m, the jumps
-of s at its interior knots, and m+1 jumps at a_n, ..., a_n+m. Each tail's
-jumps solve one fixed (m+1)x(m+1) system; its exact inverse comes from
-linalg.mat_solve once per degree and is cached, so an extension runs no
-linear solve per call and never builds B_m. Its jumps are computed on ints
-and go to the truncated-power assembly kernel (spline._spline_from_int_jumps)
-as (knot, numerator, denominator), with no Fraction per coefficient; only
-the nonzero ones are passed, so it leaves the assembly with only genuine
-knots.
+extend_compact is the truncated-power sum sum_k c_k (x - k)_+^m with m+1
+jumps at a_0, a_0-1, ..., a_0-m, the jumps of s at its interior knots, and
+m+1 jumps at a_n, ..., a_n+m. The basis is local, so the interior pieces of
+s are reused and only the tails are assembled (spline._running_pieces).
+Each tail's jumps solve one fixed (m+1)x(m+1) system, whose exact inverse
+linalg.mat_solve builds once per degree (cached): an extension runs no
+linear solve per call and never builds B_m.
 """
 
 from __future__ import annotations
@@ -44,7 +41,8 @@ from .polynomial import Polynomial, count_distinct_roots
 from .rational import primitive_integers
 from .spline import (
     Spline,
-    _spline_from_int_jumps,
+    _running_pieces,
+    normalize,
     spline_eval,
     spline_from_truncated_powers,
 )
@@ -170,24 +168,24 @@ def extend_compact(s: Spline) -> Spline:
 
     The result coincides with s exactly on [a_0, a_n], vanishes outside
     [a_0 - m, a_n + m], stays C^(m-1) everywhere, and adds only unit-spaced
-    knots. It is sum_k c_k (x - k)_+^m with one jump per knot:
+    knots. It is sum_k c_k (x - k)_+^m, and only its two tails are new:
 
     * d_i at a_0 - i (i = 0..m) solve sum_i d_i (t + i)^m = p_1(t + a_0),
       so the left tail rises from zero into the first interior piece p_1;
-    * at an interior knot, the x^m coefficient of p_(j+1) - p_j (the
-      Spline constructor certifies that jump as c * (x - knot)^m);
     * e_i at a_n + i solve sum_i e_i (u - i)^m = -p_n(u + a_n), so the right
       tail cancels the last interior piece p_n. Reflecting u -> -u turns this
       into the left system times (-1)^m.
 
     Both tail systems have the matrix V_m[k][i] = C(m, k) i^(m-k), which
     depends on m alone; its exact inverse W / D is built once per degree, so
-    no linear solve runs per call. Jumps are found on ints: a tail jump is a
-    row of W dotted with the shifted piece's numerators, over D times that
-    piece's denominator; an interior jump is the difference of the x^m
-    numerators over the two pieces' denominators. Only nonzero jumps are
-    assembled, each as its knot and two ints, so every knot is genuine.
-    Degrees above MAX_CARDINAL_DEGREE are refused before any work."""
+    no linear solve runs per call. A tail jump is a row of W dotted with the
+    numerators of the piece shifted to the window end, over D times that
+    piece's denominator. The tails are running sums, of d_m .. d_1 from zero
+    and of e_0 .. e_(m-1) from p_n, and the interior of s is reused; the
+    Spline constructor certifies every join, so d_0, e_m and the interior
+    jumps are never formed. Knots with one piece on both sides are shed
+    (a zero s gives the zero spline on [a_0 - m, a_n + m]). Degrees above
+    MAX_CARDINAL_DEGREE are refused before any work."""
     m = s.degree
     if not 1 <= m <= MAX_CARDINAL_DEGREE:
         raise DegreeError(
@@ -199,17 +197,25 @@ def extend_compact(s: Spline) -> Spline:
     first = s.pieces[1].taylor_shift(a0)
     last = s.pieces[-2].taylor_shift(an).reflect()
     sign = (-1) ** (m + 1)
-    left = [sum(map(mul, row, first.num)) for row in rows]
-    right = [sign * sum(map(mul, row, last.num)) for row in rows]
     p0, q0, pn, qn = a0.numerator, a0.denominator, an.numerator, an.denominator
-    jumps = [(Fraction(p0 - i * q0, q0), left[i], den * first.den)
-             for i in range(m, -1, -1) if left[i]]
-    for knot, before, after in zip(s.knots[1:-1], s.pieces[1:], s.pieces[2:-1]):
-        b = before.num[m] if len(before.num) > m else 0
-        c = after.num[m] if len(after.num) > m else 0
-        if jump := c * before.den - b * after.den:
-            jumps.append((knot, jump, before.den * after.den))
-    jumps += [(Fraction(pn + i * qn, qn), right[i], den * last.den)
-              for i in range(m + 1) if right[i]]
-    lo, hi = (jumps[0][0], jumps[-1][0]) if jumps else (a0 - m, an + m)
-    return _spline_from_int_jumps(Polynomial(), jumps, lo, hi, m)
+    left = [(Fraction(p0 - i * q0, q0), d, den * first.den)
+            for i in range(m, 0, -1) if (d := sum(map(mul, rows[i], first.num)))]
+    # e_0 is kept even when 0: it yields the piece right of a_n
+    right = [(Fraction(pn + i * qn, qn), e, den * last.den) for i in range(m)
+             if (e := sign * sum(map(mul, rows[i], last.num))) or not i]
+    zero = Polynomial()
+    knots = [k for k, _, _ in left] + list(s.knots)
+    knots += [k for k, _, _ in right[1:]] + [Fraction(pn + m * qn, qn)]
+    pieces = [zero, *_running_pieces(zero, left, m), *s.pieces[1:-1],
+              *_running_pieces(s.pieces[-2], right, m), zero]
+    # a_n, then a_0, is no knot when e_0 or d_0 is 0
+    for i in (len(left) + s.n, len(left)):
+        if pieces[i] == pieces[i + 1]:
+            del knots[i], pieces[i]
+    while len(knots) > 2 and not pieces[1].num:
+        del knots[0], pieces[0]
+    while len(knots) > 2 and not pieces[-2].num:
+        del knots[-1], pieces[-1]
+    if not pieces[1].num:  # s is identically zero
+        knots, pieces = [a0 - m, an + m], [zero] * 3
+    return normalize(Spline(m, knots, pieces))

@@ -14,9 +14,9 @@ certified, and the constructor is the one check of the knot order.
 spline_from_truncated_powers(base, jumps, window, m) authors a spline as
 base(x) + sum c_i (x - k_i)_+^m, which is C^(m-1) by construction. It is the
 coercing public edge of one assembly kernel, _spline_from_int_jumps, which
-takes each jump as (knot, c_num, c_den) and sums the pieces on integer
-numerators over one running denominator; the spline generator and
-extend_compact call the kernel with the ints they hold.
+takes each jump as (knot, c_num, c_den); its running sum, _running_pieces,
+adds them on integer numerators over one running denominator. The spline
+generator calls the kernel, and extend_compact the running sum for its tails.
 
 Z(s) on a window counts the connected components of the zero set. Why that
 equals the maximum size of a pairwise "separated" zero family (two zeros
@@ -176,10 +176,10 @@ def normalize(s: Spline) -> Spline:
     """Drop interior knots whose two adjacent pieces are identical (they are
     not genuine: the function is C^infinity there). The outermost knots are
     kept: they mark the census window. When no knot is dropped the input
-    itself is returned, before any list is built. Library-built splines
-    leave the truncated-power assembly normalized (extend_compact passes it
-    only its nonzero jumps); the bound checkers normalize what they are
-    handed."""
+    itself is returned, before any list is built. Generated splines leave
+    the assembly normalized; extend_compact reuses its input's interior
+    knots and runs one normalize, which drops only those that are not
+    genuine; the bound checkers normalize what they are handed."""
     if not any(map(eq, s.pieces[1:-2], s.pieces[2:-1])):
         return s  # no interior knot to drop, and s is certified already
     knots = list(s.knots)
@@ -236,21 +236,35 @@ def _spline_from_int_jumps(base: Polynomial, jumps: Sequence, lo, hi,
     """spline_from_truncated_powers for m >= 1, with each jump given as
     (knot, c_num, c_den): a Fraction knot and the coefficient c_num/c_den as
     two ints, c_den > 0, not necessarily in lowest terms. lo and hi are
-    rationals (ints or Fractions).
-
-    Pieces are summed on ints: a jump c (x - p/q)^m adds c_num C(m, i)
-    (-p)^(m-i) q^i to x^i over the lcm of c_den q^m and the running piece's
-    denominator, with (-p)^(m-i) and q^i as running products, and each piece
-    is reduced once (from_integers, one gcd).
+    rationals (ints or Fractions). The pieces come from _running_pieces.
 
     The spline is built on every jump knot and on both window ends, and
     normalize then drops the knots whose jump is 0. The Spline constructor
     checks the knot order (an empty window included) and the base degree,
     and re-verifies smoothness; only a jump outside a nonempty window is
     refused here."""
+    knots = [knot for knot, _, _ in jumps]
+    pieces = [base, *_running_pieces(base, jumps, m)]
+    if lo < hi and knots and (knots[0] < lo or knots[-1] > hi):
+        raise KnotRangeError("jump knots must lie inside the window")
+    if not knots or knots[0] != lo:
+        knots.insert(0, lo)
+        pieces.insert(0, base)
+    if knots[-1] != hi:
+        knots.append(hi)
+        pieces.append(pieces[-1])
+    return normalize(Spline(m, tuple(knots), tuple(pieces)))
+
+
+def _running_pieces(base: Polynomial, jumps: Sequence, m: int):
+    """Yield the piece of base(x) + sum c (x - k)_+^m right of each jump
+    (knot, c_num, c_den); a zero jump repeats the piece before it.
+
+    A jump c (x - p/q)^m adds c_num C(m, i) (-p)^(m-i) q^i to x^i over the
+    lcm of c_den q^m and the running piece's denominator, with (-p)^(m-i)
+    and q^i as running products; each piece is reduced once (one gcd)."""
     row = [math.comb(m, i) for i in range(m + 1)]
     cumulative = base
-    knots, pieces = [], [base]
     for knot, c_num, c_den in jumps:
         if c_num:
             p, q = knot.numerator, knot.denominator
@@ -266,17 +280,7 @@ def _spline_from_int_jumps(base: Polynomial, jumps: Sequence, lo, hi,
                 num[i] += term * row[i] * q_powers[i]
                 term *= -p
             cumulative = Polynomial.from_integers(num, den)
-        knots.append(knot)
-        pieces.append(cumulative)
-    if lo < hi and knots and (knots[0] < lo or knots[-1] > hi):
-        raise KnotRangeError("jump knots must lie inside the window")
-    if not knots or knots[0] != lo:
-        knots.insert(0, lo)
-        pieces.insert(0, base)
-    if knots[-1] != hi:
-        knots.append(hi)
-        pieces.append(cumulative)
-    return normalize(Spline(m, tuple(knots), tuple(pieces)))
+        yield cumulative
 
 
 def piecewise_linear(knots: Sequence, values: Sequence) -> Spline:

@@ -26,7 +26,7 @@ from splinezeros import (
     zero_order_at,
 )
 from splinezeros import bspline, linalg
-from splinezeros.errors import DegreeError, KnotRangeError
+from splinezeros.errors import DegreeError, KnotRangeError, SmoothnessError
 from splinezeros.linalg import RationalMatrix, mat_solve
 from splinezeros.spline import (
     open_component_count,
@@ -299,6 +299,21 @@ def extension_inputs(draw, rationals=small_rationals):
 @given(extension_inputs())
 @example(Spline(3, (0, 1), (ZERO, ZERO, ZERO)))
 @example(Spline(12, (F(-1, 3), F(5, 2)), (ZERO, ZERO, ZERO)))
+# p_1 = 0 and a zero left tail: the first knot moves inward past a_0 and
+# past a non-genuine knot to 1
+@example(Spline(3, (0, F(1, 2), 1, 3),
+                (ZERO, ZERO, ZERO, Polynomial([-1, 3, -3, 1]),
+                 Polynomial([-1, 3, -3, 1]))))
+# p_n = (x - 2)^3 - (x - 4)^3 on [0, 1]: e_0 = e_2 = 0, so p_n continues past
+# a_n = 1 to the knot 2, and a_n + 2 is no knot
+@example(Spline(3, (0, 1), (Polynomial([56, -36, 6]),) * 3))
+# p_1 = (x + 1)^2 on [0, 1]: d_0 = 0, so a_0 is no knot of the extension
+@example(Spline(2, (0, 1), (Polynomial([1, 2, 1]),) * 3))
+# p_n = 0: the extension ends at 1, inside the window [0, 2]
+@example(Spline(2, (0, 1, 2), (Polynomial([1, -2, 1]),) * 2 + (ZERO, ZERO)))
+# a non-genuine knot next to each window end
+@example(insert_knot(insert_knot(spline_from_truncated_powers(
+    Polynomial([1, -1, 2]), [(1, 3), (2, -1)], (0, 3), 2), F(1, 2)), F(5, 2)))
 @settings(max_examples=120, deadline=None)
 def test_extension_matches_bspline_tail_construction(s):
     assert extend_compact(s) == reference_extend_compact(s)
@@ -380,6 +395,34 @@ def test_tail_inverse_inverts_the_tail_matrix():
         assert d > 0
         assert product == [[d * (k == c) for c in range(m + 1)]
                            for k in range(m + 1)]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_extension_tails_are_certified(monkeypatch, side):
+    """The interior pieces are reused and only the tails are assembled, so
+    the Spline constructor's check at every knot is what certifies a tail.
+    The left tail alone uses row m of the tail inverse (d_m at a_0 - m) and
+    the right tail alone row 0 (e_0 at a_n); with one entry of that row off
+    by one unit, every extension is refused. The entry multiplies the end
+    value of s, so splines that vanish at that end are skipped."""
+    checked = 0
+    for m in range(1, 13):
+        rows, den = bspline._tail_inverse(m)
+        bad = [list(row) for row in rows]
+        bad[m if side == "left" else 0][0] += 1
+        monkeypatch.setattr(bspline, "_tail_inverse",
+                            lambda degree, bad=bad, den=den: (bad, den))
+        for seed in range(6):
+            s = random_spline(GeneratorConfig(seed=seed, degree=m,
+                                              interior_knots=seed % 5))
+            end = s.knots[0] if side == "left" else s.knots[-1]
+            if spline_eval(s, end) == 0:
+                continue
+            with pytest.raises(SmoothnessError):
+                extend_compact(s)
+            checked += 1
+        monkeypatch.undo()
+    assert checked > 60
 
 
 def test_extension_needs_no_solve_and_no_bspline(monkeypatch):

@@ -321,15 +321,29 @@ def traced_calls(*functions):
 
 
 def test_extend_compact_normalizes_once_and_builds_one_spline():
-    """The recipe's normalize is the only one an extension runs, and it
-    drops nothing: extend_compact hands it the nonzero jumps alone."""
+    """extend_compact runs one normalize, and on a generated spline it
+    drops nothing: every knot of the assembled extension is genuine."""
     for i in range(200):
         cfg = GeneratorConfig(seed=i, degree=1 + i % 12, interior_knots=i % 9)
         s = random_spline(cfg)
         with traced_calls(spline.normalize, Spline.__post_init__) as calls:
             extend_compact(s)
         assert sorted(calls) == [("__post_init__", "__new__"),
-                                 ("normalize", "_spline_from_int_jumps")]
+                                 ("normalize", "extend_compact")]
+
+
+@pytest.mark.parametrize("seed", [708, 972, 3133, 3350])
+def test_extension_with_a_zero_end_jump_builds_one_spline(seed):
+    """Generated splines whose jump d_0 at a_0 or e_0 at a_n is 0: the
+    window end has one piece on both sides and is no knot of the extension,
+    yet the extension still takes one Spline and one normalize."""
+    s = random_spline(GeneratorConfig(seed=seed, degree=1 + seed % 12,
+                                      interior_knots=seed % 9))
+    with traced_calls(spline.normalize, Spline.__post_init__) as calls:
+        extension = extend_compact(s)
+    assert not {s.knots[0], s.knots[-1]} <= set(extension.knots)
+    assert sorted(calls) == [("__post_init__", "__new__"),
+                             ("normalize", "extend_compact")]
 
 
 @pytest.mark.parametrize("kind", ["prop5", "extension", "corollary10"])
@@ -337,10 +351,9 @@ def test_suite_trials_normalize_only_in_the_recipe_and_checkers(kind):
     """Generated splines and their extensions are normalized by
     construction, so the suites leave normalize to the checkers."""
     trials = 4
-    per_trial = Counter({"_spline_from_int_jumps": 2,
+    per_trial = Counter({"_spline_from_int_jumps": 1,
+                         "extend_compact": kind != "corollary10",
                          "check_interior_bound": kind == "prop5"})
-    if kind == "corollary10":
-        per_trial["_spline_from_int_jumps"] = 1
     for degree in (1, 5, 12):
         cfg = GeneratorConfig(seed=degree, degree=degree, interior_knots=4)
         with traced_calls(spline.normalize) as calls:
