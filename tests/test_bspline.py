@@ -403,9 +403,7 @@ def test_extension_tails_are_certified(monkeypatch, side):
     the Spline constructor's check at every knot is what certifies a tail.
     The left tail alone uses row m of the tail inverse (d_m at a_0 - m) and
     the right tail alone row 0 (e_0 at a_n); with one entry of that row off
-    by one unit, every extension is refused. The entry multiplies the end
-    value of s, so splines that vanish at that end are skipped."""
-    checked = 0
+    by one unit, every extension is refused."""
     for m in range(1, 13):
         rows, den = bspline._tail_inverse(m)
         bad = [list(row) for row in rows]
@@ -415,14 +413,11 @@ def test_extension_tails_are_certified(monkeypatch, side):
         for seed in range(6):
             s = random_spline(GeneratorConfig(seed=seed, degree=m,
                                               interior_knots=seed % 5))
-            end = s.knots[0] if side == "left" else s.knots[-1]
-            if spline_eval(s, end) == 0:
-                continue
+            # the perturbed entry multiplies the value of s at that end
+            assert spline_eval(s, s.knots[0 if side == "left" else -1]) != 0
             with pytest.raises(SmoothnessError):
                 extend_compact(s)
-            checked += 1
         monkeypatch.undo()
-    assert checked > 60
 
 
 def test_extension_needs_no_solve_and_no_bspline(monkeypatch):
