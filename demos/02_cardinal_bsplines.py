@@ -14,6 +14,7 @@ from splinezeros import (
     cardinal_bspline,
     convolution_bspline_pieces,
     separated_zero_count,
+    spline_eval,
     zero_order_at,
 )
 
@@ -23,7 +24,7 @@ print("=" * 72)
 for m in range(1, 6):
     b = cardinal_bspline(m)
     conv = convolution_bspline_pieces(m)
-    match = b.spline.pieces[1:-1] == conv
+    match = b.pieces[1:-1] == conv
     print(f"B_{m}: truncated-power pieces == convolution pieces: {match}")
     assert match
 
@@ -32,10 +33,10 @@ print("=" * 72)
 print("The shape of B_3")
 print("=" * 72)
 b3 = cardinal_bspline(3)
-for k, piece in enumerate(b3.spline.pieces[1:-1]):
+for k, piece in enumerate(b3.pieces[1:-1]):
     print(f"  on [{k}, {k + 1}]: coefficients {[str(c) for c in piece.coeffs]}")
-print(f"value at the center: B_3(2) = {b3.eval(2)}")
-print(f"zero order at the support ends: {zero_order_at(b3.spline, 0)} "
+print(f"value at the center: B_3(2) = {spline_eval(b3, 2)}")
+print(f"zero order at the support ends: {zero_order_at(b3, 0)} "
       f"(= degree, maximal)")
 
 print()
@@ -43,7 +44,7 @@ print("=" * 72)
 print("Positivity inside the support")
 print("=" * 72)
 for m in (2, 4, 6):
-    s = cardinal_bspline(m).spline
+    s = cardinal_bspline(m)
     z, _ = separated_zero_count(s, 0, m + 1)
     print(f"B_{m}: zero-set components on [0, {m + 1}]: {z} "
           f"(just the two support endpoints)")
@@ -54,9 +55,10 @@ print("Partition of unity, exactly")
 print("=" * 72)
 rng = random.Random(0)
 m = 4
+b = cardinal_bspline(m)
 for _ in range(5):
     x = F(rng.randint(0, 60), 6)
-    terms = [cardinal_bspline(m).eval(x - j) for j in range(-m - 1, int(x) + 2)]
+    terms = [spline_eval(b, x - j) for j in range(-m - 1, int(x) + 2)]
     total = sum(terms)
     nonzero = sum(1 for t in terms if t)
     print(f"  sum_j B_{m}(x - j) at x = {x}: {total} ({nonzero} nonzero terms)")

@@ -42,7 +42,7 @@ for name, cfg in (("A2", A2), ("B2", B2)):
     print(f"{name}: |Omega| = {len(omega)}")
 print("A2's seven points:",
       ", ".join(f"({p[0]},{p[1]})"
-                for p in semi_integral_interior_points(A2).points))
+                for p in semi_integral_interior_points(A2)))
 
 print()
 print("=" * 72)
@@ -72,7 +72,7 @@ print("The univariate family collapses to cardinal B-splines")
 print("=" * 72)
 for m in (1, 2):
     cfg = parse_vector_config(";".join(["1"] * (m + 1)))
-    b = cardinal_bspline(m).spline
+    b = cardinal_bspline(m)
     x = F(2 * m + 1, 3)
     box = box_spline_eval(cfg, (x,))  # 1-D: the truncated-power route
     classic = spline_eval(b, x)
@@ -83,4 +83,4 @@ print()
 print("every Omega point sits strictly inside its zonotope:",
       all(point_strictly_inside(zonotope_support(cfg), p)
           for cfg in (A2, B2)
-          for p in semi_integral_interior_points(cfg).points))
+          for p in semi_integral_interior_points(cfg)))

@@ -11,7 +11,11 @@ half-open indicator). In 2-D, writing t = W x + V u with X W = I, X V = 0,
     B_X(x) = |det [W V]| * vol_(m-2){ u : W x + V u in [0,1]^m },
 
 a point (m = 2), an interval (m = 3) or a convex polygon (m = 4), measured
-exactly with rational arithmetic; planar m - s > 2 is refused.
+exactly with rational arithmetic; planar m - s > 2 is refused. The Jacobian
+needs no determinant: W is the inverse of a pivot pair P on the pivot rows,
+and each kernel column is nonzero at one free index only, so with the pivot
+rows first [W V] is block upper-triangular, and |det [W V]| is the product
+of those free entries over |det P|.
 
 Omega and A_X work in doubled integer coordinates c = 2x (Omega lies in the
 half lattice), where the zonotope is {c : |n.(c - sum X)| <= sum_xi |n.xi|}
@@ -190,16 +194,6 @@ def _support_slack(config: VectorConfig):
 # -- semi-integral interior points --------------------------------------------------
 
 
-class Omega(NamedTuple):
-    """Points of half the lattice generated by X lying strictly inside the
-    zonotope, sorted lexicographically; len() counts the points."""
-
-    points: tuple[tuple[Fraction, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 # Half-lattice candidates per dimension semi_integral_interior_points may
 # test before refusing: A_X has |Omega|^2 entries and an exact determinant.
 # In 1-D every candidate lands in Omega at degrees up to 12; a planar B_X
@@ -207,9 +201,12 @@ class Omega(NamedTuple):
 MAX_OMEGA_CANDIDATES = 256
 
 
-def semi_integral_interior_points(config: VectorConfig) -> Omega:
-    """Omega of the configuration; CapabilityError when the bounding box
-    holds more than MAX_OMEGA_CANDIDATES * dim half-lattice candidates."""
+def semi_integral_interior_points(
+        config: VectorConfig) -> tuple[tuple[Fraction, ...], ...]:
+    """Omega of the configuration: the points of half the lattice generated
+    by X strictly inside the zonotope, sorted lexicographically.
+    CapabilityError when the bounding box holds more than
+    MAX_OMEGA_CANDIDATES * dim half-lattice candidates."""
     cols = lattice_basis(config.vectors)
     # doubled coordinates: the half-lattice basis is the lattice basis, and
     # the zonotope's bounding box is [2 sum min(0, x_k), 2 sum max(0, x_k)]
@@ -240,7 +237,7 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
         if slack(c) > 0:
             doubled.append(c)
     doubled.sort()
-    return Omega(tuple(tuple(Fraction(x, 2) for x in c) for c in doubled))
+    return tuple(tuple(Fraction(x, 2) for x in c) for c in doubled)
 
 
 # -- fiber-volume evaluation ---------------------------------------------------------
@@ -250,7 +247,13 @@ def semi_integral_interior_points(config: VectorConfig) -> Omega:
 def _fiber_data(config: VectorConfig):
     """Right inverse W (m x 2), integer kernel basis V (m x (m-2)), and the
     Jacobian factor |det [W V]| of a planar configuration. The pivots are
-    column 0 and the first column not parallel to it."""
+    column 0 and the first column not parallel to it; P is their 2 x 2
+    matrix.
+
+    W is P^-1 on the pivot rows and 0 elsewhere, and the kernel column of a
+    free index f is 0 at the other free indices and lambda_f > 0 at f. With
+    the pivot rows first, [W V] is block upper-triangular with diagonal
+    blocks P^-1 and diag(lambda), so |det [W V]| = prod lambda_f / |det P|."""
     m = config.count
     a = config.vectors[0]
     pivots = (0, next(j for j, b in enumerate(config.vectors)
@@ -262,6 +265,7 @@ def _fiber_data(config: VectorConfig):
     for k, j in enumerate(pivots):
         w_rows[j] = list(inv[k])
     kernel: list[list[int]] = []
+    diag_prod = 1
     for free in range(m):
         if free in pivots:
             continue
@@ -271,9 +275,8 @@ def _fiber_data(config: VectorConfig):
         for k, j in enumerate(pivots):
             col[j] = -(inv[k][0] * rhs[0] + inv[k][1] * rhs[1])
         kernel.append(primitive_integers(col)[1])
-    square = [w_rows[i] + [Fraction(kernel_col[i]) for kernel_col in kernel]
-              for i in range(m)]
-    factor = abs(mat_determinant(RationalMatrix.from_rows(square)))
+        diag_prod *= kernel[-1][free]
+    factor = abs(diag_prod / det)
     return tuple(tuple(r) for r in w_rows), tuple(tuple(c) for c in kernel), factor
 
 
@@ -427,7 +430,7 @@ def unimodular_check(config: VectorConfig) -> UnimodularityReport:
     return UnimodularityReport(True, None, None)
 
 
-def conjecture_matrix(config: VectorConfig, omega: Omega) -> RationalMatrix:
+def conjecture_matrix(config: VectorConfig, omega) -> RationalMatrix:
     """A_X with entries B_X(sum(X) + w_i - 2 w_j) over the semi-integral
     interior points ``omega = semi_integral_interior_points(config)``, in
     their lexicographic order.
@@ -437,7 +440,7 @@ def conjecture_matrix(config: VectorConfig, omega: Omega) -> RationalMatrix:
     an exact 0 without evaluation; boundary points are evaluated."""
     slack = _support_slack(config)
     total = config.vector_sum()
-    twice = [tuple(int(2 * c) for c in w) for w in omega.points]
+    twice = [tuple(int(2 * c) for c in w) for w in omega]
     values: dict[tuple[int, ...], Fraction] = {}
     entries: list[Fraction] = []
     for wi in twice:
@@ -455,7 +458,7 @@ def conjecture_matrix(config: VectorConfig, omega: Omega) -> RationalMatrix:
 class ConjectureVerdict(NamedTuple):
     config: VectorConfig
     unimodular: bool
-    omega: Omega
+    omega: tuple[tuple[Fraction, ...], ...]
     matrix: RationalMatrix
     determinant: Fraction
     invertible: bool

@@ -9,8 +9,10 @@ degree k - 1 (de Boor, Hollig & Riemenschneider, *Box Splines*, 1993, ch. I):
 over the subsets S of X, with o = sum min(0, xi), so the jump at o + j is the
 z^j coefficient of prod (1 - z^|xi|). B_m is the case of m + 1 ones; it is
 also built by the convolution recurrence B_m(x) = integral of B_{m-1} over
-[x-1, x], and cardinal_bspline checks piecewise-exact agreement once per
-degree (results are cached).
+[x-1, x]. cardinal_bspline returns the Spline itself; once per degree (the
+result is cached) it checks piecewise-exact agreement of the two
+constructions, then the knots 0..m+1, the zero end pieces, no root inside a
+domain and a positive value at each domain's midpoint.
 
 extend_compact is the truncated-power sum sum_k c_k (x - k)_+^m with m+1
 jumps at a_0, a_0-1, ..., a_0-m, the jumps of s at its interior knots, and
@@ -24,7 +26,6 @@ linear solve per call and never builds B_m.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -34,7 +35,6 @@ from .errors import (
     ConsistencyError,
     DegreeError,
     KnotRangeError,
-    Validated,
 )
 from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
@@ -43,38 +43,10 @@ from .spline import (
     Spline,
     _running_pieces,
     normalize,
-    spline_eval,
     spline_from_truncated_powers,
 )
 
 MAX_CARDINAL_DEGREE = 12
-
-
-class CardinalBSpline(Validated, namedtuple("CardinalBSpline", "m spline")):
-    """B_m as a Spline with knots {0, 1, ..., m+1}: supported exactly on
-    [0, m+1] and strictly positive inside (verified on construction)."""
-
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        s = self.spline
-        expected = tuple(Fraction(k) for k in range(self.m + 2))
-        if s.knots != expected:
-            raise ConsistencyError(f"B_{self.m} must have knots 0..{self.m + 1}")
-        if not (s.pieces[0].is_zero and s.pieces[-1].is_zero):
-            raise ConsistencyError(f"B_{self.m} must vanish outside [0, {self.m + 1}]")
-        for j, piece in enumerate(s.pieces[1:-1]):
-            if piece.is_zero:
-                raise ConsistencyError(f"B_{self.m} vanishes on domain {j}")
-            if count_distinct_roots(piece, j, j + 1,
-                                    open_left=True, open_right=True):
-                raise ConsistencyError(f"B_{self.m} has an interior zero in "
-                                       f"({j}, {j + 1})")
-            if piece.eval(Fraction(2 * j + 1, 2)) <= 0:
-                raise ConsistencyError(f"B_{self.m} not positive on ({j}, {j + 1})")
-
-    def eval(self, x) -> Fraction:
-        return spline_eval(self.spline, x)
 
 
 @lru_cache(maxsize=64)
@@ -126,18 +98,32 @@ def convolution_bspline_pieces(m: int) -> tuple[Polynomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cardinal_cached(m: int) -> CardinalBSpline:
-    spline = univariate_box_spline((1,) * (m + 1))
-    conv = convolution_bspline_pieces(m)
-    if spline.pieces[1:-1] != conv:
+def _cardinal_cached(m: int) -> Spline:
+    s = univariate_box_spline((1,) * (m + 1))
+    if s.pieces[1:-1] != convolution_bspline_pieces(m):
         raise ConsistencyError(
             f"truncated-power and convolution constructions of B_{m} disagree"
         )
-    return CardinalBSpline(m, spline)
+    if s.knots != tuple(Fraction(k) for k in range(m + 2)):
+        raise ConsistencyError(f"B_{m} must have knots 0..{m + 1}")
+    if not (s.pieces[0].is_zero and s.pieces[-1].is_zero):
+        raise ConsistencyError(f"B_{m} must vanish outside [0, {m + 1}]")
+    for j, piece in enumerate(s.pieces[1:-1]):
+        if piece.is_zero:
+            raise ConsistencyError(f"B_{m} vanishes on domain {j}")
+        if count_distinct_roots(piece, j, j + 1,
+                                open_left=True, open_right=True):
+            raise ConsistencyError(f"B_{m} has an interior zero in "
+                                   f"({j}, {j + 1})")
+        if piece.eval(Fraction(2 * j + 1, 2)) <= 0:
+            raise ConsistencyError(f"B_{m} not positive on ({j}, {j + 1})")
+    return s
 
 
-def cardinal_bspline(m: int) -> CardinalBSpline:
-    """B_m for 1 <= m <= 12 (two-construction cross-check included)."""
+def cardinal_bspline(m: int) -> Spline:
+    """B_m for 1 <= m <= 12: the Spline with knots 0..m+1, zero outside
+    [0, m+1] and positive inside, certified once per degree (see the module
+    docstring)."""
     if type(m) is not int or not 1 <= m <= MAX_CARDINAL_DEGREE:
         raise KnotRangeError(
             f"degree must be an int in [1, {MAX_CARDINAL_DEGREE}], got {m!r}"
@@ -201,7 +187,8 @@ def extend_compact(s: Spline) -> Spline:
     left = [(Fraction(p0 - i * q0, q0), d, den * first.den)
             for i in range(m, 0, -1) if (d := sum(map(mul, rows[i], first.num)))]
     # e_0 is kept even when 0: it yields the piece right of a_n
-    right = [(Fraction(pn + i * qn, qn), e, den * last.den) for i in range(m)
+    right = [(Fraction(pn + i * qn, qn) if i else an, e, den * last.den)
+             for i in range(m)
              if (e := sign * sum(map(mul, rows[i], last.num))) or not i]
     zero = Polynomial()
     knots = [k for k, _, _ in left] + list(s.knots)

@@ -26,6 +26,7 @@ from .spline import (
     Spline,
     insert_knot,
     separated_zero_count,
+    spline_eval,
     spline_from_document,
     spline_to_document,
 )
@@ -91,11 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bspline(args) -> int:
     b = cardinal_bspline(args.m)
-    doc = spline_to_document(b.spline)
+    doc = spline_to_document(b)
     value = None
     if args.eval_at is not None:
-        point = parse_rational(args.eval_at)
-        value = b.eval(point)
+        value = spline_eval(b, parse_rational(args.eval_at))
     if args.json:
         out = {"command": "bspline", "m": args.m, **doc}
         if value is not None:
@@ -200,8 +200,7 @@ def _cmd_conjecture(args) -> int:
         out = {
             "command": "conjecture",
             "vectors": str(config),
-            "omega": [[format_rational(c) for c in w]
-                      for w in verdict.omega.points],
+            "omega": [[format_rational(c) for c in w] for w in verdict.omega],
             "omega_size": len(verdict.omega),
             "unimodular": verdict.unimodular,
             "matrix": [

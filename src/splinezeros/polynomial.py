@@ -130,9 +130,9 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial.from_integers([-v for v in self.num], self.den)
 
-    def __mul__(self, other) -> "Polynomial":
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return NotImplemented
         a, b = self.num, other.num
         if not a or not b:
             return Polynomial()
@@ -142,13 +142,6 @@ class Polynomial:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return Polynomial.from_integers(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        c = as_rational(c)
-        return Polynomial.from_integers([c.numerator * v for v in self.num],
-                                        c.denominator * self.den)
 
     def eval(self, x) -> Fraction:
         """Exact value at x = a/b: the census kernel's homogeneous integer

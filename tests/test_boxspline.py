@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -304,9 +305,9 @@ def brute_force_omega_a2():
 
 def test_omega_a2():
     om = semi_integral_interior_points(A2)
-    assert list(om.points) == brute_force_omega_a2()
+    assert list(om) == brute_force_omega_a2()
     assert len(om) == 7
-    assert om.points == (
+    assert om == (
         (F(1, 2), F(1, 2)), (F(1, 2), F(1)), (F(1), F(1, 2)), (F(1), F(1)),
         (F(1), F(3, 2)), (F(3, 2), F(1)), (F(3, 2), F(3, 2)),
     )
@@ -315,7 +316,7 @@ def test_omega_a2():
 
 def test_omega_univariate():
     om = semi_integral_interior_points(ones(2))
-    assert om.points == ((F(1, 2),), (F(1),), (F(3, 2),))
+    assert om == ((F(1, 2),), (F(1),), (F(3, 2),))
     for m in range(1, 7):
         assert len(semi_integral_interior_points(ones(m + 1))) == 2 * m + 1
 
@@ -323,7 +324,7 @@ def test_omega_univariate():
 def test_omega_strictly_interior():
     for cfg in (A2, B2, ones(4)):
         zono = zonotope_support(cfg)
-        for p in semi_integral_interior_points(cfg).points:
+        for p in semi_integral_interior_points(cfg):
             assert point_strictly_inside(zono, p)
 
 
@@ -358,7 +359,7 @@ def test_univariate_matches_cardinal_bspline():
     rng = random.Random(77)
     for m in (1, 2):
         cfg = ones(m + 1)
-        b = cardinal_bspline(m).spline
+        b = cardinal_bspline(m)
         for _ in range(50):
             x = F(rng.randint(0, (m + 1) * 12), 12)
             # 1-D: the truncated-power route, which B_m shares
@@ -369,7 +370,7 @@ def test_cardinal_delegation_beyond_fiber_cap():
     """Every 1-D degree up to MAX_CARDINAL_DEGREE evaluates, mixed signs
     included; 14 vectors in 1-D and degree 3 in 2-D are refused."""
     cfg = ones(5)  # degree 4: equals B_4
-    b = cardinal_bspline(4).spline
+    b = cardinal_bspline(4)
     assert box_spline_eval(cfg, (F(5, 2),)) == spline_eval(b, F(5, 2))
     wide = VectorConfig(2, A2.vectors + ((-1, 1), (1, -1)))  # 2-D, degree 3
     with pytest.raises(CapabilityError):
@@ -388,7 +389,7 @@ def test_cardinal_route_matches_recurrence_oracle():
     the same values on its own, at every third of the support and around
     it."""
     for m in range(3, 13):
-        b = cardinal_bspline(m).spline
+        b = cardinal_bspline(m)
         oracle = recurrence_oracle(ones(m + 1))
         for k in range(-3, 3 * (m + 2) + 1):
             x = F(k, 3)
@@ -482,6 +483,28 @@ def test_fiber_route_matches_recurrence_oracle_on_wider_planar_entries():
             assert box_spline_eval(cfg, pt) == oracle(pt), (str(cfg), pt)
 
 
+def test_fiber_jacobian_matches_the_determinant_of_w_and_v():
+    """_fiber_data's closed-form factor prod lambda_f / |det P| equals
+    |det [W V]| computed by sympy from the W and V it returns, on 400 planar
+    configurations with 2-4 vectors and entries in [-3, 3]. W is a right
+    inverse of X and V an integer kernel basis, so the factor is the
+    Jacobian of t = W x + V u."""
+    rng = random.Random(20241019)
+    configs = distinct_configs(rng, 2, 3, 400)
+    assert {cfg.count for cfg in configs} == {2, 3, 4}
+    for cfg in configs:
+        w_rows, kernel, factor = boxspline._fiber_data(cfg)
+        m = cfg.count
+        x = sympy.Matrix(cfg.vectors).T
+        w = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                          for row in w_rows])
+        v = sympy.Matrix(m, m - 2, lambda i, j: kernel[j][i])
+        assert x * w == sympy.eye(2)
+        assert x * v == sympy.zeros(2, m - 2)
+        det = abs(w.row_join(v).det())
+        assert type(factor) is F and factor == F(int(det.p), int(det.q)), str(cfg)
+
+
 def test_knot_values_of_a_mixed_sign_pair():
     """B_(2;-1) is continuous, so its knot values pin the convention: a
     recurrence that took the half-open rule at every level, not the limit
@@ -551,7 +574,7 @@ def test_recurrence_oracle_ignores_the_order_of_x():
 
 def test_univariate_mass_is_one():
     for m in range(1, 7):
-        s = cardinal_bspline(m).spline
+        s = cardinal_bspline(m)
         mass = F(0)
         for k, piece in enumerate(s.pieces[1:-1]):
             anti = piece.antiderivative(0)
@@ -684,13 +707,13 @@ def test_collocation_consistency():
     entry (i, j) is B_m(w_i - (2 w_j - sum X))."""
     for m in (1, 2, 3):
         cfg = ones(m + 1)
-        omega = semi_integral_interior_points(cfg).points
+        omega = semi_integral_interior_points(cfg)
         total = cfg.vector_sum()[0]
         matrix = conjecture_matrix(cfg, semi_integral_interior_points(cfg))
         b = cardinal_bspline(m)
         for i, (wi,) in enumerate(omega):
             for j, (wj,) in enumerate(omega):
-                assert matrix.get(i, j) == b.eval(wi - (2 * wj - total))
+                assert matrix.get(i, j) == spline_eval(b, wi - (2 * wj - total))
 
 
 def test_degree2_path_matches_convolution_oracle():
@@ -729,7 +752,7 @@ def test_omega_scatters_enough_for_forced_vanishing():
     and has exactly n + m members for the window's knot count."""
     for m in range(1, 7):
         cfg = ones(m + 1)
-        omega = [p[0] for p in semi_integral_interior_points(cfg).points]
+        omega = [p[0] for p in semi_integral_interior_points(cfg)]
         n = m + 1  # knots 0..m+1 on the support window
         assert len(omega) == n + m
         for k in range(m + 1):
@@ -756,8 +779,8 @@ def naive_matrix_entries(cfg, omega):
     arguments."""
     total = cfg.vector_sum()
     entries = []
-    for wi in omega.points:
-        for wj in omega.points:
+    for wi in omega:
+        for wj in omega:
             arg = tuple(total[k] + wi[k] - 2 * wj[k] for k in range(cfg.dim))
             entries.append(box_spline_eval(cfg, arg))
     return tuple(entries)
@@ -885,7 +908,7 @@ def test_omega_matches_fraction_enumeration():
             omega = semi_integral_interior_points(cfg)
         except CapabilityError:  # over MAX_OMEGA_CANDIDATES
             continue
-        assert omega.points == reference_omega(cfg)
+        assert omega == reference_omega(cfg)
         compared += 1
     assert compared >= 50
 
@@ -896,7 +919,7 @@ def test_rejected_arguments_evaluate_to_zero():
             ones(4), parse_vector_config("1;-2;1")]:
         slack = boxspline._support_slack(cfg)
         twice = [tuple(2 * c for c in w)
-                 for w in semi_integral_interior_points(cfg).points]
+                 for w in semi_integral_interior_points(cfg)]
         total = cfg.vector_sum()
         for wi in twice:
             for wj in twice:
@@ -913,7 +936,7 @@ def test_matrix_evaluates_once_per_distinct_supported_argument(monkeypatch):
     zono = zonotope_support(cfg)
     total = cfg.vector_sum()
     arguments = {tuple(total[k] + wi[k] - 2 * wj[k] for k in range(2))
-                 for wi in omega.points for wj in omega.points}
+                 for wi in omega for wj in omega}
     supported = [a for a in arguments if closed_inside(zono, a)]
     calls = []
     original = boxspline.box_spline_eval

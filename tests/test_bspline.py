@@ -26,7 +26,12 @@ from splinezeros import (
     zero_order_at,
 )
 from splinezeros import bspline, linalg
-from splinezeros.errors import DegreeError, KnotRangeError, SmoothnessError
+from splinezeros.errors import (
+    ConsistencyError,
+    DegreeError,
+    KnotRangeError,
+    SmoothnessError,
+)
 from splinezeros.linalg import RationalMatrix, mat_solve
 from splinezeros.spline import (
     open_component_count,
@@ -50,17 +55,17 @@ def bspline_value_oracle(m, x):
 
 def test_b1_is_the_hat():
     b1 = cardinal_bspline(1)
-    assert b1.spline.pieces == (ZERO, Polynomial([0, 1]), Polynomial([2, -1]), ZERO)
+    assert b1.pieces == (ZERO, Polynomial([0, 1]), Polynomial([2, -1]), ZERO)
 
 
 def test_b2_value():
     assert bspline_value_oracle(2, F(3, 2)) == F(3, 4)
-    assert cardinal_bspline(2).eval(F(3, 2)) == F(3, 4)
+    assert spline_eval(cardinal_bspline(2), F(3, 2)) == F(3, 4)
 
 
 def test_b3_value():
     assert bspline_value_oracle(3, 2) == F(2, 3)
-    assert cardinal_bspline(3).eval(2) == F(2, 3)
+    assert spline_eval(cardinal_bspline(3), 2) == F(2, 3)
 
 
 def test_degree_range_enforced():
@@ -72,10 +77,54 @@ def test_degree_range_enforced():
         cardinal_bspline(True)
 
 
+def shifted_by_one(s):
+    return Spline(s.degree, tuple(k + 1 for k in s.knots),
+                  tuple(p.taylor_shift(-1) for p in s.pieces))
+
+
+def negated(s):
+    return Spline(s.degree, s.knots, tuple(-p for p in s.pieces))
+
+
+def plus_one(s):
+    return Spline(s.degree, s.knots, tuple(p + Polynomial([1]) for p in s.pieces))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+@pytest.mark.parametrize("corrupt, convolution_follows, message", [
+    (shifted_by_one, False,
+     "truncated-power and convolution constructions of B_{m} disagree"),
+    (shifted_by_one, True, "B_{m} must have knots 0..{m1}"),
+    (plus_one, True, "B_{m} must vanish outside [0, {m1}]"),
+    (negated, True, "B_{m} not positive on (0, 1)"),
+], ids=["disagree", "knots", "ends", "sign"])
+def test_cardinal_bspline_certifies_what_it_returns(monkeypatch, m, corrupt,
+                                                    convolution_follows, message):
+    """A wrong B_m from the truncated-power route is refused with its
+    ConsistencyError message: by the cross-check when the convolution route
+    stays right, and by the certificate when both routes are patched to agree
+    on the same wrong spline. Nothing wrong is cached."""
+    good = cardinal_bspline(m)
+    bad = corrupt(good)
+    monkeypatch.setattr(bspline, "univariate_box_spline", lambda lengths: bad)
+    if convolution_follows:
+        monkeypatch.setattr(bspline, "convolution_bspline_pieces",
+                            lambda degree: bad.pieces[1:-1])
+    bspline._cardinal_cached.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError) as info:
+            cardinal_bspline(m)
+        assert str(info.value) == message.format(m=m, m1=m + 1)
+    finally:
+        monkeypatch.undo()
+        bspline._cardinal_cached.cache_clear()
+    assert cardinal_bspline(m) == good
+
+
 def test_two_constructions_agree_up_to_degree_8():
     for m in range(1, 9):
         b = cardinal_bspline(m)
-        assert b.spline.pieces[1:-1] == convolution_bspline_pieces(m)
+        assert b.pieces[1:-1] == convolution_bspline_pieces(m)
 
 
 def test_pointwise_recurrence_oracle():
@@ -83,12 +132,12 @@ def test_pointwise_recurrence_oracle():
     for m in range(1, 6):
         for _ in range(10):
             x = F(rng.randint(-2, 4 * (m + 1)), 4)
-            assert cardinal_bspline(m).eval(x) == bspline_value_oracle(m, x)
+            assert spline_eval(cardinal_bspline(m), x) == bspline_value_oracle(m, x)
 
 
 def test_support_and_boundary_orders():
     for m in range(1, 7):
-        s = cardinal_bspline(m).spline
+        s = cardinal_bspline(m)
         assert s.knots == tuple(F(k) for k in range(m + 2))
         assert s.pieces[0].is_zero and s.pieces[-1].is_zero
         assert zero_order_at(s, 0) == m
@@ -97,7 +146,7 @@ def test_support_and_boundary_orders():
 
 def test_interior_positivity_census():
     for m in range(1, 7):
-        s = cardinal_bspline(m).spline
+        s = cardinal_bspline(m)
         z, report = separated_zero_count(s, 0, m + 1)
         assert z == 2  # exactly the two support endpoints
         assert all(d.open_interior_distinct_roots == 0 for d in report.domains)
@@ -106,12 +155,12 @@ def test_interior_positivity_census():
 
 def test_support_has_m_plus_1_domains():
     for m in range(1, 7):
-        assert len(cardinal_bspline(m).spline.pieces) - 2 == m + 1
+        assert len(cardinal_bspline(m).pieces) - 2 == m + 1
 
 
 def test_interior_bound_on_bsplines():
     for m in (1, 2, 3):
-        verdict = check_interior_bound(cardinal_bspline(m).spline)
+        verdict = check_interior_bound(cardinal_bspline(m))
         assert verdict.applicable
         assert verdict.n_ge_m_plus_1
         assert verdict.interior_Z == 0
@@ -124,7 +173,7 @@ def test_partition_of_unity_exact():
     for m in range(1, 7):
         for _ in range(20):
             x = F(rng.randint(0, 12 * 7), rng.randint(1, 7))
-            total = sum(cardinal_bspline(m).eval(x - j)
+            total = sum(spline_eval(cardinal_bspline(m), x - j)
                         for j in range(-m - 1, int(x) + 2))
             assert total == 1
 
@@ -137,7 +186,7 @@ def test_combination_partition_window():
     rng = random.Random(33)
     for _ in range(20):
         x = F(rng.randint(0, 8), 8)
-        assert sum(b.eval(x - j) for j in range(-m, m + 2)) == 1
+        assert sum(spline_eval(b, x - j) for j in range(-m, m + 2)) == 1
 
 
 def test_extension_of_constant_is_trapezoid():
@@ -150,7 +199,7 @@ def test_extension_of_constant_is_trapezoid():
 
 def test_extension_fixes_bsplines():
     for m in (1, 2, 3, 4):
-        b = cardinal_bspline(m).spline
+        b = cardinal_bspline(m)
         assert extend_compact(b) == b
 
 
@@ -210,7 +259,7 @@ def test_derivative_zero_propagation():
 
 
 def test_extension_requires_degree():
-    step = spline_derivative(cardinal_bspline(1).spline)
+    step = spline_derivative(cardinal_bspline(1))
     with pytest.raises(DegreeError):
         extend_compact(step)
     one = Polynomial([1])
@@ -227,7 +276,7 @@ def _reference_left_tail(s):
     matches the first interior piece of s on [a_0, a_0 + 1]."""
     m = s.degree
     a0 = s.knots[0]
-    base = cardinal_bspline(m).spline
+    base = cardinal_bspline(m)
     columns = []
     for j in range(-m, 1):
         segment = base.pieces[-j + 1].taylor_shift(-(a0 + j))
@@ -245,7 +294,7 @@ def _reference_left_tail(s):
             k = i - j - m  # domain index inside B_m for this translate
             if 0 <= k <= m and lam[idx] != 0:
                 acc = acc + base.pieces[k + 1].taylor_shift(-(a0 + j)) \
-                    .scale(lam[idx])
+                    * Polynomial.constant(lam[idx])
         tail.append(acc)
     return tail
 
@@ -378,7 +427,7 @@ def test_extension_matches_reference_on_low_degree_pieces():
 
 def test_every_cardinal_bspline_is_a_fixed_point():
     for m in range(1, 13):
-        b = cardinal_bspline(m).spline
+        b = cardinal_bspline(m)
         assert extend_compact(b) == b
         assert reference_extend_compact(b) == b
 

@@ -163,6 +163,40 @@ def test_verify_reports_match_golden_digests(capsys, kind):
     assert digest.hexdigest() == GOLDEN_VERIFY_DIGESTS[kind]
 
 
+# sha256 over the stdout of `bspline --m m --eval (m+1)/3 --json` for
+# m = 1..12, and over the stdout of `conjecture --json` for the four planar
+# bases of the benchmark and the 1-D configurations run above. Recorded while
+# B_m was still wrapped in its own class and Omega in a one-field tuple, so
+# they pin both outputs through changes to the types the library returns.
+GOLDEN_BSPLINE_DIGEST = (
+    "f6ebbc8d982efa25f4f2f492fcc88ada1138e39e4a10c6c4d3342cac68efd856")
+GOLDEN_CONJECTURE_DIGEST = (
+    "52f0f72204987b7e025464f70dda465b5344ffc2791674809a1506b50e915779")
+GOLDEN_CONJECTURE_VECTORS = (
+    "1,0;1,1;0,1", "1,0;1,1;0,1;-1,1", "1,0;0,1;1,1;1,-1", "2,1;1,2;1,0;0,1",
+    "1;1", "1;1;2;2", "1;-1;1;-1;1", "1000000000;2000000000;3000000000",
+)
+
+
+def test_bspline_reports_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for m in range(1, 13):
+        code, out, _ = run(capsys, "bspline", "--m", str(m),
+                           "--eval", f"{m + 1}/3", "--json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_BSPLINE_DIGEST
+
+
+def test_conjecture_reports_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for vectors in GOLDEN_CONJECTURE_VECTORS:
+        code, out, _ = run(capsys, "conjecture", "--vectors", vectors, "--json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_CONJECTURE_DIGEST
+
+
 def test_verify_violation_exit_code(capsys, monkeypatch):
     real = harness.check_zero_bound
 

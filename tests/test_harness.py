@@ -392,7 +392,8 @@ def test_extension_checker_refuses_bad_extensions():
         (a0, an), (lo, hi) = s.window, e.window
         assert check(s, e)
 
-        doubled = extend_compact(Spline(m, s.knots, tuple(p.scale(2) for p in s.pieces)))
+        two = Polynomial.constant(2)
+        doubled = extend_compact(Spline(m, s.knots, tuple(p * two for p in s.pieces)))
         assert doubled.knots == e.knots and not check(s, doubled)
 
         right = Spline(m, e.knots, e.pieces[:-1] + (_power_by_products(1, hi, m),))

@@ -15,9 +15,7 @@ import pytest
 
 import splinezeros
 from splinezeros import GeneratorConfig, Polynomial, Spline, VectorConfig
-from splinezeros.bspline import cardinal_bspline
 from splinezeros.errors import (
-    ConsistencyError,
     DegreeError,
     DimensionError,
     KnotOrderError,
@@ -92,7 +90,6 @@ VALIDATED = [
     (RationalMatrix(1, 1, (Fraction(2),)), "rows", -1, DimensionError),
     (GeneratorConfig(seed=1, degree=2, interior_knots=3), "degree", 0,
      DegreeError),
-    (cardinal_bspline(2), "m", 3, ConsistencyError),
 ]
 
 

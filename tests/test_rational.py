@@ -73,7 +73,7 @@ def test_as_rational_refuses_bool():
         with pytest.raises(FormatError):
             Polynomial([flag, 1])
         with pytest.raises(FormatError):
-            spline_eval(cardinal_bspline(2).spline, flag)
+            spline_eval(cardinal_bspline(2), flag)
         with pytest.raises(FormatError):
             box_spline_eval(VectorConfig(1, ((1,), (1,))), (flag,))
 

@@ -79,7 +79,7 @@ def reflect(s):
 
 def scale(s, c):
     """c * s."""
-    return Spline(s.degree, s.knots, tuple(p.scale(c) for p in s.pieces))
+    return Spline(s.degree, s.knots, tuple(p * Polynomial.constant(c) for p in s.pieces))
 
 
 def ramp(window=(0, 1)):
@@ -152,7 +152,7 @@ def test_smoothness_rule_matches_derivative_chains(m, data):
     g = Polynomial(data.draw(st.lists(small_rationals, max_size=m - r + 1)))
     if g.eval(k) == 0:
         g = g + Polynomial([1])
-    right = left + (from_roots([k] * r) * g).scale(c)
+    right = left + from_roots([k] * r) * g * Polynomial.constant(c)
     knots = (k, k + 1)
     pieces = (left, right, right)
     smooth = smooth_by_derivative_chains(m, knots, pieces)
@@ -185,7 +185,7 @@ def test_smoothness_identity_matches_root_order(m, data):
         if g.eval(k) == 0:
             g = g + Polynomial([1])
         c = data.draw(small)
-        pieces.append(pieces[-1] + (from_roots([k] * r) * g).scale(c))
+        pieces.append(pieces[-1] + from_roots([k] * r) * g * Polynomial.constant(c))
     pieces.append(pieces[-1])
     knots = (k1, k2, k2 + 1)
     orders = [root_order(pieces[j + 1] - pieces[j], k, m)
@@ -708,11 +708,11 @@ def census_cases(draw):
     knots = sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5,
                                  unique=True)))
     roots = draw(st.lists(st.sampled_from(pool), max_size=m))
-    base = from_roots(roots).scale(draw(small_rationals))
+    base = from_roots(roots) * Polynomial.constant(draw(small_rationals))
     jumps = {k: draw(small_rationals) for k in knots[:-1]}
     if len(knots) >= 3 and draw(st.booleans()):
         c = draw(small_rationals.filter(bool))
-        base = from_roots([knots[1]] * m).scale(c)
+        base = from_roots([knots[1]] * m) * Polynomial.constant(c)
         jumps[knots[0]] = F(0)
         jumps[knots[1]] = -c
     s = spline_from_truncated_powers(base, sorted(jumps.items()),
