@@ -233,23 +233,37 @@ def test_all_kinds_run_clean():
         assert report.violations == 0, kind
 
 
-def test_stubbed_violating_checker_counts_violations(monkeypatch):
-    """Self-test of the violation accounting: a checker that always fails
-    must produce trials == violations."""
-    real = harness.check_zero_bound
+@pytest.mark.parametrize("kind", harness.SUITE_KINDS)
+def test_stubbed_violating_checker_counts_violations(kind, monkeypatch):
+    """Self-test of the violation accounting: when the Corollary 10 check
+    reports an inconsistency on every census, every trial of every kind is
+    a violation."""
+    real = harness.vanishing_from_report
 
-    def always_violating(s):
-        verdict = real(s)
-        return type(verdict)(
-            Z=verdict.Z, bound=-1, gross_bound=verdict.gross_bound,
-            n=verdict.n, degree=verdict.degree, passed=False,
-            report=verdict.report,
-        )
+    def inconsistent(degree, report):
+        return real(degree, report)._replace(consistent=False)
 
-    monkeypatch.setattr(harness, "check_zero_bound", always_violating)
+    monkeypatch.setattr(harness, "vanishing_from_report", inconsistent)
     cfg = GeneratorConfig(seed=8, degree=2, interior_knots=2)
-    report = run_verification_suite("theorem9", cfg, 7)
-    assert report.violations == 7
+    report = run_verification_suite(kind, cfg, 7)
+    assert report.trials == report.violations == 7
+
+
+@pytest.mark.parametrize("kind, name, stub", [
+    ("prop5", "check_interior_bound",
+     lambda s: spline.InteriorBoundVerdict(False, "stubbed")),
+    ("extension", "_check_extension_trial", lambda s, extension: False),
+])
+def test_stubbed_failing_checker_records_no_zeros(kind, name, stub, monkeypatch):
+    """A trial that yields no zero count (an inapplicable interior bound, a
+    broken extension) is a violation and adds nothing to max_Z, bound or
+    the witnesses."""
+    monkeypatch.setattr(harness, name, stub)
+    cfg = GeneratorConfig(seed=8, degree=2, interior_knots=2)
+    report = run_verification_suite(kind, cfg, 7)
+    assert report.trials == report.violations == 7
+    assert report.max_Z == report.bound == 0
+    assert report.witnesses == ()
 
 
 def test_zigzag_matches_piecewise_linear_interpolant():

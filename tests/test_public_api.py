@@ -143,11 +143,24 @@ def test_tracer_layers_resolve(module_name, attribute, span, monkeypatch):
         assert len(calls) == 2
 
 
-def test_tracer_installs_and_sees_suite_traffic():
+SUITE_LAYERS = ("harness.random_spline", "spline.Spline", "spline.normalize",
+                "spline.separated_zero_count")
+
+
+@pytest.mark.parametrize("kind, layers", [
+    ("theorem9", SUITE_LAYERS),
+    ("prop5", SUITE_LAYERS + ("bspline.extend_compact",)),
+    ("corollary10", SUITE_LAYERS),
+    ("extension", SUITE_LAYERS + ("bspline.extend_compact",)),
+    ("rolle", SUITE_LAYERS + ("bspline.extend_compact",
+                              "spline.spline_derivative")),
+])
+def test_tracer_installs_and_sees_suite_traffic(kind, layers):
     """``run.py --trace 1`` installs the tracer into the imported package.
-    In a fresh process the install finds every hook, and one op of suite
-    traffic reaches the spline and extension layers through the names the
-    tracer wrapped."""
+    In a fresh process the install finds every hook, and one op of a suite
+    kind reaches each layer that kind calls through the names the tracer
+    wrapped, so a suite that kept its own reference to a layer function
+    fails here."""
     code = f"""
 import importlib.util, json, sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
@@ -159,9 +172,8 @@ from splinezeros import GeneratorConfig, run_verification_suite
 tracer = tracing.Tracer()
 tracer.install()
 tracer.begin_op(0)
-for kind in ("prop5", "extension", "rolle"):
-    cfg = GeneratorConfig(seed=1, degree=3, interior_knots=3)
-    assert run_verification_suite(kind, cfg, 2).violations == 0
+cfg = GeneratorConfig(seed=1, degree=3, interior_knots=3)
+assert run_verification_suite({kind!r}, cfg, 2).violations == 0
 tracer.end_op()
 print(json.dumps(tracer.layer_metrics()))
 """
@@ -170,7 +182,5 @@ print(json.dumps(tracer.layer_metrics()))
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout)
     assert metrics["bench.op.calls"] == 1
-    for span in ("harness.random_spline", "spline.Spline", "spline.normalize",
-                 "spline.separated_zero_count", "spline.spline_derivative",
-                 "bspline.extend_compact"):
+    for span in layers:
         assert metrics[f"{span}.calls"] > 0, span
