@@ -68,8 +68,7 @@ class VectorConfig(Validated, namedtuple("VectorConfig", "dim vectors")):
                 raise DimensionError(f"vector {v} has wrong dimension")
             if all(c == 0 for c in v):
                 raise RankDeficiencyError("zero vectors are not allowed")
-        if not _spans(self.dim, self.vectors):
-            raise RankDeficiencyError("vectors do not span the ambient space")
+        lattice_basis(self.vectors)  # RankDeficiencyError unless X spans R^s
 
     @property
     def count(self) -> int:
@@ -85,15 +84,6 @@ class VectorConfig(Validated, namedtuple("VectorConfig", "dim vectors")):
 
     def __str__(self) -> str:
         return ";".join(",".join(str(c) for c in v) for v in self.vectors)
-
-
-def _spans(dim: int, vectors) -> bool:
-    if dim == 1:
-        return any(v[0] != 0 for v in vectors)
-    for a, b in itertools.combinations(vectors, 2):
-        if a[0] * b[1] - a[1] * b[0] != 0:
-            return True
-    return False
 
 
 _INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")

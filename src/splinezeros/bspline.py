@@ -183,16 +183,15 @@ def extend_compact(s: Spline) -> Spline:
     first = s.pieces[1].taylor_shift(a0)
     last = s.pieces[-2].taylor_shift(an).reflect()
     sign = (-1) ** (m + 1)
-    p0, q0, pn, qn = a0.numerator, a0.denominator, an.numerator, an.denominator
-    left = [(Fraction(p0 - i * q0, q0), d, den * first.den)
+    # a Fraction plus or minus an int keeps its denominator: no gcd runs
+    left = [(a0 - i, d, den * first.den)
             for i in range(m, 0, -1) if (d := sum(map(mul, rows[i], first.num)))]
     # e_0 is kept even when 0: it yields the piece right of a_n
-    right = [(Fraction(pn + i * qn, qn) if i else an, e, den * last.den)
-             for i in range(m)
+    right = [(an + i if i else an, e, den * last.den) for i in range(m)
              if (e := sign * sum(map(mul, rows[i], last.num))) or not i]
     zero = Polynomial()
     knots = [k for k, _, _ in left] + list(s.knots)
-    knots += [k for k, _, _ in right[1:]] + [Fraction(pn + m * qn, qn)]
+    knots += [k for k, _, _ in right[1:]] + [an + m]
     pieces = [zero, *_running_pieces(zero, left, m), *s.pieces[1:-1],
               *_running_pieces(s.pieces[-2], right, m), zero]
     # a_n, then a_0, is no knot when e_0 or d_0 is 0

@@ -16,7 +16,11 @@ rng draws, in their order, define every generated spline, so they are part
 of the determinism contract. The extension checker compares knots as
 (numerator, denominator) pairs.
 
-Suite kinds:
+Suite kinds: SUITES maps each kind to one checker. A checker takes one
+generated spline and returns (ok, Z or None, bound, bound-tight witness or
+None, census or None); run_verification_suite runs the Corollary 10 check
+(vanishing_from_report) on every census it gets back and does all of the
+report bookkeeping in one loop; a Z of None adds nothing to max_Z or bound.
   theorem9    Z <= n + m - 1 on every generated spline (for degree 1 an
               extra deterministic zigzag trial is appended: it meets the
               bound with equality and so always contributes a tightness
@@ -40,6 +44,7 @@ import random
 import time
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .bspline import MAX_CARDINAL_DEGREE, extend_compact
@@ -57,7 +62,6 @@ from .spline import (
     vanishing_from_report,
 )
 
-SUITE_KINDS = ("theorem9", "prop5", "corollary10", "extension", "rolle")
 MAX_WITNESSES = 5
 # one trial at degree 12 with this many interior knots and the default
 # coefficient bounds runs in 0.06-0.19 s, by kind (Python 3.11, one Xeon core)
@@ -207,96 +211,86 @@ class TrialReport(NamedTuple):
         return json.dumps(self.to_document(), indent=2)
 
 
+def _theorem9(s: Spline) -> tuple:
+    verdict = check_zero_bound(s)
+    tight = s if verdict.Z == verdict.bound else None
+    return verdict.passed, verdict.Z, verdict.bound, tight, verdict.report
+
+
+def _prop5(s: Spline) -> tuple:
+    extension = extend_compact(s)
+    verdict = check_interior_bound(extension)
+    z, bound = verdict.interior_Z, verdict.interior_bound
+    tight = extension if z is not None and z == bound else None
+    return verdict.applicable and verdict.passed, z, bound, tight, verdict.report
+
+
+def _corollary10(s: Spline) -> tuple:
+    z, report = separated_zero_count(s, *s.window)
+    return True, z, s.n + s.degree - 1, None, report
+
+
+def _extension(s: Spline) -> tuple:
+    extension = extend_compact(s)
+    if not _check_extension_trial(s, extension):
+        return False, None, 0, None, None
+    _, report = separated_zero_count(extension, *extension.window)
+    m = s.degree
+    # the extension vanishes between these bounds and its window
+    z = open_component_count(report, s.knots[0] - m, s.knots[-1] + m)
+    bound = s.n + m - 1
+    return z <= bound, z, bound, None, report
+
+
+def _rolle(s: Spline) -> tuple:
+    extension = extend_compact(s)
+    _, report = separated_zero_count(extension, *extension.window)
+    z = open_component_count(report)
+    derivative = spline_derivative(extension)
+    _, report_d = separated_zero_count(derivative, *derivative.window)
+    zd = open_component_count(report_d)
+    return zd >= z + 1, zd, z + 1, None, report
+
+
+# The checkers call the layers through this module's globals, so a layer
+# swapped on the module is the one they call.
+SUITES = {"theorem9": _theorem9, "prop5": _prop5, "corollary10": _corollary10,
+          "extension": _extension, "rolle": _rolle}
+SUITE_KINDS = tuple(SUITES)
+
+
 def run_verification_suite(kind: str, cfg: GeneratorConfig,
                            trials: int) -> TrialReport:
-    if kind not in SUITE_KINDS:
+    if kind not in SUITES:
         raise FormatError(f"unknown suite kind {kind!r}; choose from {SUITE_KINDS}")
+    if type(trials) is not int:
+        raise FormatError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise FormatError("trials must be >= 1")
     if kind == "rolle" and cfg.degree < 2:
         raise DegreeError("the derivative-propagation suite needs degree >= 2")
 
     start = time.monotonic()
-    violations = 0
-    max_z = 0
-    bound_seen = 0
+    check = SUITES[kind]
+    count = violations = max_z = bound_seen = 0
     witnesses: list = []
-    total_trials = trials
-
-    def record_witness(s: Spline) -> None:
-        if len(witnesses) < MAX_WITNESSES:
-            witnesses.append(spline_to_document(s))
-
-    def splines():
-        for t in range(trials):
-            yield random_spline(cfg, t)
-        if kind == "theorem9" and cfg.degree == 1:
-            yield zigzag_spline(cfg.interior_knots + 1)
-
-    for s in splines():
-        if kind == "theorem9":
-            verdict = check_zero_bound(s)
-            ok = verdict.passed
-            ok = ok and vanishing_from_report(verdict.degree, verdict.report).consistent
-            max_z = max(max_z, verdict.Z)
-            bound_seen = max(bound_seen, verdict.bound)
-            if verdict.Z == verdict.bound:
-                record_witness(s)
-
-        elif kind == "prop5":
-            extension = extend_compact(s)
-            verdict = check_interior_bound(extension)
-            ok = verdict.applicable and verdict.passed
-            if verdict.report is not None:
-                ok = ok and vanishing_from_report(extension.degree,
-                                                  verdict.report).consistent
-            if verdict.interior_Z is not None:
-                max_z = max(max_z, verdict.interior_Z)
-                bound_seen = max(bound_seen, verdict.interior_bound)
-                if verdict.interior_Z == verdict.interior_bound:
-                    record_witness(extension)
-
-        elif kind == "corollary10":
-            z, report = separated_zero_count(s, *s.window)
-            ok = vanishing_from_report(s.degree, report).consistent
-            max_z = max(max_z, z)
-            bound_seen = max(bound_seen, s.n + s.degree - 1)
-
-        elif kind == "extension":
-            extension = extend_compact(s)
-            ok = _check_extension_trial(s, extension)
-            if ok:
-                _, report = separated_zero_count(extension, *extension.window)
-                m = s.degree
-                # the extension vanishes between these bounds and its window
-                big = open_component_count(report, s.knots[0] - m,
-                                           s.knots[-1] + m)
-                chained_bound = s.n + m - 1
-                ok = big <= chained_bound
-                ok = ok and vanishing_from_report(m, report).consistent
-                max_z = max(max_z, big)
-                bound_seen = max(bound_seen, chained_bound)
-
-        else:  # rolle
-            extension = extend_compact(s)
-            _, rep = separated_zero_count(extension, *extension.window)
-            z_open = open_component_count(rep)
-            derivative = spline_derivative(extension)
-            _, rep_d = separated_zero_count(derivative, *derivative.window)
-            zd_open = open_component_count(rep_d)
-            ok = zd_open >= z_open + 1
-            ok = ok and vanishing_from_report(extension.degree, rep).consistent
-            max_z = max(max_z, zd_open)
-            bound_seen = max(bound_seen, z_open + 1)
-
-        if not ok:
-            violations += 1
-
+    splines = (random_spline(cfg, t) for t in range(trials))
     if kind == "theorem9" and cfg.degree == 1:
-        total_trials = trials + 1
+        splines = chain(splines, (zigzag_spline(cfg.interior_knots + 1),))
+    for s in splines:
+        count += 1
+        ok, z, bound, tight, census = check(s)
+        if census is not None:
+            ok = ok and vanishing_from_report(s.degree, census).consistent
+        violations += not ok
+        if z is not None:
+            max_z = max(max_z, z)
+            bound_seen = max(bound_seen, bound)
+        if tight is not None and len(witnesses) < MAX_WITNESSES:
+            witnesses.append(spline_to_document(tight))
 
     elapsed = int((time.monotonic() - start) * 1000)
-    return TrialReport(kind=kind, seed=cfg.seed, trials=total_trials,
+    return TrialReport(kind=kind, seed=cfg.seed, trials=count,
                        violations=violations, max_Z=max_z, bound=bound_seen,
                        witnesses=tuple(witnesses), elapsed_ms=elapsed)
 

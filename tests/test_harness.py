@@ -182,6 +182,9 @@ def test_suite_argument_validation():
         run_verification_suite("nope", cfg, 10)
     with pytest.raises(FormatError):
         run_verification_suite("theorem9", cfg, 0)
+    for trials in (True, 2.5, "3"):
+        with pytest.raises(FormatError, match="trials"):
+            run_verification_suite("theorem9", cfg, trials)
     with pytest.raises(DegreeError):
         run_verification_suite("rolle", cfg, 10)
 
@@ -253,7 +256,7 @@ def test_stubbed_violating_checker_counts_violations(kind, monkeypatch):
     ("prop5", "check_interior_bound",
      lambda s: spline.InteriorBoundVerdict(False, "stubbed")),
     ("extension", "_check_extension_trial", lambda s, extension: False),
-])
+], ids=["prop5", "extension"])
 def test_stubbed_failing_checker_records_no_zeros(kind, name, stub, monkeypatch):
     """A trial that yields no zero count (an inapplicable interior bound, a
     broken extension) is a violation and adds nothing to max_Z, bound or

@@ -145,17 +145,18 @@ def test_tracer_layers_resolve(module_name, attribute, span, monkeypatch):
 
 SUITE_LAYERS = ("harness.random_spline", "spline.Spline", "spline.normalize",
                 "spline.separated_zero_count")
+EXTENSION_LAYERS = SUITE_LAYERS + ("bspline.extend_compact",)
+LAYERS_BY_KIND = {
+    "theorem9": SUITE_LAYERS,
+    "prop5": EXTENSION_LAYERS,
+    "corollary10": SUITE_LAYERS,
+    "extension": EXTENSION_LAYERS,
+    "rolle": EXTENSION_LAYERS + ("spline.spline_derivative",),
+}
 
 
-@pytest.mark.parametrize("kind, layers", [
-    ("theorem9", SUITE_LAYERS),
-    ("prop5", SUITE_LAYERS + ("bspline.extend_compact",)),
-    ("corollary10", SUITE_LAYERS),
-    ("extension", SUITE_LAYERS + ("bspline.extend_compact",)),
-    ("rolle", SUITE_LAYERS + ("bspline.extend_compact",
-                              "spline.spline_derivative")),
-])
-def test_tracer_installs_and_sees_suite_traffic(kind, layers):
+@pytest.mark.parametrize("kind", LAYERS_BY_KIND)
+def test_tracer_installs_and_sees_suite_traffic(kind):
     """``run.py --trace 1`` installs the tracer into the imported package.
     In a fresh process the install finds every hook, and one op of a suite
     kind reaches each layer that kind calls through the names the tracer
@@ -182,5 +183,5 @@ print(json.dumps(tracer.layer_metrics()))
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout)
     assert metrics["bench.op.calls"] == 1
-    for span in layers:
+    for span in LAYERS_BY_KIND[kind]:
         assert metrics[f"{span}.calls"] > 0, span
