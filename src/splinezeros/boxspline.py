@@ -6,7 +6,8 @@ under test.
 Normalization: B_X is the density of the pushforward of the uniform measure
 on the unit cube [0,1]^m under t -> X t. The evaluation route follows from
 the dimension. In 1-D it is bspline.univariate_box_spline (one vector: the
-half-open indicator). In 2-D, writing t = W x + V u with X W = I, X V = 0,
+half-open indicator), whose piece at x is found among its integer knots at
+floor(x). In 2-D, writing t = W x + V u with X W = I, X V = 0,
 
     B_X(x) = |det [W V]| * vol_(m-2){ u : W x + V u in [0,1]^m },
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -45,7 +47,6 @@ from .errors import (
 )
 from .linalg import RationalMatrix, lattice_basis, mat_determinant
 from .rational import as_rational, format_rational, primitive_integers
-from .spline import spline_eval
 
 
 class VectorConfig(Validated, namedtuple("VectorConfig", "dim vectors")):
@@ -154,10 +155,21 @@ def zonotope_support(config: VectorConfig) -> Zonotope:
                              for x, y in walk[first:] + walk[:first]))
 
 
+def _as_point(point, dim: int) -> tuple[Fraction, ...]:
+    """Coordinates as Fractions; a str, bytes or non-iterable point is refused."""
+    try:
+        if isinstance(point, (str, bytes, bytearray, memoryview)):
+            raise TypeError  # iterating it would read characters or bytes
+        pt = tuple([as_rational(c) for c in point])
+    except TypeError:
+        raise FormatError(f"not a sequence of rationals: {point!r}") from None
+    if len(pt) != dim:
+        raise DimensionError(f"point dimension {len(pt)} != {dim}")
+    return pt
+
+
 def point_strictly_inside(zonotope: Zonotope, point) -> bool:
-    pt = tuple(as_rational(c) for c in point)
-    if len(pt) != zonotope.dim:
-        raise DimensionError(f"point dimension {len(pt)} != {zonotope.dim}")
+    pt = _as_point(point, zonotope.dim)
     if zonotope.dim == 1:
         return zonotope.vertices[0][0] < pt[0] < zonotope.vertices[1][0]
     verts = zonotope.vertices
@@ -230,7 +242,14 @@ def semi_integral_interior_points(
     return tuple(tuple(Fraction(x, 2) for x in c) for c in doubled)
 
 
-# -- fiber-volume evaluation ---------------------------------------------------------
+# -- evaluation: the 1-D table and planar fiber volumes -----------------------------
+
+
+@lru_cache(maxsize=64)
+def _univariate_table(config: VectorConfig):
+    """The knots of univariate_box_spline(sorted lengths) as ints, and its pieces."""
+    spline = univariate_box_spline(tuple(sorted(v[0] for v in config.vectors)))
+    return tuple([int(k) for k in spline.knots]), spline.pieces
 
 
 @lru_cache(maxsize=64)
@@ -305,24 +324,20 @@ def _polygon_area(polygon) -> Fraction:
 def box_spline_eval(config: VectorConfig, point: Sequence) -> Fraction:
     """Exact B_X at a rational point.
 
-    The route follows from the dimension alone: in 1-D the cached
-    univariate_box_spline (degree <= MAX_CARDINAL_DEGREE), in 2-D fiber
-    volumes for m - s <= 2; CapabilityError otherwise. On the support
+    The route follows from the dimension alone: in 1-D the integer-knot
+    table of univariate_box_spline (degree <= MAX_CARDINAL_DEGREE), in 2-D
+    fiber volumes for m - s <= 2; CapabilityError otherwise. On the support
     boundary the m = s indicator uses the half-open box convention; for
     m - s >= 1 the function is continuous wherever its slab data is
     nondegenerate, and degenerate slabs (kernel rows that vanish) reuse the
     half-open convention."""
-    pt = tuple(as_rational(c) for c in point)
-    if len(pt) != config.dim:
-        raise DimensionError(f"point dimension {len(pt)} != {config.dim}")
+    pt = _as_point(point, config.dim)
     if config.dim == 1:
         if config.count == 1:
             xi = config.vectors[0][0]
             return Fraction(1, abs(xi)) if 0 <= pt[0] / xi < 1 else Fraction(0)
-        # sorted (B_X ignores the order of X) and from a list: tuple(genexpr)
-        # leaves a resized tuple on CPython's free lists at every call
-        lengths = tuple(sorted([v[0] for v in config.vectors]))
-        return spline_eval(univariate_box_spline(lengths), pt[0])
+        knots, pieces = _univariate_table(config)
+        return pieces[bisect_right(knots, math.floor(pt[0]))].eval(pt[0])
     deg = config.box_degree
     if deg > 2:
         raise CapabilityError(

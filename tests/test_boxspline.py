@@ -23,6 +23,7 @@ from splinezeros import (
 )
 from splinezeros import boxspline
 from splinezeros.boxspline import conjecture_matrix
+from splinezeros.bspline import univariate_box_spline
 from splinezeros.errors import (
     CapabilityError,
     DimensionError,
@@ -273,6 +274,22 @@ def test_zonotope_matches_subset_sum_oracle():
 def test_zonotope_univariate_segment():
     z = zonotope_support(ones(4))
     assert z.vertices == ((F(0),), (F(4),))
+
+
+@pytest.mark.parametrize("text, point", [
+    ("1,0;1,1;0,1", "11"),        # would be B_X(1, 1) = 1
+    ("1;1", "1"),                 # would be B_X(1)
+    ("1;1", b"1"),                # would be B_X(49)
+    ("1;1", bytearray(b"1")),
+    ("1;1", 1),                   # not iterable: a bare TypeError before
+    ("1,0;1,1;0,1", None),
+], ids=["str-planar", "str", "bytes", "bytearray", "int", "none"])
+def test_points_that_would_be_reinterpreted_are_refused(text, point):
+    cfg = parse_vector_config(text)
+    with pytest.raises(FormatError):
+        box_spline_eval(cfg, point)
+    with pytest.raises(FormatError):
+        point_strictly_inside(zonotope_support(cfg), point)
 
 
 def test_point_strictly_inside_checks_the_dimension():
@@ -668,13 +685,71 @@ def test_mixed_sign_univariate_configuration():
 
 def test_univariate_cache_ignores_the_order_of_x():
     """B_X does not depend on the order of X, so every ordering of one
-    multiset shares a single cached spline."""
+    multiset shares a single cached spline. Both caches are cleared: a
+    configuration already in the integer-knot table would not reach the
+    spline's cache at all."""
+    boxspline._univariate_table.cache_clear()
     boxspline.univariate_box_spline.cache_clear()
     values = {box_spline_eval(VectorConfig(1, tuple((xi,) for xi in order)),
                               (F(5, 2),))
               for order in itertools.permutations((1, 2, 3, -1))}
     assert values == {recurrence_oracle(parse_vector_config("1;2;3;-1"))((F(5, 2),))}
     assert boxspline.univariate_box_spline.cache_info().currsize == 1
+
+
+@st.composite
+def univariate_lengths(draw):
+    """2 to 13 nonzero lengths with |xi| <= 5, signs mixed, in drawn order;
+    at most four distinct values keep the recurrence oracle fast."""
+    pool = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=1,
+                         max_size=4, unique=True))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=13))
+
+
+@given(univariate_lengths())
+@settings(max_examples=20, deadline=None)
+def test_univariate_table_matches_spline_eval_and_recurrence_oracle(lengths):
+    """The 1-D route looks a piece up among integer knots at floor(x). A
+    floor-based lookup would go wrong at a knot or just beside one, so the
+    points are every knot, every knot +- 1/1000003, every half-integer of
+    the support and points outside it on both sides."""
+    cfg = VectorConfig(1, tuple((xi,) for xi in lengths))
+    spline = univariate_box_spline(tuple(sorted(lengths)))
+    oracle = recurrence_oracle(cfg)
+    lo, hi = spline.knots[0], spline.knots[-1]
+    eps = F(1, 1000003)
+    xs = [k + e for k in spline.knots for e in (-eps, 0, eps)]
+    xs += [F(2 * k + 1, 2) for k in range(int(lo), int(hi))]
+    xs += [lo - 7, lo - 1, lo - F(1, 2), hi + F(1, 2), hi + 1, hi + 7]
+    for x in xs:
+        assert box_spline_eval(cfg, (x,)) == spline_eval(spline, x) \
+            == oracle((x,)), (lengths, x)
+
+
+def test_univariate_route_makes_no_fraction_comparison(monkeypatch):
+    """Counted at Fraction._richcmp, the hook of every Fraction comparison:
+    2 to 13 vectors in 1-D evaluate at boxeval-scatter-style points
+    x = sum t_i xi_i, t_i in (0, 1), with none, once the table is built."""
+    rng = random.Random(25)
+    configs = [parse_vector_config(text)
+               for text in ("1;2", "1;2;3", "1;1;1", "1;2;3;-1")]
+    configs += [ones(m) for m in range(4, 14)]
+    points = []
+    for cfg in configs:
+        box_spline_eval(cfg, (F(1, 2),))  # builds the table
+        for _ in range(20):
+            t = [F(rng.randint(1, 1000002), 1000003)] + [
+                F(rng.randint(1, q - 1), q)
+                for q in (rng.randint(2, 16) for _ in range(cfg.count - 1))]
+            points.append((cfg, (sum(ti * v[0] for ti, v in zip(t, cfg.vectors)),)))
+    comparisons = []
+    richcmp = F._richcmp
+    monkeypatch.setattr(F, "_richcmp", lambda self, other, op:
+                        comparisons.append(op) or richcmp(self, other, op))
+    values = [box_spline_eval(cfg, pt) for cfg, pt in points]
+    monkeypatch.undo()
+    assert comparisons == []
+    assert all(value > 0 for value in values)
 
 
 def univariate_census(entries, counts):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import splinezeros.harness as harness
 from splinezeros import parse_vector_config, piecewise_linear, zigzag_spline
 from splinezeros.cli import main
 from splinezeros.errors import SplineZerosError
+from splinezeros.rational import format_rational
 from splinezeros.spline import spline_from_document, spline_to_document
 
 
@@ -195,6 +197,48 @@ def test_conjecture_reports_match_golden_digest(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == GOLDEN_CONJECTURE_DIGEST
+
+
+# sha256 over the stdout of `boxspline --vectors V --eval x` for the 21
+# configurations of the benchmark's boxeval-scatter workload and two mixed-sign
+# 1-D ones, at every x of boxeval_grid(V): in 1-D the quarter points from one
+# below the support to one above it and every integer knot +- 1/1000003, in
+# 2-D the half points of the bounding box widened by one. Recorded while 1-D
+# evaluation still searched Fraction knots, so it pins both routes byte for
+# byte.
+GOLDEN_BOXEVAL_DIGEST = (
+    "bf4d92af73ebc7027ca920ccf270ab0ce1b4e18f8e8697e798441dfe19d3cb7c")
+GOLDEN_BOXEVAL_VECTORS = (
+    "1,0;0,1", "1,1;-1,1", "1,0;0,1;1,1", "1,0;0,1;1,-1",
+    "1,0;0,1;1,1;1,-1", "1,0;1,1;0,1;-1,1", "2,1;1,2;1,0;0,1",
+    "2", "1;2", "1;2;3", "1;1;1",
+) + tuple(";".join(["1"] * m) for m in range(4, 14)) + ("1;2;3;-1", "-2;-3")
+
+
+def boxeval_grid(vectors):
+    config = parse_vector_config(vectors)
+    lows = [sum(min(0, v[k]) for v in config.vectors) for k in range(config.dim)]
+    highs = [sum(max(0, v[k]) for v in config.vectors) for k in range(config.dim)]
+    if config.dim == 1:
+        (lo,), (hi,) = lows, highs
+        xs = [Fraction(k, 4) for k in range(4 * lo - 4, 4 * hi + 5)]
+        xs += [k + e for k in range(lo, hi + 1)
+               for e in (Fraction(-1, 1000003), Fraction(1, 1000003))]
+        return [format_rational(x) for x in xs]
+    axes = [[format_rational(Fraction(k, 2)) for k in range(2 * lo - 2, 2 * hi + 3)]
+            for lo, hi in zip(lows, highs)]
+    return [f"{x},{y}" for x in axes[0] for y in axes[1]]
+
+
+def test_boxspline_reports_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for vectors in GOLDEN_BOXEVAL_VECTORS:
+        for x in boxeval_grid(vectors):
+            code, out, _ = run(capsys, "boxspline", "--vectors", vectors,
+                               "--eval", x)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_BOXEVAL_DIGEST
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):
