@@ -699,7 +699,7 @@ def test_univariate_cache_ignores_the_order_of_x():
 
 @st.composite
 def univariate_lengths(draw):
-    """2 to 13 nonzero lengths with |xi| <= 5, signs mixed, in drawn order;
+    """2 to 13 nonzero lengths with |xi| <= 5 of either sign, in drawn order;
     at most four distinct values keep the recurrence oracle fast."""
     pool = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=1,
                          max_size=4, unique=True))
