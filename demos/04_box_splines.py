@@ -30,7 +30,7 @@ print("Supports are zonotopes")
 print("=" * 72)
 for name, cfg in (("A2 (three vectors)", A2), ("B2 (four vectors)", B2)):
     z = zonotope_support(cfg)
-    verts = ", ".join(f"({v[0]},{v[1]})" for v in z.vertices)
+    verts = ", ".join(f"({v[0]},{v[1]})" for v in z)
     print(f"{name}: {verts}")
 
 print()

@@ -55,7 +55,11 @@ class VectorConfig(Validated, namedtuple("VectorConfig", "dim vectors")):
     __slots__ = ()
 
     def __new__(cls, dim, vectors):
-        return super().__new__(cls, dim, tuple(tuple(v) for v in vectors))
+        try:
+            vectors = tuple(tuple(v) for v in vectors)
+        except TypeError:
+            raise FormatError(f"not a sequence of vectors: {vectors!r}") from None
+        return super().__new__(cls, dim, vectors)
 
     def __post_init__(self) -> None:
         for c in (c for v in self.vectors for c in v if type(c) is not int):
@@ -116,17 +120,11 @@ def parse_vector_config(text: str) -> VectorConfig:
 # -- zonotope ---------------------------------------------------------------------
 
 
-class Zonotope(NamedTuple):
-    """Support polytope: a segment (dim 1) or a counterclockwise convex
-    polygon with strict turns from its lexicographically smallest vertex
-    (dim 2); vertices are exact rationals."""
-
-    dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
-
-
-def zonotope_support(config: VectorConfig) -> Zonotope:
-    """Z(X), the Minkowski sum of the segments [0, x] over X.
+def zonotope_support(config: VectorConfig) -> tuple[tuple[Fraction, ...], ...]:
+    """Z(X), the Minkowski sum of the segments [0, x] over X, as its exact
+    vertices: the segment's two ends in 1-D, and in 2-D a counterclockwise
+    convex polygon with strict turns from its lexicographically smallest
+    vertex.
 
     In 2-D the boundary is the generators in angular order. Each x is turned
     into the upper half-plane ([0, x] = x + [0, -x]), parallel ones merge
@@ -135,7 +133,7 @@ def zonotope_support(config: VectorConfig) -> Zonotope:
     if config.dim == 1:
         lo = sum(min(0, v[0]) for v in config.vectors)
         hi = sum(max(0, v[0]) for v in config.vectors)
-        return Zonotope(1, ((Fraction(lo),), (Fraction(hi),)))
+        return (Fraction(lo),), (Fraction(hi),)
     x0 = y0 = 0
     lengths: dict[tuple[int, int], int] = {}
     for a, b in config.vectors:
@@ -151,8 +149,7 @@ def zonotope_support(config: VectorConfig) -> Zonotope:
             walk.append((walk[-1][0] + sign * a, walk[-1][1] + sign * b))
     walk.pop()  # the walk closes at its start
     first = walk.index(min(walk))
-    return Zonotope(2, tuple((Fraction(x), Fraction(y))
-                             for x, y in walk[first:] + walk[:first]))
+    return tuple((Fraction(x), Fraction(y)) for x, y in walk[first:] + walk[:first])
 
 
 def _as_point(point, dim: int) -> tuple[Fraction, ...]:
@@ -168,11 +165,12 @@ def _as_point(point, dim: int) -> tuple[Fraction, ...]:
     return pt
 
 
-def point_strictly_inside(zonotope: Zonotope, point) -> bool:
-    pt = _as_point(point, zonotope.dim)
-    if zonotope.dim == 1:
-        return zonotope.vertices[0][0] < pt[0] < zonotope.vertices[1][0]
-    verts = zonotope.vertices
+def point_strictly_inside(verts: tuple[tuple[Fraction, ...], ...], point) -> bool:
+    """Whether point lies strictly inside the zonotope_support vertices verts;
+    their length is the dimension."""
+    pt = _as_point(point, len(verts[0]))
+    if len(pt) == 1:
+        return verts[0][0] < pt[0] < verts[1][0]
     return all((b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0]) > 0
                for a, b in zip(verts, verts[1:] + verts[:1]))
 
@@ -247,8 +245,8 @@ def semi_integral_interior_points(
 
 @lru_cache(maxsize=64)
 def _univariate_table(config: VectorConfig):
-    """The knots of univariate_box_spline(sorted lengths) as ints, and its pieces."""
-    spline = univariate_box_spline(tuple(sorted(v[0] for v in config.vectors)))
+    """The knots of univariate_box_spline(lengths) as ints, and its pieces."""
+    spline = univariate_box_spline(tuple(v[0] for v in config.vectors))
     return tuple([int(k) for k in spline.knots]), spline.pieces
 
 

@@ -34,7 +34,9 @@ from .errors import (
     CapabilityError,
     ConsistencyError,
     DegreeError,
+    FormatError,
     KnotRangeError,
+    RankDeficiencyError,
 )
 from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
@@ -49,10 +51,16 @@ from .spline import (
 MAX_CARDINAL_DEGREE = 12
 
 
-@lru_cache(maxsize=64)
 def univariate_box_spline(lengths: tuple[int, ...]) -> Spline:
     """B_X for 2 to MAX_CARDINAL_DEGREE + 1 nonzero ints X = lengths, on the
-    window [o, o + sum |xi|]; more lengths raise CapabilityError."""
+    window [o, o + sum |xi|]; more lengths raise CapabilityError, a length
+    that is not an int (a bool included) FormatError and a zero length
+    RankDeficiencyError. B_X is the same for every order of X."""
+    for xi in lengths:
+        if type(xi) is not int:
+            raise FormatError(f"lengths must be int, got {xi!r}")
+        if xi == 0:
+            raise RankDeficiencyError("zero lengths are not allowed")
     m = len(lengths) - 1
     if not 1 <= m <= MAX_CARDINAL_DEGREE:
         raise CapabilityError(
@@ -84,7 +92,7 @@ def convolution_bspline_pieces(m: int) -> tuple[Polynomial, ...]:
         running = Fraction(0)
         accumulated: list[Polynomial] = []
         for k, p in enumerate(pieces):
-            g = p.antiderivative(0)
+            g = p.antiderivative()
             g = g + Polynomial.constant(running - g.eval(k))
             accumulated.append(g)
             running = g.eval(k + 1)
@@ -111,8 +119,7 @@ def _cardinal_cached(m: int) -> Spline:
     for j, piece in enumerate(s.pieces[1:-1]):
         if piece.is_zero:
             raise ConsistencyError(f"B_{m} vanishes on domain {j}")
-        if count_distinct_roots(piece, j, j + 1,
-                                open_left=True, open_right=True):
+        if count_distinct_roots(piece, j, j + 1):
             raise ConsistencyError(f"B_{m} has an interior zero in "
                                    f"({j}, {j + 1})")
         if piece.eval(Fraction(2 * j + 1, 2)) <= 0:

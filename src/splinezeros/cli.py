@@ -184,7 +184,7 @@ def _cmd_verify(args) -> int:
     )
     report = run_verification_suite(args.kind, cfg, args.trials)
     if args.json:
-        print(report.to_json())
+        print(json.dumps(report.to_document(), indent=2))
     else:
         print(f"{args.kind}: {report.trials} trials, "
               f"{report.violations} violations, max Z = {report.max_Z}, "

@@ -38,7 +38,6 @@ Violations are report content; processes turn them into exit codes.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import time
@@ -206,9 +205,6 @@ class TrialReport(NamedTuple):
         del document["kind"]
         document["witnesses"] = list(self.witnesses)
         return document
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2)
 
 
 def _theorem9(s: Spline) -> tuple:

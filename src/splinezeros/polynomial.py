@@ -157,11 +157,9 @@ class Polynomial:
         return Polynomial.from_integers(
             [i * v for i, v in enumerate(self.num) if i], self.den)
 
-    def antiderivative(self, constant=0) -> "Polynomial":
-        """The q with q' = self and q(0) = constant."""
-        out = [as_rational(constant)]
-        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return Polynomial(out)
+    def antiderivative(self) -> "Polynomial":
+        """The q with q' = self and q(0) = 0."""
+        return Polynomial([0, *(c / (i + 1) for i, c in enumerate(self.coeffs))])
 
     def taylor_shift(self, h) -> "Polynomial":
         """p(x + h) with h = s/q: _homogeneous_shift by s over q gives
@@ -388,16 +386,7 @@ def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
     return count, zero_at_a, zero_at_b
 
 
-def count_distinct_roots(p: Polynomial, a, b,
-                         open_left: bool = False,
-                         open_right: bool = False) -> int:
-    """Exact number of distinct real roots of p in the interval from a to b.
-
-    The default interval is closed; the flags drop either endpoint. A thin
-    wrapper over root_census, which reads the open-interval count and both
-    endpoint zeros from Descartes' rule on one integer Moebius transform, or
-    from one Sturm sequence when the rule cannot decide; it raises the same
-    errors.
-    """
-    count, zero_at_a, zero_at_b = root_census(p, a, b)
-    return count + (zero_at_a and not open_left) + (zero_at_b and not open_right)
+def count_distinct_roots(p: Polynomial, a, b) -> int:
+    """Exact number of distinct real roots of p in the open interval (a, b):
+    root_census without its endpoint flags, with the same errors."""
+    return root_census(p, a, b)[0]

@@ -290,6 +290,8 @@ def piecewise_linear(knots: Sequence, values: Sequence) -> Spline:
     vs = [as_rational(v) for v in values]
     if len(ks) != len(vs):
         raise FormatError("one value per knot required")
+    if len(ks) < 2 or any(k0 >= k1 for k0, k1 in zip(ks, ks[1:])):
+        raise KnotOrderError("need at least two strictly increasing knots")
     pieces = [Polynomial.constant(vs[0])]
     for (k0, v0), (k1, v1) in zip(zip(ks, vs), zip(ks[1:], vs[1:])):
         slope = (v1 - v0) / (k1 - k0)

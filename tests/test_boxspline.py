@@ -200,6 +200,14 @@ def test_config_validation():
         VectorConfig(2, ((1, 0),))
     with pytest.raises(DimensionError):
         VectorConfig(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(DimensionError, match="wrong dimension"):
+        VectorConfig(2, ((1, 0), (1,)))
+
+
+def test_vector_config_refuses_non_iterable_input():
+    for dim, vectors in ((1, 5), (2, [(1, 0), 5]), (1, None), (1, [None])):
+        with pytest.raises(FormatError):
+            VectorConfig(dim, vectors)
 
 
 def test_vector_components_must_be_int():
@@ -236,13 +244,13 @@ def test_parse_vector_config():
 
 def test_zonotope_unit_square():
     z = zonotope_support(VectorConfig(2, ((1, 0), (0, 1))))
-    assert set(z.vertices) == {(0, 0), (1, 0), (1, 1), (0, 1)}
+    assert set(z) == {(0, 0), (1, 0), (1, 1), (0, 1)}
 
 
 def test_zonotope_a2_hexagon():
     z = zonotope_support(A2)
     expected = {(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)}
-    assert set(z.vertices) == expected
+    assert set(z) == expected
 
 
 def test_zonotope_matches_subset_sum_oracle():
@@ -261,7 +269,7 @@ def test_zonotope_matches_subset_sum_oracle():
                       for k in range(2))
                 for picks in itertools.product((0, 1), repeat=m)]
         sums = [(F(a), F(b)) for a, b in sums]
-        verts = zonotope_support(cfg).vertices
+        verts = zonotope_support(cfg)
         assert set(verts) == set(jarvis_hull(sums))
         # counterclockwise with strictly positive turns from min(vertices)
         assert verts[0] == min(verts)
@@ -273,7 +281,7 @@ def test_zonotope_matches_subset_sum_oracle():
 
 def test_zonotope_univariate_segment():
     z = zonotope_support(ones(4))
-    assert z.vertices == ((F(0),), (F(4),))
+    assert z == ((F(0),), (F(4),))
 
 
 @pytest.mark.parametrize("text, point", [
@@ -366,7 +374,7 @@ def test_outside_zonotope_vanishes():
     rng = random.Random(66)
     for cfg in (A2, B2):
         zono = zonotope_support(cfg)
-        xs = [v[0] for v in zono.vertices]
+        xs = [v[0] for v in zono]
         for _ in range(10):
             pt = (max(xs) + F(rng.randint(1, 5), 2), F(rng.randint(-3, 3)))
             assert box_spline_eval(cfg, pt) == 0
@@ -594,7 +602,7 @@ def test_univariate_mass_is_one():
         s = cardinal_bspline(m)
         mass = F(0)
         for k, piece in enumerate(s.pieces[1:-1]):
-            anti = piece.antiderivative(0)
+            anti = piece.antiderivative()
             mass += anti.eval(k + 1) - anti.eval(k)
         assert mass == 1
 
@@ -675,7 +683,7 @@ def test_mixed_sign_univariate_configuration():
     # (1), (-1): the hat on [-1, 1]; still unimodular and invertible
     cfg = VectorConfig(1, ((1,), (-1,)))
     z = zonotope_support(cfg)
-    assert z.vertices == ((F(-1),), (F(1),))
+    assert z == ((F(-1),), (F(1),))
     v = conjecture_verdict(cfg)
     assert len(v.omega) == 3
     assert v.unimodular
@@ -684,17 +692,29 @@ def test_mixed_sign_univariate_configuration():
 
 
 def test_univariate_cache_ignores_the_order_of_x():
-    """B_X does not depend on the order of X, so every ordering of one
-    multiset shares a single cached spline. Both caches are cleared: a
-    configuration already in the integer-knot table would not reach the
-    spline's cache at all."""
-    boxspline._univariate_table.cache_clear()
-    boxspline.univariate_box_spline.cache_clear()
+    """B_X does not depend on the order of X: every ordering of one multiset
+    builds the same spline, and each configuration's integer-knot table
+    evaluates to the recurrence oracle's value."""
+    orders = list(itertools.permutations((1, 2, 3, -1)))
     values = {box_spline_eval(VectorConfig(1, tuple((xi,) for xi in order)),
                               (F(5, 2),))
-              for order in itertools.permutations((1, 2, 3, -1))}
+              for order in orders}
     assert values == {recurrence_oracle(parse_vector_config("1;2;3;-1"))((F(5, 2),))}
-    assert boxspline.univariate_box_spline.cache_info().currsize == 1
+    assert len({univariate_box_spline(order) for order in orders}) == 1
+
+
+@pytest.mark.parametrize("lengths, error", [
+    ((0, 1), RankDeficiencyError),
+    ((1, 2, 0), RankDeficiencyError),
+    ((0,) * 20, RankDeficiencyError),  # refused before the degree check
+    ((1.5, 1), FormatError),
+    ((True, 1), FormatError),
+    ((F(1), 1), FormatError),
+    ((1, "2"), FormatError),
+], ids=["zero", "zero-last", "zero-past-cap", "float", "bool", "fraction", "str"])
+def test_univariate_box_spline_refuses_bad_lengths(lengths, error):
+    with pytest.raises(error):
+        univariate_box_spline(lengths)
 
 
 @st.composite
@@ -910,12 +930,12 @@ def reference_omega(cfg):
     half = [tuple(F(c, 2) for c in col) for col in lattice_basis(cfg.vectors)]
     if cfg.dim == 1:
         step = half[0][0]
-        lo, hi = zono.vertices[0][0], zono.vertices[1][0]
+        lo, hi = zono[0][0], zono[1][0]
         ranges = [range(math.floor(lo / step) + 1, math.ceil(hi / step))]
     else:
         det = half[0][0] * half[1][1] - half[0][1] * half[1][0]
-        xs = [v[0] for v in zono.vertices]
-        ys = [v[1] for v in zono.vertices]
+        xs = [v[0] for v in zono]
+        ys = [v[1] for v in zono]
         k1s, k2s = [], []
         for cx in (min(xs), max(xs)):
             for cy in (min(ys), max(ys)):
@@ -932,11 +952,10 @@ def reference_omega(cfg):
     return tuple(sorted(pts))
 
 
-def closed_inside(zono, pt):
+def closed_inside(verts, pt):
     """Closed zonotope test by edge cross products (1-D: the segment)."""
-    if zono.dim == 1:
-        return zono.vertices[0][0] <= pt[0] <= zono.vertices[1][0]
-    verts = zono.vertices
+    if len(pt) == 1:
+        return verts[0][0] <= pt[0] <= verts[1][0]
     return all((b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0])
                >= 0 for a, b in zip(verts, verts[1:] + verts[:1]))
 

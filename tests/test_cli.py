@@ -266,6 +266,20 @@ def test_zeros_command(capsys, tmp_path):
     assert "Z = 4" in out
 
 
+def test_zeros_text_names_identically_zero_domains(capsys, tmp_path):
+    path = tmp_path / "plateau.json"
+    plateau = piecewise_linear((0, 1, 2, 3), (1, 0, 0, 1))
+    path.write_text(json.dumps(spline_to_document(plateau)))
+    code, out, _ = run(capsys, "zeros", "--in", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "window [0, 3]: Z = 1",
+        "  [0, 1]: 0 interior root(s)",
+        "  [1, 2]: identically zero",
+        "  [2, 3]: 0 interior root(s)",
+    ]
+
+
 def test_zeros_subwindow_via_insertion(capsys, tmp_path):
     path = tmp_path / "spline.json"
     path.write_text(json.dumps(spline_to_document(zigzag_spline(4))))

@@ -206,7 +206,7 @@ def test_report_deterministic_modulo_elapsed():
     docs = []
     for _ in range(2):
         report = run_verification_suite("theorem9", cfg, 25)
-        doc = json.loads(report.to_json())
+        doc = report.to_document()
         doc.pop("elapsed_ms")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]

@@ -83,6 +83,13 @@ def test_det_empty_and_singular():
     assert mat_determinant(RationalMatrix.from_rows([[1, 2], [2, 4]])) == 0
 
 
+def test_matrix_shape_refusals():
+    with pytest.raises(DimensionError):
+        RationalMatrix(2, 2, (F(1), F(2), F(3)))
+    with pytest.raises(DimensionError, match="ragged"):
+        RationalMatrix.from_rows([[1, 2], [3]])
+
+
 def test_det_non_square_rejected():
     with pytest.raises(DimensionError):
         mat_determinant(RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))

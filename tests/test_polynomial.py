@@ -75,19 +75,27 @@ def test_derivative_examples():
     assert Polynomial([2, -3, 1]).derivative() == Polynomial([-3, 2])
 
 
+def test_polynomials_are_immutable():
+    p = Polynomial([1, 2])
+    with pytest.raises(AttributeError):
+        p.num = (3,)
+    assert p == Polynomial([1, 2])
+
+
 def test_antiderivative_examples():
-    assert Polynomial([1]).antiderivative(0) == Polynomial([0, 1])
-    assert Polynomial([0, 2]).antiderivative(3) == Polynomial([3, 0, 1])
-    assert Polynomial([0, 0, 3]).antiderivative(0) == Polynomial([0, 0, 0, 1])
+    assert Polynomial([1]).antiderivative() == Polynomial([0, 1])
+    assert Polynomial([0, 2]).antiderivative() == Polynomial([0, 0, 1])
+    assert Polynomial([0, 0, 3]).antiderivative() == Polynomial([0, 0, 0, 1])
+    assert Polynomial().antiderivative() == Polynomial()
 
 
 @given(st.lists(rationals, max_size=6), rationals)
 @settings(max_examples=100)
 def test_derivative_antiderivative_inverse(coeffs, constant):
     p = Polynomial(coeffs)
-    assert p.antiderivative(constant).derivative() == p
-    q = p.derivative().antiderivative(p.eval(0))
-    assert q == p
+    q = p.antiderivative() + Polynomial.constant(constant)
+    assert q.derivative() == p and q.eval(0) == constant
+    assert p.derivative().antiderivative() + Polynomial.constant(p.eval(0)) == p
 
 
 @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5), rationals)
@@ -199,7 +207,7 @@ def test_integer_form_matches_fraction_reference(a_coeffs, b_coeffs, c, x):
         (a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
         (a * b, ra * rb), (a * Polynomial.constant(c), ra * FractionPolynomial((c,))),
         (a.derivative(), ra.derivative()),
-        (a.antiderivative(c), ra.antiderivative(c)),
+        (a.antiderivative() + Polynomial.constant(c), ra.antiderivative(c)),
         (a.taylor_shift(c), ra.taylor_shift(c)), (a.reflect(), ra.reflect()),
     ]
     for got, want in pairs:
@@ -261,17 +269,18 @@ def test_count_roots_x2_minus_2():
     p = Polynomial([-2, 0, 1])
     # oracle first: one sign change on [0, 2]
     assert bisection_root_count(p, F(0), F(2)) == 1
+    assert root_census(p, 0, 2) == (1, False, False)
     assert count_distinct_roots(p, 0, 2) == 1
 
 
 def test_count_roots_distinct_only():
     # roots planted at 1 (double) and 3; only 1 lies in (0, 2)
     p = from_roots([1, 1, 3])
-    assert count_distinct_roots(p, 0, 2, open_left=True, open_right=True) == 1
+    assert count_distinct_roots(p, 0, 2) == 1
 
 
 def test_count_roots_none():
-    assert count_distinct_roots(Polynomial([1, 0, 1]), -10, 10) == 0
+    assert root_census(Polynomial([1, 0, 1]), -10, 10) == (0, False, False)
 
 
 def test_count_roots_errors():
@@ -285,10 +294,11 @@ def test_count_roots_errors():
 
 def test_count_roots_endpoint_flags():
     p = from_roots([0, 1, 2])
-    assert count_distinct_roots(p, 0, 2) == 3
-    assert count_distinct_roots(p, 0, 2, open_left=True) == 2
-    assert count_distinct_roots(p, 0, 2, open_right=True) == 2
-    assert count_distinct_roots(p, 0, 2, open_left=True, open_right=True) == 1
+    count, at_a, at_b = root_census(p, 0, 2)
+    assert count + at_a + at_b == 3  # closed
+    assert count + at_b == 2  # open on the left
+    assert count + at_a == 2  # open on the right
+    assert count_distinct_roots(p, 0, 2) == count == 1
     assert root_census(p, 0, 2) == (1, True, True)
     assert root_census(p, F(1, 2), 2) == (1, False, True)
     assert root_census(from_roots([1, 1, 3]), 1, 3) == (0, True, True)
@@ -307,6 +317,8 @@ def test_count_roots_against_planted_roots():
         a = F(rng.randint(-12, 0), rng.randint(1, 3))
         b = a + F(rng.randint(1, 24), rng.randint(1, 3))
         distinct = set(roots)
+        count, at_a, at_b = root_census(p, a, b)
+        assert count_distinct_roots(p, a, b) == count
         for open_left, open_right in ((False, False), (True, True),
                                       (True, False), (False, True)):
             expected = sum(
@@ -314,8 +326,7 @@ def test_count_roots_against_planted_roots():
                 if (a < r or (not open_left and r == a))
                 and (r < b or (not open_right and r == b))
             )
-            got = count_distinct_roots(p, a, b, open_left=open_left,
-                                       open_right=open_right)
+            got = count + (at_a and not open_left) + (at_b and not open_right)
             assert got == expected, (roots, a, b, open_left, open_right)
         cases += 1
 
@@ -328,7 +339,7 @@ def test_count_equals_squarefree_count():
         deg = rng.randint(1, 4)
         roots = [F(rng.randint(-5, 5)) for _ in range(deg)]
         p = from_roots(roots + roots)  # force multiplicities
-        assert count_distinct_roots(p, F(-6), F(6)) == len(set(roots))
+        assert root_census(p, F(-6), F(6)) == (len(set(roots)), False, False)
 
 
 def test_closed_minus_open_counts_endpoint_zeros():
@@ -339,10 +350,11 @@ def test_closed_minus_open_counts_endpoint_zeros():
         p = from_roots(roots)
         a = F(rng.randint(-7, 5))
         b = a + F(rng.randint(1, 6))
-        closed = count_distinct_roots(p, a, b)
-        opened = count_distinct_roots(p, a, b, open_left=True, open_right=True)
-        endpoint_zeros = (p.eval(a) == 0) + (p.eval(b) == 0)
-        assert closed - opened == endpoint_zeros
+        count, at_a, at_b = root_census(p, a, b)
+        closed = sum(1 for r in set(roots) if a <= r <= b)
+        assert count_distinct_roots(p, a, b) == count
+        assert (at_a, at_b) == (p.eval(a) == 0, p.eval(b) == 0)
+        assert closed - count == at_a + at_b
 
 
 @st.composite
@@ -375,8 +387,9 @@ def test_count_roots_agrees_with_sympy_oracle(case, open_left, open_right):
         expected -= 1
     if open_right and p.eval(b) == 0:
         expected -= 1
-    assert count_distinct_roots(p, a, b, open_left=open_left,
-                                open_right=open_right) == expected
+    count, at_a, at_b = root_census(p, a, b)
+    assert count + (at_a and not open_left) + (at_b and not open_right) == expected
+    assert count_distinct_roots(p, a, b) == count
 
 
 def sturm_census(p, a, b):

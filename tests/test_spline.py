@@ -116,6 +116,23 @@ def test_spline_rejects_bool_degree():
             Spline(flag, (0, 1), (ZERO, ZERO, ZERO))
 
 
+def test_spline_rejects_pieces_that_are_not_polynomials():
+    with pytest.raises(FormatError, match="Polynomial"):
+        Spline(1, (0, 1), (ZERO, (0, 1), ZERO))
+
+
+def test_piecewise_linear_refusals():
+    """Too few or non-increasing knots raise KnotOrderError before any slope
+    is divided; a value count that differs from the knot count is a
+    FormatError."""
+    for knots, values in (([], []), ([0], [1]), ([0, 0], [1, 2]),
+                          ([1, 0], [1, 2]), ([0, 2, 1], [0, 1, 0])):
+        with pytest.raises(KnotOrderError):
+            piecewise_linear(knots, values)
+    with pytest.raises(FormatError):
+        piecewise_linear([0, 1], [1])
+
+
 def test_spline_rejects_smoothness_violation():
     # jump from 0 to 1 at knot 0 is not C^0
     with pytest.raises(SmoothnessError):
@@ -340,6 +357,14 @@ def test_zero_order_examples():
     assert zero_order_at(s, -5) == float("inf")
 
 
+def test_degree_zero_splines_have_no_census_or_zero_order():
+    step = Spline(0, (0, 1), (ZERO, Polynomial([1]), ZERO))
+    with pytest.raises(DegreeError):
+        separated_zero_count(step, 0, 1)
+    with pytest.raises(DegreeError):
+        zero_order_at(step, 0)
+
+
 def test_zero_order_at_one_sided_flat_knot():
     # zero left of the knot, (x_+)^2 right of it: all derivatives below the
     # degree vanish, so the order caps at the degree
@@ -536,6 +561,8 @@ def test_insert_knot_errors():
         insert_knot(s, 2)
     with pytest.raises(KnotRangeError):
         insert_knot(s, F(0))
+    with pytest.raises(KnotRangeError, match="already a knot"):
+        insert_knot(zigzag_spline(3), 1)
 
 
 def test_zero_count_invariant_under_insert_reflect_scale():
@@ -573,7 +600,10 @@ def test_interior_bound_not_applicable_when_endpoint_nonzero():
     verdict = check_interior_bound(s)
     assert not verdict.applicable
     assert not verdict.passed
-    assert verdict.reason
+    assert verdict.reason == "order at 0 below degree"
+    verdict = check_interior_bound(ramp())  # order 1 at 0, s(1) = 1
+    assert not verdict.applicable
+    assert verdict.reason == "order at 1 below degree"
 
 
 def test_interior_bound_not_applicable_on_zero_window():
