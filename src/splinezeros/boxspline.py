@@ -204,8 +204,10 @@ MAX_OMEGA_CANDIDATES = 256
 def semi_integral_interior_points(
         config: VectorConfig) -> tuple[tuple[Fraction, ...], ...]:
     """Omega of the configuration: the points of half the lattice generated
-    by X strictly inside the zonotope, sorted lexicographically.
-    CapabilityError when the bounding box holds more than
+    by X strictly inside the zonotope, sorted lexicographically. It always
+    holds the centre sum(X)/2, so it is never empty: sum(X) lies in the
+    lattice, and its slack, min_n sum_xi |n.xi|, is positive because X
+    spans. CapabilityError when the bounding box holds more than
     MAX_OMEGA_CANDIDATES * dim half-lattice candidates."""
     cols = lattice_basis(config.vectors)
     # doubled coordinates: the half-lattice basis is the lattice basis, and
@@ -331,9 +333,11 @@ def box_spline_eval(config: VectorConfig, point: Sequence) -> Fraction:
     half-open convention."""
     pt = _as_point(point, config.dim)
     if config.dim == 1:
-        if config.count == 1:
+        if config.count == 1:  # 0 <= x / xi < 1 on ints, for x = a/b
             xi = config.vectors[0][0]
-            return Fraction(1, abs(xi)) if 0 <= pt[0] / xi < 1 else Fraction(0)
+            a = pt[0].numerator if xi > 0 else -pt[0].numerator
+            inside = 0 <= a < abs(xi) * pt[0].denominator
+            return Fraction(1, abs(xi)) if inside else Fraction(0)
         knots, pieces = _univariate_table(config)
         return pieces[bisect_right(knots, math.floor(pt[0]))].eval(pt[0])
     deg = config.box_degree
@@ -465,7 +469,6 @@ class ConjectureVerdict(NamedTuple):
     matrix: RationalMatrix
     determinant: Fraction
     invertible: bool
-    vacuous: bool  # empty Omega: 0x0 matrix, determinant 1 by convention
 
 
 def conjecture_verdict(config: VectorConfig) -> ConjectureVerdict:
@@ -479,7 +482,6 @@ def conjecture_verdict(config: VectorConfig) -> ConjectureVerdict:
         matrix=matrix,
         determinant=det,
         invertible=(det != 0),
-        vacuous=(len(omega) == 0),
     )
 
 

@@ -21,6 +21,11 @@ s are reused and only the tails are assembled (spline._running_pieces).
 Each tail's jumps solve one fixed (m+1)x(m+1) system, whose exact inverse
 linalg.mat_solve builds once per degree (cached): an extension runs no
 linear solve per call and never builds B_m.
+
+cardinal_bspline and extend_compact refuse a degree outside
+[1, MAX_CARDINAL_DEGREE] by spline.check_degree (DegreeError), the rule
+every public entry point shares. univariate_box_spline's limit of
+MAX_CARDINAL_DEGREE + 1 lengths is a capability limit (CapabilityError).
 """
 
 from __future__ import annotations
@@ -35,20 +40,19 @@ from .errors import (
     ConsistencyError,
     DegreeError,
     FormatError,
-    KnotRangeError,
     RankDeficiencyError,
 )
 from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
 from .rational import primitive_integers
 from .spline import (
+    MAX_CARDINAL_DEGREE,
     Spline,
     _running_pieces,
+    check_degree,
     normalize,
     spline_from_truncated_powers,
 )
-
-MAX_CARDINAL_DEGREE = 12
 
 
 def univariate_box_spline(lengths: tuple[int, ...]) -> Spline:
@@ -86,7 +90,7 @@ def convolution_bspline_pieces(m: int) -> tuple[Polynomial, ...]:
     integration of the unit indicator. Independent of the truncated-power
     route; used as its cross-check."""
     if m < 0:
-        raise KnotRangeError("degree must be non-negative")
+        raise DegreeError(f"degree must be non-negative, got {m!r}")
     pieces: list[Polynomial] = [Polynomial.constant(1)]
     for deg in range(1, m + 1):
         running = Fraction(0)
@@ -128,13 +132,10 @@ def _cardinal_cached(m: int) -> Spline:
 
 
 def cardinal_bspline(m: int) -> Spline:
-    """B_m for 1 <= m <= 12: the Spline with knots 0..m+1, zero outside
-    [0, m+1] and positive inside, certified once per degree (see the module
-    docstring)."""
-    if type(m) is not int or not 1 <= m <= MAX_CARDINAL_DEGREE:
-        raise KnotRangeError(
-            f"degree must be an int in [1, {MAX_CARDINAL_DEGREE}], got {m!r}"
-        )
+    """B_m for 1 <= m <= MAX_CARDINAL_DEGREE (check_degree): the Spline with
+    knots 0..m+1, zero outside [0, m+1] and positive inside, certified once
+    per degree (see the module docstring)."""
+    check_degree(m)
     return _cardinal_cached(m)
 
 
@@ -177,14 +178,10 @@ def extend_compact(s: Spline) -> Spline:
     and of e_0 .. e_(m-1) from p_n, and the interior of s is reused; the
     Spline constructor certifies every join, so d_0, e_m and the interior
     jumps are never formed. Knots with one piece on both sides are shed
-    (a zero s gives the zero spline on [a_0 - m, a_n + m]). Degrees above
-    MAX_CARDINAL_DEGREE are refused before any work."""
+    (a zero s gives the zero spline on [a_0 - m, a_n + m]). A degree outside
+    [1, MAX_CARDINAL_DEGREE] is refused (check_degree) before any work."""
     m = s.degree
-    if not 1 <= m <= MAX_CARDINAL_DEGREE:
-        raise DegreeError(
-            f"extension needs degree in [1, {MAX_CARDINAL_DEGREE}] "
-            f"(MAX_CARDINAL_DEGREE), got {m}"
-        )
+    check_degree(m)
     rows, den = _tail_inverse(m)
     a0, an = s.knots[0], s.knots[-1]
     first = s.pieces[1].taylor_shift(a0)

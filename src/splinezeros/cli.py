@@ -17,12 +17,13 @@ from .boxspline import (
     format_matrix,
     parse_vector_config,
 )
-from .bspline import MAX_CARDINAL_DEGREE, cardinal_bspline, extend_compact
+from .bspline import cardinal_bspline, extend_compact
 from .errors import FormatError, SplineZerosError
 from .harness import (MAX_DENOMINATOR_BOUND, MAX_INTERIOR_KNOTS, MAX_NUMERATOR_BOUND,
                       SUITE_KINDS, GeneratorConfig, run_verification_suite)
 from .rational import format_rational, parse_rational
 from .spline import (
+    MAX_CARDINAL_DEGREE,
     Spline,
     insert_knot,
     separated_zero_count,
@@ -210,7 +211,6 @@ def _cmd_conjecture(args) -> int:
             ],
             "determinant": format_rational(verdict.determinant),
             "invertible": verdict.invertible,
-            "vacuous": verdict.vacuous,
         }
         print(json.dumps(out, indent=2))
     else:

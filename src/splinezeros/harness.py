@@ -46,12 +46,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .bspline import MAX_CARDINAL_DEGREE, extend_compact
+from .bspline import extend_compact
 from .errors import CapabilityError, DegreeError, FormatError, Validated
 from .polynomial import Polynomial
 from .spline import (
     Spline,
     _spline_from_int_jumps,
+    check_degree,
     check_interior_bound,
     check_zero_bound,
     open_component_count,
@@ -79,9 +80,9 @@ class GeneratorConfig(Validated, namedtuple(
     """Knobs for random spline generation. The window is
     [0, interior_knots + 1]; interior knots all receive nonzero truncated-
     power jumps, so every requested knot is genuine. Every field must be an
-    int (bool included in the refusal), and the degree must lie in
-    [1, MAX_CARDINAL_DEGREE], the range extend_compact accepts, so all suite
-    kinds refuse the same degrees before any work. More than
+    int (bool included in the refusal), and the degree passes check_degree,
+    the rule extend_compact applies, so all suite kinds refuse the same
+    degrees before any work. More than
     MAX_INTERIOR_KNOTS interior knots, and coefficient bounds above
     MAX_NUMERATOR_BOUND or MAX_DENOMINATOR_BOUND, are refused the same
     way."""
@@ -92,11 +93,7 @@ class GeneratorConfig(Validated, namedtuple(
         for name, value in zip(self._fields, self):
             if type(value) is not int:
                 raise FormatError(f"{name} must be an int, got {value!r}")
-        if not 1 <= self.degree <= MAX_CARDINAL_DEGREE:
-            raise DegreeError(
-                f"degree must be in [1, {MAX_CARDINAL_DEGREE}] "
-                f"(MAX_CARDINAL_DEGREE), got {self.degree}"
-            )
+        check_degree(self.degree)
         if self.interior_knots < 0:
             raise FormatError("interior knot count must be >= 0")
         if self.interior_knots > MAX_INTERIOR_KNOTS:

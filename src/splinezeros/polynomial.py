@@ -18,16 +18,19 @@ variations) does it build a Sturm sequence, one remainder sequence per
 polynomial: the pseudo-remainder sequence of (p, p') ends in g = gcd(p, p'),
 and dividing every entry by g gives a Sturm sequence of the square-free part
 p/g, so no separate gcd is computed. That sequence is evaluated once at each
-endpoint.
+endpoint, and one sign-variation count (_variations) reads both the Moebius
+image and the Sturm values.
 
 A Polynomial is integer numerators over one positive denominator, so its
 algebra runs on ints. The Moebius image is built in one pass from the
 numerators as stored (a positive content changes no sign); only the Sturm
 path takes a primitive copy by one content division, and its kernel divides
-content out after every pseudo-remainder step, keeping coefficients tame.
-One homogeneous Taylor shift (_homogeneous_shift) serves the census,
-taylor_shift and root_order, which reads a root's multiplicity from the
-leading zeros of the shifted numerators.
+content out of p' and after every pseudo-remainder step, keeping
+coefficients tame; each pseudo-remainder step multiplies by |lc| and so
+keeps its sign. One homogeneous Taylor shift (_homogeneous_shift) serves
+root_order, which reads a root's multiplicity from the leading zeros of the
+shifted numerators, and one shift-and-scale step built on it
+(_shift_scale) serves both taylor_shift and the Moebius map.
 """
 
 from __future__ import annotations
@@ -154,23 +157,19 @@ class Polynomial:
                         self.den * b ** (len(self.num) - 1))
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.from_integers(
-            [i * v for i, v in enumerate(self.num) if i], self.den)
+        return Polynomial.from_integers(_derivative_int(self.num), self.den)
 
     def antiderivative(self) -> "Polynomial":
         """The q with q' = self and q(0) = 0."""
         return Polynomial([0, *(c / (i + 1) for i, c in enumerate(self.coeffs))])
 
     def taylor_shift(self, h) -> "Polynomial":
-        """p(x + h) with h = s/q: _homogeneous_shift by s over q gives
-        den q^d p((y + s)/q), then y = q x."""
+        """p(x + h) with h = s/q: _shift_scale by s over q with w = q gives
+        den q^d p((q x + s)/q)."""
         h = as_rational(h)
         q = h.denominator
-        c, power = _homogeneous_shift(self.num, h.numerator, q), 1
-        for i in range(1, len(c)):  # y = q x: coefficient i times q^i
-            power *= q
-            c[i] *= power
-        return Polynomial.from_integers(c, self.den * power)
+        c = _shift_scale(self.num, h.numerator, q, q)
+        return Polynomial.from_integers(c, self.den * q ** max(len(c) - 1, 0))
 
     def reflect(self) -> "Polynomial":
         """p(-x)."""
@@ -206,26 +205,22 @@ def _content_normalize(c: list[int]) -> list[int]:
 def _prem_positive(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder r with r = k * (a mod b) for some k > 0.
 
-    The classic pseudo-remainder multiplies by lc(b) once per eliminated
-    degree; an odd number of negative multipliers flips the sign, which
-    would corrupt a Sturm chain, so the flip is undone before returning."""
+    Each step multiplies by |lc(b)| and eliminates with the copy of b whose
+    leading coefficient is positive, so no step flips the sign, which would
+    corrupt a Sturm chain."""
+    if b[-1] < 0:
+        b = [-v for v in b]
     db = len(b) - 1
     lb = b[-1]
     r = a[:]
-    flips = 0
     while len(r) - 1 >= db:
-        dr = len(r) - 1
         lead = r[-1]
-        shift = dr - db
+        shift = len(r) - 1 - db
         new = [c * lb for c in r[:-1]]
         for i in range(db):
             new[shift + i] -= lead * b[i]
-        if lb < 0:
-            flips ^= 1
         r = _trim_int(new)
-        if not r:
-            return r
-    return [-v for v in r] if flips else r
+    return r
 
 
 def _div_exact_int(num: list[int], den: list[int]) -> list[int] | None:
@@ -266,6 +261,17 @@ def _homogeneous_shift(num: Sequence[int], s: int, b: int) -> list[int]:
     return _shift_int(c, s)
 
 
+def _shift_scale(num: Sequence[int], s: int, b: int, w: int) -> list[int]:
+    """The coefficients of sum num_i b^(d-i) (w x + s)^i, which is b^d times
+    the polynomial at (w x + s)/b: _homogeneous_shift by s over b, then
+    coefficient i times w^i (a running product)."""
+    c, power = _homogeneous_shift(num, s, b), 1
+    for i in range(1, len(c)):
+        power *= w
+        c[i] *= power
+    return c
+
+
 def root_order(p: Polynomial, x, cap: int) -> int:
     """Multiplicity of the rational x as a root of p, capped at cap; the zero
     polynomial gets cap. With x = a/b in lowest terms, the coefficient of y^k
@@ -295,19 +301,18 @@ def _horner(c: Sequence[int], num: int, den: int) -> int:
 def _sturm_chain(c: list[int]) -> list[list[int]]:
     """Sturm sequence of the square-free part of c, from one remainder
     sequence: the pseudo-remainder sequence of (c, c') with content divided
-    out, ending in g = gcd(c, c'). When deg g > 0 every entry is divided
-    exactly by g, which gives a Sturm sequence of c/g (Basu, Pollack & Roy,
-    Algorithms in Real Algebraic Geometry, ch. 2)."""
+    out of every entry after c, so its last entry, as stored, is
+    g = gcd(c, c') up to a positive factor. When deg g > 0 every entry is
+    divided exactly by g, which gives a Sturm sequence of c/g (Basu, Pollack
+    & Roy, Algorithms in Real Algebraic Geometry, ch. 2)."""
     chain = [c]
     d = _trim_int(_derivative_int(c))
     if not d:
         return chain
-    chain.append(d)
+    chain.append(_content_normalize(d))
     while r := _prem_positive(chain[-2], chain[-1]):
         chain.append([-v for v in _content_normalize(r)])
-    # when the chain is only (c, c'), its last entry is c' itself, whose
-    # content was never divided out
-    g = _content_normalize(chain[-1])
+    g = chain[-1]
     if len(g) == 1:
         return chain
     quotients = [_div_exact_int(entry, g) for entry in chain]
@@ -318,8 +323,13 @@ def _sturm_chain(c: list[int]) -> list[list[int]]:
 
 def _variations(values: list[int]) -> int:
     """Sign changes along values, zeros skipped."""
-    signs = [v > 0 for v in values if v]
-    return sum(u != v for u, v in zip(signs, signs[1:]))
+    count, negative = 0, None
+    for v in values:
+        if v:
+            if negative is not None and (v < 0) != negative:
+                count += 1
+            negative = v < 0
+    return count
 
 
 def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
@@ -347,37 +357,26 @@ def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
     With a = a1/a2, b = b1/b2, D = a2 b2 and W = b1 a2 - a1 b2 (> 0), num,
     of degree d and read as a polynomial c, is mapped to
     q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)), whose positive roots are the
-    roots of c in (a, b), entirely on ints: _homogeneous_shift by a1 b2
-    over D gives D^d c((y + a1 b2)/D), scaling coefficient i by W^i (a
-    running product) gives D^d c(a + (b - a) x), and reversing and shifting
-    by 1 gives q. So q[0] == 0 is c(b) == 0 and q[d] == 0 is c(a) == 0, and
-    the sign variations V of q bound the roots in (a, b), counted with
-    multiplicity, with an even excess (Collins & Akritas 1976; Basu, Pollack
-    & Roy, Algorithms in Real Algebraic Geometry, ch. 10): V = 0 means no
-    root and V = 1 exactly one, a simple one.
+    roots of c in (a, b), entirely on ints: _shift_scale by a1 b2 over D
+    with w = W gives D^d c((W x + a1 b2)/D) = D^d c(a + (b - a) x), and
+    reversing and shifting by 1 gives q. So q[0] == 0 is c(b) == 0 and
+    q[d] == 0 is c(a) == 0, and the sign variations V of q (_variations)
+    bound the roots in (a, b), counted with multiplicity, with an even
+    excess (Collins & Akritas 1976; Basu, Pollack & Roy, Algorithms in Real
+    Algebraic Geometry, ch. 10): V = 0 means no root and V = 1 exactly one,
+    a simple one.
 
     Only when V >= 2 (two roots, a multiple root, or complex roots the rule
     cannot exclude) does the Sturm sequence of the square-free part
     c/gcd(c, c') (see _sturm_chain) run, evaluated once at each endpoint:
-    the zero-skip sign-variation difference V(a) - V(b) counts the distinct
-    roots in the half-open (a, b], and c(b) == 0 is subtracted to open the
-    right end."""
-    d = len(num) - 1
-    q = _homogeneous_shift(num, a1 * b2, a2 * b2)
-    w = b1 * a2 - a1 * b2
-    power = 1
-    for i in range(1, d + 1):
-        power *= w
-        q[i] *= power
+    the sign-variation difference V(a) - V(b), counted by the same
+    _variations, gives the distinct roots in the half-open (a, b], and
+    c(b) == 0 is subtracted to open the right end."""
+    q = _shift_scale(num, a1 * b2, a2 * b2, b1 * a2 - a1 * b2)
     q.reverse()
     _shift_int(q, 1)
-    zero_at_a, zero_at_b = q[d] == 0, q[0] == 0
-    count, negative = 0, None  # sign variations of q, zeros skipped
-    for v in q:
-        if v:
-            if negative is not None and (v < 0) != negative:
-                count += 1
-            negative = v < 0
+    zero_at_a, zero_at_b = q[-1] == 0, q[0] == 0
+    count = _variations(q)
     if count >= 2:
         chain = _sturm_chain(_content_normalize(list(num)))
         at_a = [_horner(e, a1, a2) for e in chain]

@@ -60,6 +60,18 @@ from .errors import (
 from .polynomial import Polynomial, _census_int, root_order
 from .rational import as_rational, format_ratio, format_rational, parse_rational
 
+# The largest degree a public entry point takes: a cardinal B-spline, an
+# extension, a generated spline and a spline document all stop here.
+MAX_CARDINAL_DEGREE = 12
+
+
+def check_degree(m) -> None:
+    """Refuse m unless it is an int (not a bool) in [1, MAX_CARDINAL_DEGREE],
+    with DegreeError: the one degree rule of every public entry point."""
+    if type(m) is not int or not 1 <= m <= MAX_CARDINAL_DEGREE:
+        raise DegreeError(f"degree must be an int in [1, {MAX_CARDINAL_DEGREE}] "
+                          f"(MAX_CARDINAL_DEGREE), got {m!r}")
+
 
 class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
     """Certified piecewise polynomial: an int degree, a tuple of Fraction
@@ -545,7 +557,8 @@ def spline_to_document(s: Spline) -> dict:
 
 def spline_from_document(doc: dict) -> Spline:
     """Parse and fully validate a spline document; smoothness violations are
-    rejected, not repaired."""
+    rejected, not repaired. The degree is checked (check_degree) before any
+    knot or piece is parsed; the Spline constructor checks the piece count."""
     if not isinstance(doc, dict):
         raise FormatError("spline document must be an object")
     try:
@@ -556,15 +569,11 @@ def spline_from_document(doc: dict) -> Spline:
         raise FormatError(f"spline document missing key {missing}") from None
     if type(degree) is not int or degree < 1:  # rejects true/false too
         raise FormatError(f"invalid degree {degree!r}")
+    check_degree(degree)
     if not isinstance(knots_raw, list) or not isinstance(pieces_raw, list):
         raise FormatError("knots and pieces must be arrays")
     if not all(isinstance(coeffs, list) for coeffs in pieces_raw):
         raise FormatError("each piece must be an array of coefficients")
-    if len(pieces_raw) != len(knots_raw) + 1:
-        raise FormatError(
-            f"{len(knots_raw)} knots require {len(knots_raw) + 1} pieces, "
-            f"got {len(pieces_raw)}"
-        )
     knots = tuple(parse_rational(k) for k in knots_raw)
     pieces = tuple(Polynomial(parse_rational(c) for c in coeffs)
                    for coeffs in pieces_raw)

@@ -353,6 +353,31 @@ def test_omega_strictly_interior():
             assert point_strictly_inside(zono, p)
 
 
+@st.composite
+def small_configs(draw):
+    """Valid configurations with components in [-3, 3]: 1 to 8 vectors in
+    1-D, 2 or 3 in the plane. All of these stay under the Omega candidate
+    limit."""
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(dim, 8 if dim == 1 else 3))
+    vectors = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+                    for _ in range(m))
+    try:
+        return VectorConfig(dim, vectors)
+    except RankDeficiencyError:
+        assume(False)
+
+
+@given(small_configs())
+@settings(max_examples=200, deadline=None)
+def test_omega_always_holds_the_centre(cfg):
+    """sum(X)/2 lies in Omega, so Omega is never empty: sum(X) is in the
+    lattice X generates, and its slack, min_n sum_xi |n.xi|, is positive
+    because X spans."""
+    centre = tuple(F(c, 2) for c in cfg.vector_sum())
+    assert centre in semi_integral_interior_points(cfg)
+
+
 # -- evaluation ------------------------------------------------------------------
 
 
@@ -661,7 +686,6 @@ def test_a2_verdict():
     assert v.unimodular
     assert v.determinant == F(1, 64)  # golden sign under lexicographic order
     assert v.invertible
-    assert not v.vacuous
 
 
 def test_b2_counterexample():
@@ -689,6 +713,14 @@ def test_mixed_sign_univariate_configuration():
     assert v.unimodular
     assert v.invertible
     assert box_spline_eval(cfg, (0,)) == 1
+    # one vector of either sign: the half-open indicator of xi [0, 1)
+    for xi in (2, -1, -2, -3, -7):
+        one = VectorConfig(1, ((xi,),))
+        oracle = recurrence_oracle(one)
+        assert box_spline_eval(one, (0,)) == F(1, abs(xi))
+        assert box_spline_eval(one, (xi,)) == 0
+        for x in (F(k, 6) for k in range(-50, 51)):
+            assert box_spline_eval(one, (x,)) == oracle((x,)), (xi, x)
 
 
 def test_univariate_cache_ignores_the_order_of_x():

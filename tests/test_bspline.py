@@ -29,13 +29,13 @@ from splinezeros import bspline, linalg
 from splinezeros.errors import (
     ConsistencyError,
     DegreeError,
-    KnotRangeError,
     SmoothnessError,
 )
 from splinezeros.linalg import RationalMatrix, mat_solve
 from splinezeros.spline import (
     open_component_count,
     spline_derivative,
+    spline_from_document,
     spline_to_document,
 )
 
@@ -69,12 +69,32 @@ def test_b3_value():
 
 
 def test_degree_range_enforced():
-    with pytest.raises(KnotRangeError):
-        cardinal_bspline(0)
-    with pytest.raises(KnotRangeError):
-        cardinal_bspline(13)
-    with pytest.raises(KnotRangeError):
-        cardinal_bspline(True)
+    for m in (0, 13, True, 2.0):
+        with pytest.raises(DegreeError):
+            cardinal_bspline(m)
+    with pytest.raises(DegreeError):
+        convolution_bspline_pieces(-1)
+
+
+ONE = Polynomial([1])
+DEGREE_13_ENTRY_POINTS = {
+    "cardinal_bspline": lambda: cardinal_bspline(13),
+    "extend_compact": lambda: extend_compact(Spline(13, (0, 1), (ONE,) * 3)),
+    "GeneratorConfig": lambda: GeneratorConfig(seed=1, degree=13,
+                                               interior_knots=1),
+    "spline_from_document": lambda: spline_from_document(
+        {"degree": 13, "knots": ["0", "1"], "pieces": [["1"]] * 3}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEGREE_13_ENTRY_POINTS))
+def test_entry_points_share_one_degree_rule(entry):
+    """Every public entry point that takes a degree refuses 13 with the one
+    message of spline.check_degree."""
+    with pytest.raises(DegreeError) as refused:
+        DEGREE_13_ENTRY_POINTS[entry]()
+    assert str(refused.value) == (
+        "degree must be an int in [1, 12] (MAX_CARDINAL_DEGREE), got 13")
 
 
 def shifted_by_one(s):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -140,6 +141,16 @@ def test_spline_rejects_smoothness_violation():
     # C^0 but not C^1 for degree 2
     with pytest.raises(SmoothnessError):
         Spline(2, (0, 1), (ZERO, Polynomial([0, 1]), Polynomial([0, 1])))
+
+
+def test_kink_at_a_huge_declared_degree_fails_fast():
+    """Spline takes any degree; a C^0 kink declared C^299999 is refused by
+    its low-order mismatch before any power of the degree is formed."""
+    started = time.monotonic()
+    with pytest.raises(SmoothnessError,
+                       match="derivative order 1 jumps at knot 0"):
+        Spline(300000, (0, 1), (ZERO, Polynomial([0, 1]), Polynomial([0, 1])))
+    assert time.monotonic() - started < 1.0
 
 
 def smooth_by_derivative_chains(degree, knots, pieces):
