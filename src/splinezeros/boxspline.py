@@ -6,8 +6,9 @@ under test.
 Normalization: B_X is the density of the pushforward of the uniform measure
 on the unit cube [0,1]^m under t -> X t. The evaluation route follows from
 the dimension. In 1-D it is bspline.univariate_box_spline (one vector: the
-half-open indicator), whose piece at x is found among its integer knots at
-floor(x). In 2-D, writing t = W x + V u with X W = I, X V = 0,
+half-open indicator) as integer knots and piece rows: x = a/b takes the row
+at a // b = floor(x), and its integer Horner builds one Fraction. In 2-D,
+writing t = W x + V u with X W = I, X V = 0,
 
     B_X(x) = |det [W V]| * vol_(m-2){ u : W x + V u in [0,1]^m },
 
@@ -46,6 +47,7 @@ from .errors import (
     Validated,
 )
 from .linalg import RationalMatrix, lattice_basis, mat_determinant
+from .polynomial import _horner
 from .rational import as_rational, format_rational, primitive_integers
 
 
@@ -247,9 +249,11 @@ def semi_integral_interior_points(
 
 @lru_cache(maxsize=64)
 def _univariate_table(config: VectorConfig):
-    """The knots of univariate_box_spline(lengths) as ints, and its pieces."""
+    """The knots of univariate_box_spline(lengths) as ints, and each piece as
+    a row (integer numerators, denominator), ready for _horner."""
     spline = univariate_box_spline(tuple(v[0] for v in config.vectors))
-    return tuple([int(k) for k in spline.knots]), spline.pieces
+    return (tuple([int(k) for k in spline.knots]),
+            tuple([(p.num, p.den) for p in spline.pieces]))
 
 
 @lru_cache(maxsize=64)
@@ -338,8 +342,13 @@ def box_spline_eval(config: VectorConfig, point: Sequence) -> Fraction:
             a = pt[0].numerator if xi > 0 else -pt[0].numerator
             inside = 0 <= a < abs(xi) * pt[0].denominator
             return Fraction(1, abs(xi)) if inside else Fraction(0)
-        knots, pieces = _univariate_table(config)
-        return pieces[bisect_right(knots, math.floor(pt[0]))].eval(pt[0])
+        knots, rows = _univariate_table(config)
+        a, b = pt[0].numerator, pt[0].denominator
+        num, den = rows[bisect_right(knots, a // b)]  # a // b is floor(x)
+        if not num:
+            return Fraction(0)
+        h, power = _horner(num, a, b)
+        return Fraction(h, den * power)
     deg = config.box_degree
     if deg > 2:
         raise CapabilityError(

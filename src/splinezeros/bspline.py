@@ -24,7 +24,8 @@ linear solve per call and never builds B_m.
 
 cardinal_bspline and extend_compact refuse a degree outside
 [1, MAX_CARDINAL_DEGREE] by spline.check_degree (DegreeError), the rule
-every public entry point shares. univariate_box_spline's limit of
+every public entry point shares; convolution_bspline_pieces applies it from
+degree 0 up. univariate_box_spline's limit of
 MAX_CARDINAL_DEGREE + 1 lengths is a capability limit (CapabilityError).
 """
 
@@ -38,7 +39,6 @@ from operator import mul
 from .errors import (
     CapabilityError,
     ConsistencyError,
-    DegreeError,
     FormatError,
     RankDeficiencyError,
 )
@@ -88,9 +88,9 @@ def univariate_box_spline(lengths: tuple[int, ...]) -> Spline:
 def convolution_bspline_pieces(m: int) -> tuple[Polynomial, ...]:
     """Interior pieces of B_m on [k, k+1], k = 0..m, by repeated exact
     integration of the unit indicator. Independent of the truncated-power
-    route; used as its cross-check."""
-    if m < 0:
-        raise DegreeError(f"degree must be non-negative, got {m!r}")
+    route; used as its cross-check. A degree outside [0, MAX_CARDINAL_DEGREE]
+    is refused (check_degree with lowest = 0)."""
+    check_degree(m, lowest=0)
     pieces: list[Polynomial] = [Polynomial.constant(1)]
     for deg in range(1, m + 1):
         running = Fraction(0)

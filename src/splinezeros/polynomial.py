@@ -148,13 +148,12 @@ class Polynomial:
 
     def eval(self, x) -> Fraction:
         """Exact value at x = a/b: the census kernel's homogeneous integer
-        Horner (_horner), then one Fraction over den * b^d."""
+        Horner (_horner), then one Fraction over den times its b^d."""
         x = as_rational(x)
         if not self.num:
             return Fraction(0)
-        b = x.denominator
-        return Fraction(_horner(self.num, x.numerator, b),
-                        self.den * b ** (len(self.num) - 1))
+        h, power = _horner(self.num, x.numerator, x.denominator)
+        return Fraction(h, self.den * power)
 
     def derivative(self) -> "Polynomial":
         return Polynomial.from_integers(_derivative_int(self.num), self.den)
@@ -287,15 +286,16 @@ def root_order(p: Polynomial, x, cap: int) -> int:
     return order
 
 
-def _horner(c: Sequence[int], num: int, den: int) -> int:
-    """Homogeneous integer Horner: sum c_i num^i den^(d-i), d = len(c) - 1,
-    which is den^d times the value of sum c_i x^i at num/den, with no
-    division."""
-    acc, den_power = 0, 1
-    for v in reversed(c):
-        acc = acc * num + v * den_power
+def _horner(c: Sequence[int], num: int, den: int) -> tuple[int, int]:
+    """Homogeneous integer Horner: (sum c_i num^i den^(d-i), den^d) with
+    d = max(len(c) - 1, 0). The first is den^d times the value of
+    sum c_i x^i at num/den, so the two make that value with no division."""
+    top = reversed(c)
+    acc, den_power = next(top, 0), 1
+    for v in top:
         den_power *= den
-    return acc
+        acc = acc * num + v * den_power
+    return acc, den_power
 
 
 def _sturm_chain(c: list[int]) -> list[list[int]]:
@@ -379,8 +379,8 @@ def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
     count = _variations(q)
     if count >= 2:
         chain = _sturm_chain(_content_normalize(list(num)))
-        at_a = [_horner(e, a1, a2) for e in chain]
-        at_b = [_horner(e, b1, b2) for e in chain]
+        at_a = [_horner(e, a1, a2)[0] for e in chain]
+        at_b = [_horner(e, b1, b2)[0] for e in chain]
         count = _variations(at_a) - _variations(at_b) - zero_at_b
     return count, zero_at_a, zero_at_b
 

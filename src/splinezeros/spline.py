@@ -65,12 +65,13 @@ from .rational import as_rational, format_ratio, format_rational, parse_rational
 MAX_CARDINAL_DEGREE = 12
 
 
-def check_degree(m) -> None:
-    """Refuse m unless it is an int (not a bool) in [1, MAX_CARDINAL_DEGREE],
-    with DegreeError: the one degree rule of every public entry point."""
-    if type(m) is not int or not 1 <= m <= MAX_CARDINAL_DEGREE:
-        raise DegreeError(f"degree must be an int in [1, {MAX_CARDINAL_DEGREE}] "
-                          f"(MAX_CARDINAL_DEGREE), got {m!r}")
+def check_degree(m, lowest: int = 1) -> None:
+    """Refuse m unless it is an int (not a bool) in [lowest,
+    MAX_CARDINAL_DEGREE], with DegreeError: the one degree rule of every
+    public entry point. Only convolution_bspline_pieces takes lowest = 0."""
+    if type(m) is not int or not lowest <= m <= MAX_CARDINAL_DEGREE:
+        raise DegreeError(f"degree must be an int in [{lowest}, "
+                          f"{MAX_CARDINAL_DEGREE}] (MAX_CARDINAL_DEGREE), got {m!r}")
 
 
 class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
@@ -231,10 +232,10 @@ def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
     C^(m-1) smoothness automatic, so this is the safe way to author splines.
 
     The public edge of _spline_from_int_jumps: it coerces every knot, jump
-    coefficient and window end, and refuses a degree below 1. The jump knots
-    must increase inside the window; see the kernel for the rest."""
-    if m < 1:
-        raise DegreeError(f"spline degree must be >= 1, got {m}")
+    coefficient and window end, and refuses a degree outside
+    [1, MAX_CARDINAL_DEGREE] (check_degree). The jump knots must increase
+    inside the window; see the kernel for the rest."""
+    check_degree(m)
     lo, hi = as_rational(window[0]), as_rational(window[1])
     int_jumps = []
     for knot, c in jumps:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splinezeros import (
+    Polynomial,
     VectorConfig,
     box_spline_eval,
     cardinal_bspline,
@@ -778,10 +779,10 @@ def test_univariate_table_matches_spline_eval_and_recurrence_oracle(lengths):
             == oracle((x,)), (lengths, x)
 
 
-def test_univariate_route_makes_no_fraction_comparison(monkeypatch):
-    """Counted at Fraction._richcmp, the hook of every Fraction comparison:
-    2 to 13 vectors in 1-D evaluate at boxeval-scatter-style points
-    x = sum t_i xi_i, t_i in (0, 1), with none, once the table is built."""
+def univariate_scatter_points():
+    """(configuration, point) pairs for 2 to 13 vectors in 1-D at
+    boxeval-scatter-style points x = sum t_i xi_i, t_i in (0, 1), with
+    every configuration's table already built."""
     rng = random.Random(25)
     configs = [parse_vector_config(text)
                for text in ("1;2", "1;2;3", "1;1;1", "1;2;3;-1")]
@@ -794,6 +795,14 @@ def test_univariate_route_makes_no_fraction_comparison(monkeypatch):
                 F(rng.randint(1, q - 1), q)
                 for q in (rng.randint(2, 16) for _ in range(cfg.count - 1))]
             points.append((cfg, (sum(ti * v[0] for ti, v in zip(t, cfg.vectors)),)))
+    return points
+
+
+def test_univariate_route_makes_no_fraction_comparison(monkeypatch):
+    """Counted at Fraction._richcmp, the hook of every Fraction comparison:
+    the 1-D route evaluates scatter-style points with none, once the table
+    is built."""
+    points = univariate_scatter_points()
     comparisons = []
     richcmp = F._richcmp
     monkeypatch.setattr(F, "_richcmp", lambda self, other, op:
@@ -802,6 +811,22 @@ def test_univariate_route_makes_no_fraction_comparison(monkeypatch):
     monkeypatch.undo()
     assert comparisons == []
     assert all(value > 0 for value in values)
+
+
+def test_univariate_route_never_calls_polynomial_eval(monkeypatch):
+    """The 1-D route runs _horner on the table's integer rows: with
+    Polynomial.eval made to raise, the scatter-style points still evaluate,
+    to the values the pieces give."""
+    points = univariate_scatter_points()
+    expected = [spline_eval(univariate_box_spline(tuple(v[0] for v in cfg.vectors)),
+                            pt[0]) for cfg, pt in points]
+
+    def refuse(self, x):
+        raise AssertionError("Polynomial.eval on the 1-D route")
+    monkeypatch.setattr(Polynomial, "eval", refuse)
+    values = [box_spline_eval(cfg, pt) for cfg, pt in points]
+    monkeypatch.undo()
+    assert values == expected
 
 
 def univariate_census(entries, counts):

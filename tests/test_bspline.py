@@ -72,8 +72,16 @@ def test_degree_range_enforced():
     for m in (0, 13, True, 2.0):
         with pytest.raises(DegreeError):
             cardinal_bspline(m)
+    assert convolution_bspline_pieces(0) == (Polynomial.constant(1),)
+
+
+@pytest.mark.parametrize("m", [-1, True, 2.0, "3", 13, 40])
+def test_convolution_pieces_refuse_bad_degree(m):
+    """The convolution cross-check takes degrees 0 to MAX_CARDINAL_DEGREE:
+    a bool is not read as 1, and a float, a str or a degree past the cap
+    is refused before any integration."""
     with pytest.raises(DegreeError):
-        convolution_bspline_pieces(-1)
+        convolution_bspline_pieces(m)
 
 
 ONE = Polynomial([1])
@@ -84,6 +92,8 @@ DEGREE_13_ENTRY_POINTS = {
                                                interior_knots=1),
     "spline_from_document": lambda: spline_from_document(
         {"degree": 13, "knots": ["0", "1"], "pieces": [["1"]] * 3}),
+    "spline_from_truncated_powers": lambda: spline_from_truncated_powers(
+        Polynomial(), ((0, 1),), (0, 1), 13),
 }
 
 

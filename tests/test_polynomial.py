@@ -260,8 +260,8 @@ def test_horner_matches_exact_fraction_value(c, a, b):
     x = F(a, b)
     value = sum(v * x ** i for i, v in enumerate(c))
     d = max(len(c) - 1, 0)
-    assert _horner(c, a, b) == value * b ** d
-    assert _horner(c, 3 * a, 3 * b) == 3 ** d * _horner(c, a, b)
+    assert _horner(c, a, b) == (value * b ** d, b ** d)
+    assert _horner(c, 3 * a, 3 * b)[0] == 3 ** d * _horner(c, a, b)[0]
     assert Polynomial(c).eval(x) == value
 
 
@@ -397,8 +397,8 @@ def sturm_census(p, a, b):
     endpoints, with no Descartes shortcut."""
     a, b = F(a), F(b)
     chain = _sturm_chain(_content_normalize(list(p.num)))
-    at_a = [_horner(e, a.numerator, a.denominator) for e in chain]
-    at_b = [_horner(e, b.numerator, b.denominator) for e in chain]
+    at_a = [_horner(e, a.numerator, a.denominator)[0] for e in chain]
+    at_b = [_horner(e, b.numerator, b.denominator)[0] for e in chain]
     zero_at_b = at_b[0] == 0
     return (_variations(at_a) - _variations(at_b) - zero_at_b, at_a[0] == 0,
             zero_at_b)

@@ -291,6 +291,10 @@ def test_truncated_powers_rejects_unordered_jumps():
 
 @pytest.mark.parametrize("base, jumps, window, m, error", [
     (ZERO, ((F(1), F(1)),), (0, 2), 0, DegreeError),
+    (ZERO, ((F(1), F(1)),), (0, 2), 2.0, DegreeError),
+    (ZERO, ((F(1), F(1)),), (0, 2), "2", DegreeError),
+    (ZERO, ((F(1), F(1)),), (0, 2), True, DegreeError),
+    (ZERO, ((F(1), F(1)),), (0, 2), 13, DegreeError),
     (Polynomial([0, 0, 1]), ((F(1), F(1)),), (0, 2), 1, DegreeError),
     (ZERO, ((F(1), F(0)), (F(0), F(0))), (0, 2), 1, KnotOrderError),
     (ZERO, ((F(1), F(1)), (F(1), F(2))), (0, 2), 1, KnotOrderError),
@@ -302,7 +306,8 @@ def test_truncated_powers_rejects_unordered_jumps():
     (ZERO, ((F(1), F(1)),), (1, 1), 1, KnotOrderError),
     (ZERO, ((F(1), F(1)),), (2, 0), 1, KnotOrderError),
     (ZERO, ((F(0), F(1)), (F(2), F(1))), (2, 0), 1, KnotOrderError),
-], ids=["degree-0", "base-above-m", "unordered-zero-jumps", "repeated-knot",
+], ids=["degree-0", "degree-float", "degree-str", "degree-bool", "degree-13",
+        "base-above-m", "unordered-zero-jumps", "repeated-knot",
         "jump-right-of-window", "jump-left-of-window", "zero-jump-outside",
         "point-window", "reversed-window", "point-window-with-jump",
         "reversed-window-with-jump", "reversed-window-with-jumps"])
@@ -712,10 +717,10 @@ def reference_open_count(p, a, b):
 
     def variations(x):
         signs = [v > 0 for e in chain
-                 if (v := _horner(e, x.numerator, x.denominator))]
+                 if (v := _horner(e, x.numerator, x.denominator)[0])]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    return variations(a) - variations(b) - (_horner(c, b.numerator, b.denominator) == 0)
+    return variations(a) - variations(b) - (_horner(c, b.numerator, b.denominator)[0] == 0)
 
 
 def reference_census(s, ia, ib):
