@@ -52,7 +52,8 @@ from .rational import as_rational, format_rational, primitive_integers
 
 
 class VectorConfig(Validated, namedtuple("VectorConfig", "dim vectors")):
-    """m non-zero integer vectors (int tuples) spanning R^s, s = dim in {1, 2}."""
+    """m non-zero integer vectors (int tuples) spanning R^s, s = dim in {1, 2}.
+    The one check of these rules: linalg.lattice_basis trusts them."""
 
     __slots__ = ()
 

@@ -20,7 +20,9 @@ m+1 jumps at a_n, ..., a_n+m. The basis is local, so the interior pieces of
 s are reused and only the tails are assembled (spline._running_pieces).
 Each tail's jumps solve one fixed (m+1)x(m+1) system, whose exact inverse
 linalg.mat_solve builds once per degree (cached): an extension runs no
-linear solve per call and never builds B_m.
+linear solve per call and never builds B_m. Its knots follow the library's
+one flat-knot rule (spline.normalize): a knot is kept exactly when its two
+pieces differ, so a zero tail jump or a repeated piece of s leaves no knot.
 
 cardinal_bspline and extend_compact refuse a degree outside
 [1, MAX_CARDINAL_DEGREE] by spline.check_degree (DegreeError), the rule
@@ -50,7 +52,6 @@ from .spline import (
     Spline,
     _running_pieces,
     check_degree,
-    normalize,
     spline_from_truncated_powers,
 )
 
@@ -175,10 +176,13 @@ def extend_compact(s: Spline) -> Spline:
     no linear solve runs per call. A tail jump is a row of W dotted with the
     numerators of the piece shifted to the window end, over D times that
     piece's denominator. The tails are running sums, of d_m .. d_1 from zero
-    and of e_0 .. e_(m-1) from p_n, and the interior of s is reused; the
-    Spline constructor certifies every join, so d_0, e_m and the interior
-    jumps are never formed. Knots with one piece on both sides are shed
-    (a zero s gives the zero spline on [a_0 - m, a_n + m]). A degree outside
+    and of e_0 .. e_(m-1) from p_n, zeros included, and the interior of s is
+    reused; the Spline constructor certifies every join, so d_0, e_m and the
+    interior jumps are never formed. The flat-knot rule of normalize keeps
+    knot i exactly when pieces[i] != pieces[i + 1], which sheds zero jumps,
+    a window end whose d_0 or e_0 is 0, zero end pieces of s and its knots
+    that are not genuine: one Spline, no normalize (a zero s gives the zero
+    spline on [a_0 - m, a_n + m]). A degree outside
     [1, MAX_CARDINAL_DEGREE] is refused (check_degree) before any work."""
     m = s.degree
     check_degree(m)
@@ -188,24 +192,16 @@ def extend_compact(s: Spline) -> Spline:
     last = s.pieces[-2].taylor_shift(an).reflect()
     sign = (-1) ** (m + 1)
     # a Fraction plus or minus an int keeps its denominator: no gcd runs
-    left = [(a0 - i, d, den * first.den)
-            for i in range(m, 0, -1) if (d := sum(map(mul, rows[i], first.num)))]
-    # e_0 is kept even when 0: it yields the piece right of a_n
-    right = [(an + i if i else an, e, den * last.den) for i in range(m)
-             if (e := sign * sum(map(mul, rows[i], last.num))) or not i]
+    left = [(a0 - i, sum(map(mul, rows[i], first.num)), den * first.den)
+            for i in range(m, 0, -1)]
+    right = [(an + i, sign * sum(map(mul, rows[i], last.num)), den * last.den)
+             for i in range(m)]
     zero = Polynomial()
-    knots = [k for k, _, _ in left] + list(s.knots)
-    knots += [k for k, _, _ in right[1:]] + [an + m]
+    knots = [k for k, _, _ in left] + list(s.knots[:-1])
+    knots += [k for k, _, _ in right] + [an + m]
     pieces = [zero, *_running_pieces(zero, left, m), *s.pieces[1:-1],
               *_running_pieces(s.pieces[-2], right, m), zero]
-    # a_n, then a_0, is no knot when e_0 or d_0 is 0
-    for i in (len(left) + s.n, len(left)):
-        if pieces[i] == pieces[i + 1]:
-            del knots[i], pieces[i]
-    while len(knots) > 2 and not pieces[1].num:
-        del knots[0], pieces[0]
-    while len(knots) > 2 and not pieces[-2].num:
-        del knots[-1], pieces[-1]
-    if not pieces[1].num:  # s is identically zero
-        knots, pieces = [a0 - m, an + m], [zero] * 3
-    return normalize(Spline(m, knots, pieces))
+    keep = [i for i in range(len(knots)) if pieces[i] != pieces[i + 1]]
+    if not keep:  # s is identically zero on its window
+        return Spline(m, (a0 - m, an + m), (zero,) * 3)
+    return Spline(m, [knots[i] for i in keep], [pieces[i] for i in keep] + [zero])

@@ -1,5 +1,6 @@
 """Exact dense linear algebra over the rationals, plus small integer-lattice
-basis computation.
+basis computation for the vector configurations boxspline.VectorConfig has
+checked.
 
 One elimination serves every linear system: Bareiss fraction-free
 elimination (``_bareiss``) on integer rows that come from
@@ -15,12 +16,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     ConsistencyError,
     DimensionError,
-    FormatError,
     RankDeficiencyError,
     SingularMatrixError,
     Validated,
@@ -137,33 +137,24 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def lattice_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def lattice_basis(vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Hermite basis columns of the lattice that integer vectors in Z^s,
     s in {1, 2}, generate: ((g,),) in 1-D, ((g, y), (0, d)) with g, d > 0
     and 0 <= y < d in 2-D.
 
     One extended-gcd fold: (g, y) spans the lattice's first coordinates, and
     each vector (a, b) replaces it by its xgcd combination with (g, y) while
-    the leftover (0, (g/h) b - (a/h) y) joins (0, d). FormatError for a
-    component that is not an int; RankDeficiencyError when the vectors do
-    not span R^s."""
-    vecs = [tuple(v) for v in vectors]
-    for c in (c for v in vecs for c in v if type(c) is not int):
-        raise FormatError(f"vector components must be int, got {c!r}")
-    if not vecs:
-        raise RankDeficiencyError("empty vector list")
-    s = len(vecs[0])
-    if s not in (1, 2):
-        raise RankDeficiencyError(f"ambient dimension {s} not supported (s <= 2)")
-    if any(len(v) != s for v in vecs):
-        raise DimensionError("mixed vector dimensions")
-    if s == 1:
-        g = math.gcd(*(c for (c,) in vecs))
+    the leftover (0, (g/h) b - (a/h) y) joins (0, d). The input is trusted:
+    a nonempty sequence of int tuples of one length s in {1, 2}, the rules
+    boxspline.VectorConfig checks before it calls here. The one refusal is
+    RankDeficiencyError when the vectors do not span R^s."""
+    if len(vectors[0]) == 1:
+        g = math.gcd(*(c for (c,) in vectors))
         if g == 0:
             raise RankDeficiencyError("vectors do not span R^1")
         return ((g,),)
     g = y = d = 0
-    for a, b in vecs:
+    for a, b in vectors:
         h, u, w = _xgcd(g, a)
         if h:
             d = math.gcd(d, (g // h) * b - (a // h) * y)

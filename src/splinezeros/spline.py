@@ -18,6 +18,12 @@ takes each jump as (knot, c_num, c_den); its running sum, _running_pieces,
 adds them on integer numerators over one running denominator. The spline
 generator calls the kernel, and extend_compact the running sum for its tails.
 
+A knot with the same polynomial on both sides is no knot: the bound
+n + m - 1 counts genuine knots only. normalize states this flat-knot rule
+once, keeping knot i exactly when pieces[i] != pieces[i + 1] (and both
+window ends), and extend_compact applies the same test to the knots it
+assembles.
+
 Z(s) on a window counts the connected components of the zero set. Why that
 equals the maximum size of a pairwise "separated" zero family (two zeros
 u < v are separated iff s is not identically zero on [u, v]):
@@ -186,25 +192,19 @@ def spline_derivative(s: Spline) -> Spline:
 
 
 def normalize(s: Spline) -> Spline:
-    """Drop interior knots whose two adjacent pieces are identical (they are
-    not genuine: the function is C^infinity there). The outermost knots are
-    kept: they mark the census window. When no knot is dropped the input
-    itself is returned, before any list is built. Generated splines leave
-    the assembly normalized; extend_compact reuses its input's interior
-    knots and runs one normalize, which drops only those that are not
-    genuine; the bound checkers normalize what they are handed."""
+    """Drop the interior knots that are not genuine: the flat-knot rule
+    keeps knot i exactly when pieces[i] != pieces[i + 1], since a knot with
+    one polynomial on both sides is C^infinity there. The outermost knots
+    are kept whatever their pieces: they mark the census window. When no
+    knot is dropped the input itself is returned, before any list is built.
+    Generated splines leave the assembly normalized, extend_compact applies
+    the same rule to its own knots, and the bound checkers normalize what
+    they are handed."""
     if not any(map(eq, s.pieces[1:-2], s.pieces[2:-1])):
         return s  # no interior knot to drop, and s is certified already
-    knots = list(s.knots)
-    pieces = list(s.pieces)
-    kept_knots = [knots[0]]
-    kept_pieces = [pieces[0], pieces[1]]
-    for j in range(1, len(knots)):
-        if j < len(knots) - 1 and pieces[j] == pieces[j + 1]:
-            continue
-        kept_knots.append(knots[j])
-        kept_pieces.append(pieces[j + 1])
-    return Spline(s.degree, tuple(kept_knots), tuple(kept_pieces))
+    keep = [0, *(i for i in range(1, s.n) if s.pieces[i] != s.pieces[i + 1]), s.n]
+    return Spline(s.degree, [s.knots[i] for i in keep],
+                  [s.pieces[i] for i in keep] + [s.pieces[-1]])
 
 
 def insert_knot(s: Spline, x) -> Spline:

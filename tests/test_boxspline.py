@@ -203,6 +203,11 @@ def test_config_validation():
         VectorConfig(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(DimensionError, match="wrong dimension"):
         VectorConfig(2, ((1, 0), (1,)))
+    with pytest.raises(DimensionError, match="wrong dimension"):
+        VectorConfig(1, ((1,), (2, 0)))
+    for dim in (1, 2):
+        with pytest.raises(RankDeficiencyError):
+            VectorConfig(dim, ())
 
 
 def test_vector_config_refuses_non_iterable_input():
@@ -214,7 +219,8 @@ def test_vector_config_refuses_non_iterable_input():
 def test_vector_components_must_be_int():
     """A float, bool, Fraction or str component is refused, not truncated."""
     for vectors in (((1.5,),), ((True, 0), (0, 2)), ((1, 0), (0, 2.9)),
-                    ((F(1),),), (("1",),)):
+                    ((F(1),),), (("1",),), ((1.5, 0), (0, 2.9)),
+                    ((F(2), 0), (0, 1)), ((4.0,), (6,)), ((False,),)):
         with pytest.raises(FormatError):
             VectorConfig(len(vectors[0]), vectors)
     assert VectorConfig(1, [[1], [2]]).vectors == ((1,), (2,))
@@ -950,6 +956,28 @@ def test_matrix_matches_reference_on_benchmark_images(text):
     base = parse_vector_config(text)
     for u in UNIMODULAR_U:
         assert_matrix_matches_reference(image(u, base))
+
+
+@pytest.mark.parametrize("text", ["1,0;1,1;0,1;-1,1", "1,0;0,1;1,1;1,-1"])
+def test_headline_zero_has_a_kernel_vector_on_every_image(text):
+    """The exact 0 of det A_X without Bareiss: on each of the 40 images U X
+    of the two four-direction meshes, c_w = (-1)^(s_1 + s_2) with
+    (s_1, s_2) = 2 U^-1 w is a nonzero kernel vector of A_UX, checked by
+    one exact product. U^-1 is the adjugate times det U = +-1, a sign that
+    no parity sees."""
+    base = parse_vector_config(text)
+    for u in UNIMODULAR_U:
+        cfg = image(u, base)
+        omega = semi_integral_interior_points(cfg)
+        matrix = conjecture_matrix(cfg, omega)
+        adjugate = ((u[3], -u[1]), (-u[2], u[0]))
+        c = []
+        for w in omega:
+            s = [2 * (r[0] * w[0] + r[1] * w[1]) for r in adjugate]
+            assert all(v.denominator == 1 for v in s)
+            c.append((-1) ** int(sum(s)))
+        assert all(sum(a * x for a, x in zip(matrix.row(i), c)) == 0
+                   for i in range(matrix.rows)), u
 
 
 def test_matrix_matches_reference_on_univariate_and_sublattice():

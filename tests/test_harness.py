@@ -337,39 +337,38 @@ def traced_calls(*functions):
         sys.setprofile(None)
 
 
-def test_extend_compact_normalizes_once_and_builds_one_spline():
-    """extend_compact runs one normalize, and on a generated spline it
-    drops nothing: every knot of the assembled extension is genuine."""
+def test_extend_compact_builds_one_spline_and_never_normalizes():
+    """extend_compact keeps its genuine knots by the flat-knot rule itself:
+    one Spline, no normalize, and normalize finds nothing left to drop."""
     for i in range(200):
         cfg = GeneratorConfig(seed=i, degree=1 + i % 12, interior_knots=i % 9)
         s = random_spline(cfg)
         with traced_calls(spline.normalize, Spline.__post_init__) as calls:
-            extend_compact(s)
-        assert sorted(calls) == [("__post_init__", "__new__"),
-                                 ("normalize", "extend_compact")]
+            extension = extend_compact(s)
+        assert calls == [("__post_init__", "__new__")]
+        assert normalize(extension) is extension
 
 
 @pytest.mark.parametrize("seed", [708, 972, 3133, 3350])
 def test_extension_with_a_zero_end_jump_builds_one_spline(seed):
     """Generated splines whose jump d_0 at a_0 or e_0 at a_n is 0: the
     window end has one piece on both sides and is no knot of the extension,
-    yet the extension still takes one Spline and one normalize."""
+    yet the extension still takes one Spline and no normalize."""
     s = random_spline(GeneratorConfig(seed=seed, degree=1 + seed % 12,
                                       interior_knots=seed % 9))
     with traced_calls(spline.normalize, Spline.__post_init__) as calls:
         extension = extend_compact(s)
     assert not {s.knots[0], s.knots[-1]} <= set(extension.knots)
-    assert sorted(calls) == [("__post_init__", "__new__"),
-                             ("normalize", "extend_compact")]
+    assert calls == [("__post_init__", "__new__")]
 
 
 @pytest.mark.parametrize("kind", ["prop5", "extension", "corollary10"])
 def test_suite_trials_normalize_only_in_the_recipe_and_checkers(kind):
     """Generated splines and their extensions are normalized by
-    construction, so the suites leave normalize to the checkers."""
+    construction, so the suites leave normalize to the checkers, and
+    extend_compact never calls it."""
     trials = 4
     per_trial = Counter({"_spline_from_int_jumps": 1,
-                         "extend_compact": kind != "corollary10",
                          "check_interior_bound": kind == "prop5"})
     for degree in (1, 5, 12):
         cfg = GeneratorConfig(seed=degree, degree=degree, interior_knots=4)

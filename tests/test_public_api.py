@@ -155,13 +155,9 @@ LAYERS_BY_KIND = {
 }
 
 
-@pytest.mark.parametrize("kind", LAYERS_BY_KIND)
-def test_tracer_installs_and_sees_suite_traffic(kind):
-    """``run.py --trace 1`` installs the tracer into the imported package.
-    In a fresh process the install finds every hook, and one op of a suite
-    kind reaches each layer that kind calls through the names the tracer
-    wrapped, so a suite that kept its own reference to a layer function
-    fails here."""
+def traced_op(body: str) -> dict:
+    """Layer metrics of one op running body in a fresh process, with the
+    benchmark tracer loaded from its file unchanged and installed first."""
     code = f"""
 import importlib.util, json, sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
@@ -169,12 +165,11 @@ spec = importlib.util.spec_from_file_location(
     "perfbench_tracer", {str(ROOT / "perfbench" / "tracer.py")!r})
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
-from splinezeros import GeneratorConfig, run_verification_suite
+import splinezeros
 tracer = tracing.Tracer()
 tracer.install()
 tracer.begin_op(0)
-cfg = GeneratorConfig(seed=1, degree=3, interior_knots=3)
-assert run_verification_suite({kind!r}, cfg, 2).violations == 0
+{body}
 tracer.end_op()
 print(json.dumps(tracer.layer_metrics()))
 """
@@ -183,5 +178,37 @@ print(json.dumps(tracer.layer_metrics()))
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout)
     assert metrics["bench.op.calls"] == 1
+    return metrics
+
+
+@pytest.mark.parametrize("kind", LAYERS_BY_KIND)
+def test_tracer_installs_and_sees_suite_traffic(kind):
+    """``run.py --trace 1`` installs the tracer into the imported package.
+    In a fresh process the install finds every hook, and one op of a suite
+    kind reaches each layer that kind calls through the names the tracer
+    wrapped, so a suite that kept its own reference to a layer function
+    fails here."""
+    metrics = traced_op(f"""
+from splinezeros import GeneratorConfig, run_verification_suite
+cfg = GeneratorConfig(seed=1, degree=3, interior_knots=3)
+assert run_verification_suite({kind!r}, cfg, 2).violations == 0
+""")
     for span in LAYERS_BY_KIND[kind]:
         assert metrics[f"{span}.calls"] > 0, span
+
+
+def test_tracer_sees_box_spline_traffic():
+    """The box-spline and Bareiss spans see conjecture and evaluation
+    traffic through the names the tracer wrapped: A_X of the three-direction
+    mesh is 7 x 7, and a planar and a 1-D evaluation run beside it."""
+    metrics = traced_op("""
+from splinezeros import box_spline_eval, conjecture_verdict, parse_vector_config
+assert conjecture_verdict(parse_vector_config("1,0;1,1;0,1")).determinant != 0
+assert box_spline_eval(parse_vector_config("1,0;0,1;1,1;1,-1"), ("1/2", 1)) > 0
+assert box_spline_eval(parse_vector_config("1;1;1"), ("3/2",)) > 0
+""")
+    for span in ("boxspline.box_spline_eval",
+                 "boxspline.semi_integral_interior_points",
+                 "boxspline.conjecture_matrix", "linalg.mat_determinant"):
+        assert metrics[f"{span}.calls"] > 0, span
+    assert metrics["linalg.mat_determinant.max_order"] == 7
