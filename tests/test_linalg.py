@@ -14,8 +14,11 @@ from splinezeros.linalg import (
     mat_determinant,
     mat_solve,
 )
+from splinezeros import boxspline
+from splinezeros.boxspline import VectorConfig
 from splinezeros.errors import (
     DimensionError,
+    FormatError,
     RankDeficiencyError,
     SingularMatrixError,
 )
@@ -263,6 +266,20 @@ def test_lattice_basis_rank_deficiency():
         lattice_basis([(1, 2), (2, 4)])
     with pytest.raises(RankDeficiencyError):
         lattice_basis([(0,), (0,)])
+
+
+def test_lattice_basis_refuses_non_int_components(monkeypatch):
+    """lattice_basis trusts its input to be int; VectorConfig, its only
+    caller, refuses float, bool and Fraction components with FormatError
+    before any lattice is computed."""
+    def never(vectors):
+        raise AssertionError(f"lattice_basis reached with {vectors!r}")
+
+    monkeypatch.setattr(boxspline, "lattice_basis", never)
+    for vecs in ([(1.5, 0), (0, 2.9)], [(True, 0), (0, 1)], [(F(2), 0), (0, 1)],
+                 [(4.0,), (6,)], [(False,)]):
+        with pytest.raises(FormatError):
+            VectorConfig(len(vecs[0]), vecs)
 
 
 def test_lattice_basis_spans_same_lattice():
