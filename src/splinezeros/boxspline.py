@@ -48,7 +48,7 @@ from .errors import (
 )
 from .linalg import RationalMatrix, lattice_basis, mat_determinant
 from .polynomial import _horner
-from .rational import as_rational, format_rational, primitive_integers
+from .rational import as_rationals, format_rational, primitive_integers
 
 
 class VectorConfig(Validated, namedtuple("VectorConfig", "dim vectors")):
@@ -156,13 +156,9 @@ def zonotope_support(config: VectorConfig) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _as_point(point, dim: int) -> tuple[Fraction, ...]:
-    """Coordinates as Fractions; a str, bytes or non-iterable point is refused."""
-    try:
-        if isinstance(point, (str, bytes, bytearray, memoryview)):
-            raise TypeError  # iterating it would read characters or bytes
-        pt = tuple([as_rational(c) for c in point])
-    except TypeError:
-        raise FormatError(f"not a sequence of rationals: {point!r}") from None
+    """Coordinates as Fractions (as_rationals refuses a str, bytes or
+    non-iterable point)."""
+    pt = as_rationals(point)
     if len(pt) != dim:
         raise DimensionError(f"point dimension {len(pt)} != {dim}")
     return pt

@@ -3,7 +3,12 @@
 Determinism contract: each trial draws from its own PRNG seeded by
 sha256(master_seed, trial_index), so reports are reproducible for a fixed
 seed regardless of evaluation order, and any trial can be replayed alone.
-Every report field except elapsed_ms is byte-deterministic.
+Every report field except elapsed_ms is byte-deterministic. Every draw goes
+through _randint, which reproduces random.Random.randint from the PRNG's
+getrandbits as CPython's randint takes it (the width's bit length per draw,
+drawn again while the value is not below the width), so the values, and
+the generated splines, are those randint gives, without randint's call
+layers.
 
 Generation runs on integers. Knot candidates num/den are told apart by their
 reduced int pair and sorted by an exact int key, the base polynomial is
@@ -120,13 +125,26 @@ def _trial_seed(master: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _random_integers(rng: random.Random, count: int, num_bound: int,
+def _randint(getrandbits, lo: int, hi: int) -> int:
+    """random.Random.randint(lo, hi) for ints lo <= hi, from the same draws,
+    given the Random's bound getrandbits: as CPython's randint does, take
+    k = width.bit_length() bits for width = hi - lo + 1 and draw again while
+    the value is at least width."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return lo + r
+
+
+def _random_integers(getrandbits, count: int, num_bound: int,
                      den_bound: int) -> tuple[list[int], int]:
     """count random rationals num/den (num in [-num_bound, num_bound], den
-    in [1, den_bound], drawn in that order) as integer numerators over their
-    common denominator."""
-    drawn = [(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-             for _ in range(count)]
+    in [1, den_bound], drawn in that order through _randint) as integer
+    numerators over their common denominator."""
+    drawn = [(_randint(getrandbits, -num_bound, num_bound),
+              _randint(getrandbits, 1, den_bound)) for _ in range(count)]
     common = math.lcm(*(den for _, den in drawn))
     return [num * (common // den) for num, den in drawn], common
 
@@ -137,13 +155,13 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
     interior knots. A knot candidate num/den has den in [1, den_bound] and
     num strictly between 0 and (interior_knots + 1) * den, so it lies inside
     the window."""
-    rng = random.Random(_trial_seed(cfg.seed, trial))
+    bits = random.Random(_trial_seed(cfg.seed, trial)).getrandbits
     width = cfg.interior_knots + 1
     keys: set[tuple[int, int]] = set()
     attempts = 0
     while len(keys) < cfg.interior_knots:
-        den = rng.randint(1, cfg.denominator_bound)
-        num = rng.randint(1, width * den - 1)
+        den = _randint(bits, 1, cfg.denominator_bound)
+        num = _randint(bits, 1, width * den - 1)
         g = math.gcd(num, den)
         keys.add((num // g, den // g))
         attempts += 1
@@ -152,10 +170,10 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
                 "knot range too tight for the requested interior knot count"
             )
     draw = (cfg.degree + 1, cfg.numerator_bound, cfg.denominator_bound)
-    num, den = _random_integers(rng, *draw)
+    num, den = _random_integers(bits, *draw)
     if cfg.interior_knots == 0:
         while not any(num):
-            num, den = _random_integers(rng, *draw)
+            num, den = _random_integers(bits, *draw)
     base = Polynomial.from_integers(num, den)
     # p * (common // q) is p/q scaled by one common factor: an exact int key
     common = math.lcm(*(q for _, q in keys))
@@ -163,8 +181,8 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
     for p, q in sorted(keys, key=lambda key: key[0] * (common // key[1])):
         c = 0
         while c == 0:
-            c = rng.randint(-cfg.numerator_bound, cfg.numerator_bound)
-            c_den = rng.randint(1, cfg.denominator_bound)
+            c = _randint(bits, -cfg.numerator_bound, cfg.numerator_bound)
+            c_den = _randint(bits, 1, cfg.denominator_bound)
         jumps.append((Fraction(p, q), c, c_den))
     return _spline_from_int_jumps(base, jumps, 0, width, cfg.degree)
 

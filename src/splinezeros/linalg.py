@@ -25,7 +25,7 @@ from .errors import (
     SingularMatrixError,
     Validated,
 )
-from .rational import as_rational, primitive_integers
+from .rational import as_rationals, primitive_integers
 
 
 class RationalMatrix(Validated, namedtuple("RationalMatrix", "rows cols entries")):
@@ -43,13 +43,14 @@ class RationalMatrix(Validated, namedtuple("RationalMatrix", "rows cols entries"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
+        rows = as_rationals(rows, item=as_rationals)
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         flat: list[Fraction] = []
         for row in rows:
             if len(row) != ncols:
                 raise DimensionError("ragged rows")
-            flat.extend(as_rational(v) for v in row)
+            flat.extend(row)
         return cls(nrows, ncols, tuple(flat))
 
     def get(self, i: int, j: int) -> Fraction:
@@ -105,7 +106,7 @@ def mat_solve(a: RationalMatrix, b: Sequence) -> tuple[Fraction, ...]:
     if a.rows != a.cols:
         raise DimensionError(f"solve with non-square {a.rows}x{a.cols} matrix")
     n = a.rows
-    rhs = [as_rational(v) for v in b]
+    rhs = as_rationals(b)
     if len(rhs) != n:
         raise DimensionError(f"rhs length {len(rhs)} != {n}")
     rows = [primitive_integers(a.row(i) + (rhs[i],))[1] for i in range(n)]

@@ -9,28 +9,31 @@ root_census returns the open-interval count together with the endpoint zero
 flags p(a) == 0 and p(b) == 0. It is the coercing public edge of one integer
 kernel, _census_int(num, a1, a2, b1, b2), which takes the numerators and the
 interval ends as (numerator, denominator) pairs; the spline census calls the
-kernel directly with the knot pairs it already holds. The kernel first maps
-(a, b) onto (0, inf) by an integer Moebius transform (two Taylor shifts, a
-scaling and a reversal) and applies Descartes' rule of signs: zero or one
-sign variation is the exact count, and the transform's end coefficients are
-the endpoint flags. Only when the rule cannot decide (two or more
-variations) does it build a Sturm sequence, one remainder sequence per
-polynomial: the pseudo-remainder sequence of (p, p') ends in g = gcd(p, p'),
-and dividing every entry by g gives a Sturm sequence of the square-free part
-p/g, so no separate gcd is computed. That sequence is evaluated once at each
-endpoint, and one sign-variation count (_variations) reads both the Moebius
+kernel directly with the knot pairs it already holds. The kernel decides in
+up to three stages, each on ints, each run only when the one before cannot
+decide. First one Taylor shift to a and Descartes' rule of signs on the
+half-line (a, inf): no sign variation means no root in (a, b), and one
+means one simple root past a, which one Horner value at b places. Then,
+from that same shifted list, the integer Moebius image of (a, b) on
+(0, inf) (a scaling, a reversal and a Taylor shift by 1) and the rule
+again: zero or one variation is the exact count. Only then a Sturm
+sequence, one remainder sequence per polynomial: the pseudo-remainder
+sequence of (p, p') ends in g = gcd(p, p'), and dividing every entry by g
+gives a Sturm sequence of the square-free part p/g, so no separate gcd is
+computed. That sequence is evaluated once at each endpoint, and one
+sign-variation count (_variations) reads the half-line shift, the Moebius
 image and the Sturm values.
 
 A Polynomial is integer numerators over one positive denominator, so its
-algebra runs on ints. The Moebius image is built in one pass from the
-numerators as stored (a positive content changes no sign); only the Sturm
-path takes a primitive copy by one content division, and its kernel divides
-content out of p' and after every pseudo-remainder step, keeping
-coefficients tame; each pseudo-remainder step multiplies by |lc| and so
-keeps its sign. One homogeneous Taylor shift (_homogeneous_shift) serves
-root_order, which reads a root's multiplicity from the leading zeros of the
-shifted numerators, and one shift-and-scale step built on it
-(_shift_scale) serves both taylor_shift and the Moebius map.
+algebra runs on ints. The half-line shift and the Moebius image are built
+from the numerators as stored (a positive content changes no sign); only
+the Sturm path takes a primitive copy by one content division, and its
+kernel divides content out of p' and after every pseudo-remainder step,
+keeping coefficients tame; each pseudo-remainder step multiplies by |lc|
+and so keeps its sign. One homogeneous Taylor shift (_homogeneous_shift)
+serves the census's half-line stage, taylor_shift, and root_order, which
+reads a root's multiplicity from the leading zeros of the shifted
+numerators.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, IntervalError, InfiniteRootsError
-from .rational import as_rational, primitive_integers
+from .rational import as_rational, as_rationals, primitive_integers
 
 
 class Polynomial:
@@ -55,7 +58,7 @@ class Polynomial:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()) -> None:
-        content, ints = primitive_integers([as_rational(c) for c in coeffs])
+        content, ints = primitive_integers(as_rationals(coeffs))
         self._store([content.numerator * v for v in ints], content.denominator)
 
     def _store(self, num: list[int], den: int) -> None:
@@ -163,11 +166,15 @@ class Polynomial:
         return Polynomial([0, *(c / (i + 1) for i, c in enumerate(self.coeffs))])
 
     def taylor_shift(self, h) -> "Polynomial":
-        """p(x + h) with h = s/q: _shift_scale by s over q with w = q gives
-        den q^d p((q x + s)/q)."""
+        """p(x + h) with h = s/q: _homogeneous_shift by s over q gives
+        den q^d p((y + s)/q), and coefficient i times q^i (a running
+        product) puts y = q x."""
         h = as_rational(h)
         q = h.denominator
-        c = _shift_scale(self.num, h.numerator, q, q)
+        c, power = _homogeneous_shift(self.num, h.numerator, q), 1
+        for i in range(1, len(c)):
+            power *= q
+            c[i] *= power
         return Polynomial.from_integers(c, self.den * q ** max(len(c) - 1, 0))
 
     def reflect(self) -> "Polynomial":
@@ -260,15 +267,23 @@ def _homogeneous_shift(num: Sequence[int], s: int, b: int) -> list[int]:
     return _shift_int(c, s)
 
 
-def _shift_scale(num: Sequence[int], s: int, b: int, w: int) -> list[int]:
-    """The coefficients of sum num_i b^(d-i) (w x + s)^i, which is b^d times
-    the polynomial at (w x + s)/b: _homogeneous_shift by s over b, then
-    coefficient i times w^i (a running product)."""
-    c, power = _homogeneous_shift(num, s, b), 1
-    for i in range(1, len(c)):
+def _moebius_image(h: list[int], w: int, b2: int) -> list[int]:
+    """The Moebius image q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)) of
+    _census_int, from its half-line shift h = a2^d c(a + y/a2) and
+    w = b1 a2 - a1 b2: coefficient i times w^i b2^(d-i) gives
+    D^d c(a + (b - a) x), and reversing and shifting by 1 gives q. Built in
+    h, which is returned."""
+    d = len(h) - 1
+    power = 1
+    for i in range(d, -1, -1):
+        h[i] *= power
+        power *= b2
+    power = 1
+    for i in range(1, d + 1):
         power *= w
-        c[i] *= power
-    return c
+        h[i] *= power
+    h.reverse()
+    return _shift_int(h, 1)
 
 
 def root_order(p: Polynomial, x, cap: int) -> int:
@@ -351,31 +366,47 @@ def root_census(p: Polynomial, a, b) -> tuple[int, bool, bool]:
 def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
                 b2: int) -> tuple[int, bool, bool]:
     """root_census of the nonzero integer numerators num on (a1/a2, b1/b2),
-    with a2, b2 > 0 and a1/a2 < b1/b2 (not checked here).
+    with a2, b2 > 0 and a1/a2 < b1/b2 (not checked here). num, of degree d,
+    is read as a polynomial c; the three stages run in turn, each only when
+    the one before cannot decide.
 
-    Descartes' rule of signs decides most pieces without a Sturm sequence.
-    With a = a1/a2, b = b1/b2, D = a2 b2 and W = b1 a2 - a1 b2 (> 0), num,
-    of degree d and read as a polynomial c, is mapped to
-    q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)), whose positive roots are the
-    roots of c in (a, b), entirely on ints: _shift_scale by a1 b2 over D
-    with w = W gives D^d c((W x + a1 b2)/D) = D^d c(a + (b - a) x), and
-    reversing and shifting by 1 gives q. So q[0] == 0 is c(b) == 0 and
-    q[d] == 0 is c(a) == 0, and the sign variations V of q (_variations)
-    bound the roots in (a, b), counted with multiplicity, with an even
-    excess (Collins & Akritas 1976; Basu, Pollack & Roy, Algorithms in Real
-    Algebraic Geometry, ch. 10): V = 0 means no root and V = 1 exactly one,
-    a simple one.
+    Half-line. h = _homogeneous_shift(num, a1, a2) holds the coefficients
+    of a2^d c(a + y/a2), whose positive roots are the roots of c past
+    a = a1/a2, and h[0] == 0 is c(a) == 0. By Descartes' rule of signs the
+    sign variations V of h bound those roots, counted with multiplicity,
+    with an even excess (Collins & Akritas 1976; Basu, Pollack & Roy,
+    Algorithms in Real Algebraic Geometry, ch. 10). V = 0: no root in
+    (a, b), and c(b) != 0. V = 1: exactly one root past a, a simple one, so
+    c changes sign there and nowhere else past a; with c(b) from one
+    _horner at b, it lies at b when c(b) == 0, and inside (a, b) exactly
+    when c(b) and the lowest nonzero entry of h (the sign of c just right
+    of a) have opposite signs.
 
-    Only when V >= 2 (two roots, a multiple root, or complex roots the rule
-    cannot exclude) does the Sturm sequence of the square-free part
-    c/gcd(c, c') (see _sturm_chain) run, evaluated once at each endpoint:
-    the sign-variation difference V(a) - V(b), counted by the same
-    _variations, gives the distinct roots in the half-open (a, b], and
-    c(b) == 0 is subtracted to open the right end."""
-    q = _shift_scale(num, a1 * b2, a2 * b2, b1 * a2 - a1 * b2)
-    q.reverse()
-    _shift_int(q, 1)
-    zero_at_a, zero_at_b = q[-1] == 0, q[0] == 0
+    Moebius image. For V >= 2, _moebius_image turns h, with b = b1/b2 and
+    W = b1 a2 - a1 b2 (> 0), into q(t) = D^d (1 + t)^d c((b + a t)/(1 + t)),
+    D = a2 b2, whose positive roots are the roots of c in (a, b); q[0] == 0
+    is c(b) == 0. Its sign variations bound those roots in the same way:
+    zero means no root and one exactly one, a simple one.
+
+    Sturm. Only when q also has two or more variations (two roots, a
+    multiple root, or complex roots the rule cannot exclude) does the
+    Sturm sequence of the square-free part c/gcd(c, c') (see _sturm_chain)
+    run, evaluated once at each endpoint: the sign-variation difference
+    V(a) - V(b), counted by the same _variations, gives the distinct roots
+    in the half-open (a, b], and c(b) == 0 is subtracted to open the right
+    end."""
+    h = _homogeneous_shift(num, a1, a2)
+    zero_at_a = h[0] == 0
+    count = _variations(h)
+    if count == 0:
+        return 0, zero_at_a, False
+    if count == 1:
+        at_b = _horner(num, b1, b2)[0]
+        lowest = next(v for v in h if v)
+        inside = at_b != 0 and (at_b < 0) != (lowest < 0)
+        return int(inside), zero_at_a, at_b == 0
+    q = _moebius_image(h, b1 * a2 - a1 * b2, b2)
+    zero_at_b = q[0] == 0
     count = _variations(q)
     if count >= 2:
         chain = _sturm_chain(_content_normalize(list(num)))

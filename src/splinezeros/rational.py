@@ -67,6 +67,23 @@ def as_rational(value: RationalLike) -> Fraction:
     return parse_rational(value)
 
 
+def as_rationals(values, length: int | None = None,
+                 item=as_rational) -> tuple:
+    """Coerce a sequence of rationals to a tuple, item by item (as_rational,
+    or item for a nested sequence). A str, bytes, bytearray or memoryview,
+    whose items would be characters or bytes, and a non-iterable are refused
+    with FormatError, as is a length other than length when it is given."""
+    try:
+        if isinstance(values, (str, bytes, bytearray, memoryview)):
+            raise TypeError  # iterating it would read characters or bytes
+        out = tuple([item(v) for v in values])
+    except TypeError:
+        raise FormatError(f"not a sequence of rationals: {values!r}") from None
+    if length is not None and len(out) != length:
+        raise FormatError(f"expected {length} rationals, got {len(out)}")
+    return out
+
+
 def primitive_integers(values: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
     """Split a row of rationals as content * ints, where the content is a
     positive Fraction and the ints are coprime integers with the signs of the

@@ -8,9 +8,12 @@ exactly when the jump between its two adjacent pieces is a multiple of
 (x - k)^m (the truncated-power view). The Spline constructor checks this at
 every knot k = p/q with one integer identity: the jump's numerators N_i
 over a common denominator must satisfy N_i q^(m-i) = N_m C(m, i) (-p)^(m-i),
-the coefficients of N_m (x - k)^m. Every transformation here builds its
-result through that constructor, so every Spline in circulation is
-certified, and the constructor is the one check of the knot order.
+the coefficients of N_m (x - k)^m, in one pass over the adjacent pieces
+that skips a piece repeated as its own neighbour (no jump) and reads each
+knot as the (numerator, denominator) pair the order check took. Every transformation
+here builds its result through that constructor, so every Spline in
+circulation is certified, and the constructor is the one check of the knot
+order.
 spline_from_truncated_powers(base, jumps, window, m) authors a spline as
 base(x) + sum c_i (x - k_i)_+^m, which is C^(m-1) by construction. It is the
 coercing public edge of one assembly kernel, _spline_from_int_jumps, which
@@ -37,10 +40,10 @@ Hence the maximum separated family has exactly one member per component, and
 Z is computable from exact per-domain root counts and knot-value flags alone
 (no root locations needed). Both come from one exact census per domain
 (polynomial._census_int, the integer kernel behind root_census, given each
-knot as its (numerator, denominator) pair): Descartes' rule on an integer
-Moebius transform of the piece, or a Sturm sequence when the rule cannot
-decide, counts the roots in the open domain and says whether the piece
-vanishes at either end. Each knot takes its flag from an adjacent domain,
+knot as its (numerator, denominator) pair): Descartes' rule on the piece
+shifted to the domain's left end, then on an integer Moebius transform of
+it, or a Sturm sequence when neither decides, counts the roots in the open
+domain and says whether the piece vanishes at either end. Each knot takes its flag from an adjacent domain,
 which continuity allows for degree >= 1. The census evaluates no piece on
 its own.
 """
@@ -64,7 +67,13 @@ from .errors import (
     Validated,
 )
 from .polynomial import Polynomial, _census_int, root_order
-from .rational import as_rational, format_ratio, format_rational, parse_rational
+from .rational import (
+    as_rational,
+    as_rationals,
+    format_ratio,
+    format_rational,
+    parse_rational,
+)
 
 # The largest degree a public entry point takes: a cardinal B-spline, an
 # extension, a generated spline and a spline document all stop here.
@@ -96,7 +105,7 @@ class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
     __slots__ = ()
 
     def __new__(cls, degree, knots, pieces):
-        return super().__new__(cls, degree, tuple(map(as_rational, knots)),
+        return super().__new__(cls, degree, as_rationals(knots),
                                tuple(pieces))
 
     def __post_init__(self) -> None:
@@ -105,8 +114,10 @@ class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
             raise DegreeError(f"invalid spline degree {self.degree!r}")
         if len(self.knots) < 2:
             raise KnotOrderError("a spline needs at least two knots")
-        for a, b in zip(self.knots, self.knots[1:]):
-            if a.numerator * b.denominator >= b.numerator * a.denominator:
+        pairs = [(k.numerator, k.denominator) for k in self.knots]
+        for j, ((p0, q0), (p1, q1)) in enumerate(zip(pairs, pairs[1:])):
+            if p0 * q1 >= p1 * q0:
+                a, b = self.knots[j], self.knots[j + 1]
                 raise KnotOrderError(f"knots not strictly increasing: {a} >= {b}")
         if len(self.pieces) != len(self.knots) + 1:
             raise FormatError(
@@ -120,7 +131,7 @@ class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
                 raise DegreeError(
                     f"piece degree {p.degree} exceeds spline degree {self.degree}"
                 )
-        _verify_smoothness(self.degree, self.knots, self.pieces)
+        _verify_smoothness(self.degree, pairs, self.pieces)
 
     # convenience accessors used throughout
 
@@ -134,20 +145,26 @@ class Spline(Validated, namedtuple("Spline", "degree knots pieces")):
         return len(self.knots) - 1
 
 
-def _verify_smoothness(degree: int, knots, pieces) -> None:
-    """Exact C^(degree-1) check: at every knot the jump between the adjacent
-    pieces must be a multiple of (x - knot)^degree. Cross-multiplying the
-    two piece denominators gives its integer numerators, which
-    _is_power_multiple tests. root_order runs only to word the error: the
-    order found is the lowest derivative that jumps."""
-    for j, knot in enumerate(knots):
-        left, right = pieces[j], pieces[j + 1]
+def _verify_smoothness(degree: int, pairs: list[tuple[int, int]],
+                       pieces) -> None:
+    """Exact C^(degree-1) check, in one pass over the adjacent pieces: at
+    every knot p/q, given as its (p, q) pair, the jump between the two
+    pieces must be a multiple of (x - p/q)^degree. A piece that is its own
+    neighbour, as at the window ends the truncated-power assembly adds, has
+    no jump and is skipped by identity. Cross-multiplying the two piece denominators gives the
+    jump's integer numerators, which _is_power_multiple tests. root_order
+    runs only to word the error: the order found is the lowest derivative
+    that jumps."""
+    for (p, q), left, right in zip(pairs, pieces, pieces[1:]):
+        if left is right:
+            continue
         jump = [0] * max(len(left.num), len(right.num))
         for i, v in enumerate(right.num):
             jump[i] = v * left.den
         for i, v in enumerate(left.num):
             jump[i] -= v * right.den
-        if not _is_power_multiple(jump, degree, knot.numerator, knot.denominator):
+        if not _is_power_multiple(jump, degree, p, q):
+            knot = Fraction(p, q)
             order = root_order(right - left, knot, degree)
             raise SmoothnessError(
                 f"derivative order {order} jumps at knot {knot} "
@@ -236,11 +253,9 @@ def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
     [1, MAX_CARDINAL_DEGREE] (check_degree). The jump knots must increase
     inside the window; see the kernel for the rest."""
     check_degree(m)
-    lo, hi = as_rational(window[0]), as_rational(window[1])
-    int_jumps = []
-    for knot, c in jumps:
-        c = as_rational(c)
-        int_jumps.append((as_rational(knot), c.numerator, c.denominator))
+    lo, hi = as_rationals(window, 2)
+    pairs = as_rationals(jumps, item=lambda jump: as_rationals(jump, 2))
+    int_jumps = [(knot, c.numerator, c.denominator) for knot, c in pairs]
     return _spline_from_int_jumps(base, int_jumps, lo, hi, m)
 
 
@@ -299,8 +314,8 @@ def _running_pieces(base: Polynomial, jumps: Sequence, m: int):
 def piecewise_linear(knots: Sequence, values: Sequence) -> Spline:
     """Degree-1 spline interpolating (knot, value) pairs, constant beyond the
     window. Handy for zigzag corner cases."""
-    ks = [as_rational(k) for k in knots]
-    vs = [as_rational(v) for v in values]
+    ks = as_rationals(knots)
+    vs = as_rationals(values)
     if len(ks) != len(vs):
         raise FormatError("one value per knot required")
     if len(ks) < 2 or any(k0 >= k1 for k0, k1 in zip(ks, ks[1:])):

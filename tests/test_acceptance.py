@@ -146,7 +146,9 @@ def test_criterion_5_extension_chain():
                     assert ext.pieces[bisect_right(ext.knots, mid)] \
                         == sn.pieces[j]
                 # global smoothness, re-checked explicitly
-                _verify_smoothness(ext.degree, ext.knots, ext.pieces)
+                _verify_smoothness(ext.degree,
+                                   [(k.numerator, k.denominator) for k in ext.knots],
+                                   ext.pieces)
                 # vanishing outside the widened window
                 assert ext.pieces[0].is_zero and ext.pieces[-1].is_zero
                 assert ext.knots[0] >= a0 - m and ext.knots[-1] <= an + m

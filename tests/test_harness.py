@@ -7,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinezeros.harness as harness
 import splinezeros.polynomial as polynomial
@@ -113,6 +115,30 @@ def test_random_spline_matches_fraction_reference(den_bound):
         trial = index % 3
         assert (spline_to_document(random_spline(cfg, trial))
                 == spline_to_document(reference_random_spline(cfg, trial)))
+
+
+WIDTHS = st.one_of(
+    st.just(1),
+    st.builds(lambda k, delta: max(1, 2 ** k + delta),
+              st.integers(0, 70), st.sampled_from((-1, 0, 1))))
+BOUNDS = st.one_of(
+    st.builds(lambda lo, width: (lo, lo + width - 1),
+              st.integers(-10**9, 10**9), WIDTHS),
+    st.integers(1, harness.MAX_NUMERATOR_BOUND).map(lambda b: (-b, b)),
+    st.integers(1, harness.MAX_DENOMINATOR_BOUND).map(lambda b: (1, b)))
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(BOUNDS, min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_randint_draws_what_random_randint_draws(seed, ranges):
+    """harness._randint over getrandbits takes, draw for draw, the values
+    random.Random.randint takes from the same seed, and leaves the same
+    state: widths 1, 2^k and 2^k +- 1 (redraws and power-of-two edges) and
+    the generator's numerator and denominator ranges."""
+    ours, reference = random.Random(seed), random.Random(seed)
+    for lo, hi in ranges:
+        assert harness._randint(ours.getrandbits, lo, hi) == reference.randint(lo, hi)
+    assert ours.getstate() == reference.getstate()
 
 
 def test_random_spline_deterministic():

@@ -7,9 +7,10 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from splinezeros import Polynomial
+from splinezeros import GeneratorConfig, Polynomial, run_verification_suite
 from splinezeros.errors import InfiniteRootsError, IntervalError
 import splinezeros.polynomial as polynomial
+import splinezeros.spline as spline
 from splinezeros.polynomial import (
     _content_normalize,
     _horner,
@@ -468,6 +469,67 @@ def test_census_builds_a_sturm_chain_only_when_descartes_cannot_decide(
     for count, (p, a, b, _) in enumerate(STURM_DECIDES, start=1):
         root_census(p, a, b)
         assert len(calls) == count
+
+
+def census_stages(monkeypatch):
+    """Record which later stages the census builds: "moebius" for each
+    Moebius image, "sturm" for each Sturm chain."""
+    built = []
+    real_image, real_chain = polynomial._moebius_image, polynomial._sturm_chain
+    monkeypatch.setattr(polynomial, "_moebius_image",
+                        lambda *args: built.append("moebius") or real_image(*args))
+    monkeypatch.setattr(polynomial, "_sturm_chain",
+                        lambda c: built.append("sturm") or real_chain(c))
+    return built
+
+
+A, B = F(-1, 3), F(5, 7)
+# (polynomial, expected census, stages built) on (A, B), one per stage of
+# _census_int: V is the sign variations of the half-line shift to A
+CENSUS_STAGES = [
+    (from_roots([A, -1]), (0, True, False), []),               # V = 0, c(a) = 0
+    (from_roots([0]), (1, False, False), []),                   # V = 1, inside
+    (from_roots([1]), (0, False, False), []),                   # V = 1, beyond b
+    (from_roots([B]), (0, False, True), []),                    # V = 1, at b
+    (from_roots([A, HALF]), (1, True, False), []),              # V = 1, c(a) = 0
+    (from_roots([1, 2]), (0, False, False), ["moebius"]),      # image decides
+    (from_roots([0, 2]), (1, False, False), ["moebius"]),
+    (from_roots([0, HALF]), (2, False, False), ["moebius", "sturm"]),
+]
+
+
+@pytest.mark.parametrize("p, expected, stages", CENSUS_STAGES)
+def test_census_stages_agree_with_sturm_and_sympy(p, expected, stages,
+                                                  monkeypatch):
+    built = census_stages(monkeypatch)
+    assert root_census(p, A, B) == expected
+    assert built == stages
+    assert sturm_census(p, A, B) == expected
+    assert sympy_census(p, A, B) == expected
+
+
+def test_half_line_test_decides_most_suite_domains(monkeypatch):
+    """Over 200 theorem9 suite splines on the criterion-4 grid (degrees 1
+    to 4, 2 to 8 domains), the half-line shift alone decides at least 80%
+    of the non-zero domains censused (about 93% here), so no Moebius image
+    is built for them. A census that always built the image fails."""
+    built = census_stages(monkeypatch)
+    domains = []
+    real_census = polynomial._census_int
+
+    def census(*args):
+        domains.append(args)
+        return real_census(*args)
+
+    monkeypatch.setattr(spline, "_census_int", census)
+    cells = [(m, n) for m in range(1, 5) for n in range(2, 9)]
+    for seed in range(200):
+        m, n = cells[seed % len(cells)]
+        cfg = GeneratorConfig(seed=seed, degree=m, interior_knots=n - 1)
+        assert run_verification_suite("theorem9", cfg, 1).violations == 0
+    images = built.count("moebius")
+    assert len(domains) > 1000
+    assert 0 < images <= 0.2 * len(domains)
 
 
 @st.composite

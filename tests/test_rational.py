@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from splinezeros import (
     Polynomial,
+    Spline,
     VectorConfig,
     box_spline_eval,
     cardinal_bspline,
+    piecewise_linear,
     spline_eval,
+    spline_from_truncated_powers,
 )
 from splinezeros.errors import FormatError
+from splinezeros.linalg import RationalMatrix, mat_solve
 from splinezeros.rational import (
     as_rational,
+    as_rationals,
     format_ratio,
     format_rational,
     parse_rational,
@@ -76,6 +81,42 @@ def test_as_rational_refuses_bool():
             spline_eval(cardinal_bspline(2), flag)
         with pytest.raises(FormatError):
             box_spline_eval(VectorConfig(1, ((1,), (1,))), (flag,))
+
+
+# every public argument that is a sequence of rationals, or of such
+# sequences (jumps, matrix rows), given a value in its place
+SEQUENCE_ENTRY_POINTS = {
+    "Polynomial": lambda v: Polynomial(v),
+    "Spline knots": lambda v: Spline(1, v, (Polynomial(),) * 3),
+    "piecewise_linear knots": lambda v: piecewise_linear(v, (0, 1)),
+    "piecewise_linear values": lambda v: piecewise_linear((0, 1), v),
+    "truncated-power jumps": lambda v: spline_from_truncated_powers(
+        Polynomial([1]), v, (0, 4), 2),
+    "truncated-power jump": lambda v: spline_from_truncated_powers(
+        Polynomial([1]), [v], (0, 4), 2),
+    "truncated-power window": lambda v: spline_from_truncated_powers(
+        Polynomial([1]), [], v, 2),
+    "matrix rows": lambda v: RationalMatrix.from_rows(v),
+    "matrix row": lambda v: RationalMatrix.from_rows([v]),
+    "mat_solve rhs": lambda v: mat_solve(RationalMatrix.from_rows([[1, 0], [0, 1]]), v),
+}
+
+
+@pytest.mark.parametrize("value", ["12", b"12", 12, None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SEQUENCE_ENTRY_POINTS))
+def test_sequence_arguments_refuse_text_bytes_and_scalars(entry, value):
+    """A str or bytes would be read character by character (Polynomial("12")
+    as 1 + 2x, b"12" as 49 + 50x), and an int or None is no sequence."""
+    with pytest.raises(FormatError):
+        SEQUENCE_ENTRY_POINTS[entry](value)
+
+
+def test_as_rationals_checks_the_length():
+    assert as_rationals(("1/2", 3), 2) == (F(1, 2), F(3))
+    with pytest.raises(FormatError):
+        spline_from_truncated_powers(Polynomial([1]), [(1, 2, 3)], (0, 4), 2)
+    with pytest.raises(FormatError):
+        spline_from_truncated_powers(Polynomial([1]), [], (0, 2, 4), 2)
 
 
 @given(st.integers(min_value=-10**12, max_value=10**12),
