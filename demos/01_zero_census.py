@@ -29,7 +29,7 @@ verdict = check_zero_bound(s)
 print(f"x^2 - 2 on [0, 2]: Z = {verdict.Z} (the zero at sqrt(2) is counted "
       f"without ever being located)")
 print(f"bound n + m - 1 = {verdict.bound}, gross bound m(n+1) = "
-      f"{verdict.gross_bound}\n")
+      f"{verdict.degree * (verdict.n + 1)}\n")
 
 print("=" * 72)
 print("2. The zigzag: the bound is sharp")

@@ -60,5 +60,5 @@ verdict = check_interior_bound(ext)
 print(f"applicable (order-m zeros at both support ends): {verdict.applicable}")
 print(f"interior Z = {verdict.interior_Z} <= n' - m - 1 = "
       f"{verdict.interior_bound}: {verdict.passed}")
-print(f"closed-window Z = {verdict.total_Z} <= n' - m + 1 = "
-      f"{verdict.total_bound}")
+print(f"closed-window Z = {verdict.report.component_count} <= n' - m + 1 = "
+      f"{ext.n - ext.degree + 1} (implied by the interior bound)")

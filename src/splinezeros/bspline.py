@@ -19,9 +19,9 @@ jumps at a_0, a_0-1, ..., a_0-m, the jumps of s at its interior knots, and
 m+1 jumps at a_n, ..., a_n+m. The basis is local, so the interior pieces of
 s are reused and only the tails are assembled (spline._running_pieces).
 Each tail's jumps solve one fixed (m+1)x(m+1) system, whose exact inverse
-linalg.mat_solve builds once per degree (cached): an extension runs no
-linear solve per call and never builds B_m. Its knots follow the library's
-one flat-knot rule (spline.normalize): a knot is kept exactly when its two
+has a closed form, built once per degree (cached): an extension runs no
+linear solve and never builds B_m. Its knots follow the library's one
+flat-knot rule (spline.normalize): a knot is kept exactly when its two
 pieces differ, so a zero tail jump or a repeated piece of s leaves no knot.
 
 cardinal_bspline and extend_compact refuse a degree outside
@@ -44,9 +44,7 @@ from .errors import (
     FormatError,
     RankDeficiencyError,
 )
-from .linalg import RationalMatrix, mat_solve
 from .polynomial import Polynomial, count_distinct_roots
-from .rational import primitive_integers
 from .spline import (
     MAX_CARDINAL_DEGREE,
     Spline,
@@ -142,20 +140,28 @@ def cardinal_bspline(m: int) -> Spline:
 
 @lru_cache(maxsize=None)
 def _tail_inverse(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows W and denominator D with (W / D) = V_m^-1, where
-    V_m[k][i] = C(m, k) * i^(m-k) maps jumps d_0..d_m at 0, -1, ..., -m to
-    the coefficients of sum_i d_i (t + i)^m.
+    """Integer rows W and denominator D > 0, with no common factor, such
+    that W / D = V_m^-1, where V_m[k][i] = C(m, k) * i^(m-k) maps jumps
+    d_0..d_m at 0, -1, ..., -m to the coefficients of sum_i d_i (t + i)^m.
 
-    Column c of V_m^-1 solves V_m x = e_c (m + 1 mat_solve calls, once per
-    degree); primitive_integers scales it to one denominator."""
-    nodes = range(m + 1)
-    v = RationalMatrix.from_rows([[math.comb(m, k) * i ** (m - k) for i in nodes]
-                                  for k in nodes])
-    # column-major: entry c * (m + 1) + i is V_m^-1[i][c]
-    flat = [w for c in nodes for w in mat_solve(v, [int(k == c) for k in nodes])]
-    content, ints = primitive_integers(flat)
-    return (tuple(tuple(content.numerator * w for w in ints[i::m + 1])
-                  for i in nodes), content.denominator)
+    By blossoming (Ramshaw, "Blossoms are polar forms", CAGD 6, 1989), the
+    blossom of (t + i)^m at -S_l, S_l = {0..m} minus {l}, is
+    prod_(j in S_l) (i - j), zero unless i = l, so no linear solve runs:
+
+        V_m^-1[l][k] = (-1)^(k+m-l) e_k(S_l) k! (m-k)! C(m, l) / (m!)^2,
+
+    with e_k(S_l) the z^k coefficient of prod_(j in S_l) (1 + j z)."""
+    f = math.factorial
+    rows = []
+    for l in range(m + 1):
+        e = [1]
+        for j in range(m + 1):
+            if j != l:
+                e = [a + j * b for a, b in zip(e + [0], [0] + e)]
+        rows.append([(-1) ** (k + m - l) * e[k] * f(k) * f(m - k)
+                     * math.comb(m, l) for k in range(m + 1)])
+    g = math.gcd(f(m) ** 2, *(w for row in rows for w in row))
+    return tuple(tuple(w // g for w in row) for row in rows), f(m) ** 2 // g
 
 
 def extend_compact(s: Spline) -> Spline:
@@ -172,13 +178,13 @@ def extend_compact(s: Spline) -> Spline:
       into the left system times (-1)^m.
 
     Both tail systems have the matrix V_m[k][i] = C(m, k) i^(m-k), which
-    depends on m alone; its exact inverse W / D is built once per degree, so
-    no linear solve runs per call. A tail jump is a row of W dotted with the
-    numerators of the piece shifted to the window end, over D times that
-    piece's denominator. The tails are running sums, of d_m .. d_1 from zero
-    and of e_0 .. e_(m-1) from p_n, zeros included, and the interior of s is
-    reused; the Spline constructor certifies every join, so d_0, e_m and the
-    interior jumps are never formed. The flat-knot rule of normalize keeps
+    depends on m alone; its exact inverse W / D is a closed form, built once
+    per degree, so no linear solve runs. A tail jump is a row of W dotted
+    with the numerators of the piece shifted to the window end, over D times
+    that piece's denominator. The tails are running sums, of d_m .. d_1 from
+    zero and of e_0 .. e_(m-1) from p_n, zeros included, and the interior of
+    s is reused; the Spline constructor certifies every join, so d_0, e_m and
+    the interior jumps are never formed. The flat-knot rule of normalize keeps
     knot i exactly when pieces[i] != pieces[i + 1], which sheds zero jumps,
     a window end whose d_0 or e_0 is 0, zero end pieces of s and its knots
     that are not genuine: one Spline, no normalize (a zero s gives the zero

@@ -31,7 +31,8 @@ report bookkeeping in one loop; a Z of None adds nothing to max_Z or bound.
               bound with equality and so always contributes a tightness
               witness).
   prop5       compact-support extensions obey the interior bound
-              Z_open <= n' - m - 1 (and the closed-window n' - m + 1).
+              Z_open <= n' - m - 1 (which implies the closed-window
+              Z <= n' - m + 1).
   corollary10 the forced-vanishing implication is consistent.
   extension   structural checks of extend_compact plus the chained bound.
   rolle       derivative gains at least one separated zero on the open
@@ -154,7 +155,10 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
     degree <= m plus nonzero truncated-power jumps at distinct random
     interior knots. A knot candidate num/den has den in [1, den_bound] and
     num strictly between 0 and (interior_knots + 1) * den, so it lies inside
-    the window."""
+    the window. A trial that is not an int (bool included) is refused with
+    FormatError before any draw."""
+    if type(trial) is not int:
+        raise FormatError(f"trial must be an int, got {trial!r}")
     bits = random.Random(_trial_seed(cfg.seed, trial)).getrandbits
     width = cfg.interior_knots + 1
     keys: set[tuple[int, int]] = set()
@@ -190,7 +194,10 @@ def random_spline(cfg: GeneratorConfig, trial: int = 0) -> Spline:
 def zigzag_spline(n: int) -> Spline:
     """Degree-1 corner case on knots 0..n alternating between 1 and -1: one
     sign change per domain, so Z = n = (n + 1 - 1), meeting the bound. On
-    [k, k+1] the piece is v (1 + 2k) - 2 v x with v = (-1)^k."""
+    [k, k+1] the piece is v (1 + 2k) - 2 v x with v = (-1)^k. An n that is
+    not an int (bool included) is refused with FormatError."""
+    if type(n) is not int:
+        raise FormatError(f"n must be an int, got {n!r}")
     if n < 1:
         raise FormatError("zigzag needs n >= 1")
     signs = [(-1) ** k for k in range(n + 1)]

@@ -250,9 +250,12 @@ def spline_from_truncated_powers(base: Polynomial, jumps: Sequence,
 
     The public edge of _spline_from_int_jumps: it coerces every knot, jump
     coefficient and window end, and refuses a degree outside
-    [1, MAX_CARDINAL_DEGREE] (check_degree). The jump knots must increase
+    [1, MAX_CARDINAL_DEGREE] (check_degree) and a base that is not a
+    Polynomial (FormatError) before any work. The jump knots must increase
     inside the window; see the kernel for the rest."""
     check_degree(m)
+    if not isinstance(base, Polynomial):
+        raise FormatError(f"base must be a Polynomial, got {base!r}")
     lo, hi = as_rationals(window, 2)
     pairs = as_rationals(jumps, item=lambda jump: as_rationals(jump, 2))
     int_jumps = [(knot, c.numerator, c.denominator) for knot, c in pairs]
@@ -436,35 +439,27 @@ def open_component_count(report: ZeroReport, lo=None, hi=None) -> int:
     return z
 
 
-def zero_order_at(s: Spline, z) -> int | float:
-    """Order of z as a zero: its multiplicity as a root of the piece there,
-    capped at degree (the smallest derivative index j <= degree-1 with a
-    nonzero value, else degree); math.inf only when s vanishes identically
-    on a neighborhood of z."""
+def zero_order_at(s: Spline, z) -> int:
+    """Order of z as a zero: its multiplicity as a root of the piece right
+    of z, capped at degree (the smallest derivative index j <= degree-1 with
+    a nonzero value, else degree). The two pieces at a knot differ by a
+    multiple of (x - knot)^degree, so either gives the capped order, and a
+    point where s vanishes on one side or both reads degree."""
     if s.degree < 1:
         raise DegreeError("zero order requires a spline of degree >= 1")
     z = as_rational(z)
-    idx = bisect_right(s.knots, z)
-    relevant = [s.pieces[idx]]
-    if idx >= 1 and s.knots[idx - 1] == z:
-        relevant.append(s.pieces[idx - 1])
-    if all(p.is_zero for p in relevant):
-        return math.inf
-    # the pieces on both sides of a knot differ by a multiple of
-    # (x - knot)^degree, so either nonzero one gives the capped order
-    probe = relevant[0] if not relevant[0].is_zero else relevant[1]
-    return root_order(probe, z, s.degree)
+    return root_order(s.pieces[bisect_right(s.knots, z)], z, s.degree)
 
 
 # -- bound checkers ---------------------------------------------------------------
 
 
 class ZeroBoundVerdict(NamedTuple):
-    """Z versus the sharp bound n + m - 1 and the gross bound m(n+1)."""
+    """Z versus the sharp bound n + m - 1 (the gross bound m(n+1) exceeds it
+    by n(m-1) + 1 >= 1, so it decides nothing)."""
 
     Z: int
     bound: int
-    gross_bound: int
     n: int
     degree: int
     passed: bool
@@ -480,25 +475,21 @@ def check_zero_bound(s: Spline) -> ZeroBoundVerdict:
     n = sn.n
     z, report = separated_zero_count(sn, sn.knots[0], sn.knots[-1])
     bound = n + sn.degree - 1
-    gross = sn.degree * (n + 1)
-    return ZeroBoundVerdict(
-        Z=z, bound=bound, gross_bound=gross, n=n, degree=sn.degree,
-        passed=(z <= bound and z <= gross), report=report,
-    )
+    return ZeroBoundVerdict(Z=z, bound=bound, n=n, degree=sn.degree,
+                            passed=z <= bound, report=report)
 
 
 class InteriorBoundVerdict(NamedTuple):
     """For splines whose outermost knots are zeros of order >= degree:
-    interior zeros obey Z_open <= n - m - 1 (and closed-window zeros obey
-    Z <= n - m + 1). Never silently passes on inapplicable input."""
+    interior zeros obey Z_open <= n - m - 1. That implies n >= m + 1 and,
+    since open_component_count drops at most the two window-end singletons,
+    the closed-window Z = report.component_count <= n - m + 1. Never
+    silently passes on inapplicable input."""
 
     applicable: bool
     reason: str | None
-    n_ge_m_plus_1: bool = False
     interior_Z: int | None = None
     interior_bound: int | None = None
-    total_Z: int | None = None
-    total_bound: int | None = None
     passed: bool = False
     report: ZeroReport | None = None
 
@@ -513,14 +504,9 @@ def check_interior_bound(s: Spline) -> InteriorBoundVerdict:
         return InteriorBoundVerdict(False, f"order at {a} below degree")
     if zero_order_at(sn, b) < m:
         return InteriorBoundVerdict(False, f"order at {b} below degree")
-    total_z, report = separated_zero_count(sn, a, b)
-    interior_z = open_component_count(report)
-    n_ok = n >= m + 1
-    interior_bound = n - m - 1
-    total_bound = n - m + 1
-    passed = n_ok and interior_z <= interior_bound and total_z <= total_bound
-    return InteriorBoundVerdict(True, None, n_ok, interior_z, interior_bound,
-                                total_z, total_bound, passed, report)
+    report = separated_zero_count(sn, a, b)[1]
+    z, bound = open_component_count(report), n - m - 1
+    return InteriorBoundVerdict(True, None, z, bound, z <= bound, report)
 
 
 class VanishingVerdict(NamedTuple):

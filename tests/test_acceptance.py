@@ -155,6 +155,9 @@ def test_criterion_5_extension_chain():
                 # interior bound for the extension's own knot count
                 verdict = check_interior_bound(ext)
                 assert verdict.applicable and verdict.passed, trial
+                # the closed-window bound follows from the interior one
+                closed_bound = normalize(ext).n - m + 1
+                assert verdict.report.component_count <= closed_bound, trial
                 trial += 1
     except BaseException:
         _fail_guard(5, "extension chain on 200 splines")

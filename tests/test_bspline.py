@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -192,7 +193,7 @@ def test_interior_bound_on_bsplines():
     for m in (1, 2, 3):
         verdict = check_interior_bound(cardinal_bspline(m))
         assert verdict.applicable
-        assert verdict.n_ge_m_plus_1
+        assert verdict.report.component_count == 2  # the support ends
         assert verdict.interior_Z == 0
         assert verdict.interior_bound == 0  # n = m + 1
         assert verdict.passed
@@ -476,6 +477,17 @@ def test_tail_inverse_inverts_the_tail_matrix():
                            for k in range(m + 1)]
 
 
+def test_tail_inverse_matches_sympy_inverse():
+    """W / D equals sympy's exact inverse of V_m entry for entry, m = 1..12,
+    and D is the least denominator of the rows."""
+    for m in range(1, 13):
+        w, d = bspline._tail_inverse(m)
+        v = sympy.Matrix(m + 1, m + 1,
+                         lambda k, i: math.comb(m, k) * i ** (m - k))
+        assert v.inv() == sympy.Matrix(w) / d
+        assert math.gcd(d, *(x for row in w for x in row)) == 1
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_extension_tails_are_certified(monkeypatch, side):
     """The interior pieces are reused and only the tails are assembled, so
@@ -513,9 +525,9 @@ def test_extension_needs_no_solve_and_no_bspline(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module in (linalg, bspline):
-        monkeypatch.setattr(module, "mat_solve",
-                            counted("mat_solve", module.mat_solve))
+    assert not hasattr(bspline, "mat_solve")
+    monkeypatch.setattr(linalg, "mat_solve",
+                        counted("mat_solve", linalg.mat_solve))
     monkeypatch.setattr(bspline, "cardinal_bspline",
                         counted("cardinal_bspline", bspline.cardinal_bspline))
     for trial in range(50):

@@ -250,9 +250,8 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     def always_violating(s):
         verdict = real(s)
         return type(verdict)(
-            Z=verdict.Z, bound=-1, gross_bound=verdict.gross_bound,
-            n=verdict.n, degree=verdict.degree, passed=False,
-            report=verdict.report,
+            Z=verdict.Z, bound=-1, n=verdict.n, degree=verdict.degree,
+            passed=False, report=verdict.report,
         )
 
     monkeypatch.setattr(harness, "check_zero_bound", always_violating)

@@ -202,6 +202,20 @@ def test_generator_config_requires_int_fields(field, value):
         GeneratorConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, 2.5, "1", None])
+@pytest.mark.parametrize("name, call", [
+    ("trial", lambda value: random_spline(
+        GeneratorConfig(seed=1, degree=2, interior_knots=2), value)),
+    ("n", zigzag_spline),
+], ids=["random_spline", "zigzag_spline"])
+def test_harness_entry_points_require_int_counts(name, call, value):
+    """A non-int trial or zigzag length is refused, never reinterpreted:
+    random_spline(cfg, True) and (cfg, 1.0) built splines other than trial
+    1's, and zigzag_spline(True) built n = 1."""
+    with pytest.raises(FormatError, match=f"{name} must be an int"):
+        call(value)
+
+
 def test_suite_argument_validation():
     cfg = GeneratorConfig(seed=1, degree=1, interior_knots=1)
     with pytest.raises(FormatError):
