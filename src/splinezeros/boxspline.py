@@ -101,7 +101,11 @@ def parse_vector_config(text: str) -> VectorConfig:
     """Parse "1,0;1,1;0,1" (semicolon-separated integer vectors). Each
     component is [+-]digits in ASCII, with surrounding whitespace tolerated;
     anything else, an empty vector (";;" or a trailing ";") included, raises
-    FormatError."""
+    FormatError, as does a text that is not a str (bytes and None included),
+    before any parsing."""
+    if not isinstance(text, str):
+        raise FormatError(
+            f"expected a vector configuration string, got {type(text).__name__}")
     if not text.strip():
         raise FormatError("empty vector configuration")
     vectors = []

@@ -56,9 +56,13 @@ from .spline import (
 
 def univariate_box_spline(lengths: tuple[int, ...]) -> Spline:
     """B_X for 2 to MAX_CARDINAL_DEGREE + 1 nonzero ints X = lengths, on the
-    window [o, o + sum |xi|]; more lengths raise CapabilityError, a length
-    that is not an int (a bool included) FormatError and a zero length
-    RankDeficiencyError. B_X is the same for every order of X."""
+    window [o, o + sum |xi|]; more lengths raise CapabilityError, lengths
+    that are not a tuple or list, or a length that is not an int (a bool
+    included), FormatError and a zero length RankDeficiencyError. B_X is the
+    same for every order of X."""
+    if not isinstance(lengths, (tuple, list)):
+        raise FormatError("lengths must be a tuple or list of ints, got "
+                          f"{type(lengths).__name__}")
     for xi in lengths:
         if type(xi) is not int:
             raise FormatError(f"lengths must be int, got {xi!r}")

@@ -20,7 +20,7 @@ from .boxspline import (
 from .bspline import cardinal_bspline, extend_compact
 from .errors import FormatError, SplineZerosError
 from .harness import (MAX_DENOMINATOR_BOUND, MAX_INTERIOR_KNOTS, MAX_NUMERATOR_BOUND,
-                      SUITE_KINDS, GeneratorConfig, run_verification_suite)
+                      MAX_TRIALS, SUITE_KINDS, GeneratorConfig, run_verification_suite)
 from .rational import format_rational, parse_rational
 from .spline import (
     MAX_CARDINAL_DEGREE,
@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knots", type=int, required=True,
                    help=f"index n of the last knot, 1..{MAX_INTERIOR_KNOTS + 1} "
                         "(window [0, n], n-1 random interior knots)")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True,
+                   help=f"number of random splines, 1..{MAX_TRIALS}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--num-bound", type=int, default=defaults["numerator_bound"],
                    help="largest |numerator| of a random coefficient, "

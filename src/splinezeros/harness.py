@@ -77,6 +77,9 @@ MAX_INTERIOR_KNOTS = 999
 # any kind runs in 0.09-0.26 s on the same host
 MAX_DENOMINATOR_BOUND = 16
 MAX_NUMERATOR_BOUND = 10**6
+# 100 times criterion 4's 1,000 trials per call: a larger count is refused
+# before any trial rather than left to run for hours
+MAX_TRIALS = 100_000
 
 
 class GeneratorConfig(Validated, namedtuple(
@@ -285,6 +288,9 @@ def run_verification_suite(kind: str, cfg: GeneratorConfig,
         raise FormatError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise FormatError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise CapabilityError(
+            f"at most {MAX_TRIALS} trials (MAX_TRIALS), got {trials}")
     if kind == "rolle" and cfg.degree < 2:
         raise DegreeError("the derivative-propagation suite needs degree >= 2")
 

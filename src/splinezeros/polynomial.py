@@ -9,18 +9,21 @@ root_census returns the open-interval count together with the endpoint zero
 flags p(a) == 0 and p(b) == 0. It is the coercing public edge of one integer
 kernel, _census_int(num, a1, a2, b1, b2), which takes the numerators and the
 interval ends as (numerator, denominator) pairs; the spline census calls the
-kernel directly with the knot pairs it already holds. The kernel decides in
-up to three stages, each on ints, each run only when the one before cannot
-decide. First one Taylor shift to a and Descartes' rule of signs on the
-half-line (a, inf): no sign variation means no root in (a, b), and one
-means one simple root past a, which one Horner value at b places. Then,
-from that same shifted list, the integer Moebius image of (a, b) on
-(0, inf) (a scaling, a reversal and a Taylor shift by 1) and the rule
-again: zero or one variation is the exact count. Only then a Sturm
-sequence, one remainder sequence per polynomial: the pseudo-remainder
-sequence of (p, p') ends in g = gcd(p, p'), and dividing every entry by g
-gives a Sturm sequence of the square-free part p/g, so no separate gcd is
-computed. That sequence is evaluated once at each endpoint, and one
+kernel directly with the knot pairs it already holds. A line c0 + c1 x is
+monotone, so its two scaled end values c0 a2 + c1 a1 and c0 b2 + c1 b1
+decide it with no shift: one root inside exactly when their signs are
+strictly opposite, and a zero value is that end's flag. Any other
+polynomial is decided in up to three stages, each on ints, each run only
+when the one before cannot decide. First one Taylor shift to a and
+Descartes' rule of signs on the half-line (a, inf): no sign variation
+means no root in (a, b), and one means one simple root past a, which one
+Horner value at b places. Then, from that same shifted list, the integer
+Moebius image of (a, b) on (0, inf) (a scaling, a reversal and a Taylor
+shift by 1) and the rule again: zero or one variation is the exact count.
+Only then a Sturm sequence, one remainder sequence per polynomial: the
+pseudo-remainder sequence of (p, p') ends in g = gcd(p, p'), and dividing
+every entry by g gives a Sturm sequence of the square-free part p/g, so no
+separate gcd is computed. That sequence is evaluated once at each endpoint, and one
 sign-variation count (_variations) reads the half-line shift, the Moebius
 image and the Sturm values.
 
@@ -367,8 +370,15 @@ def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
                 b2: int) -> tuple[int, bool, bool]:
     """root_census of the nonzero integer numerators num on (a1/a2, b1/b2),
     with a2, b2 > 0 and a1/a2 < b1/b2 (not checked here). num, of degree d,
-    is read as a polynomial c; the three stages run in turn, each only when
-    the one before cannot decide.
+    is read as a polynomial c. A line is decided by its end values; any
+    other c goes through the three stages in turn, each only when the one
+    before cannot decide.
+
+    Line. For d = 1, c0 a2 + c1 a1 = a2 c(a) and c0 b2 + c1 b1 = b2 c(b)
+    carry the signs of c(a) and c(b) (a2, b2 > 0). A nonconstant line is
+    monotone, so it has a root in (a, b) exactly when the two have strictly
+    opposite signs, and c(a) == 0 or c(b) == 0 is read off directly. No
+    Taylor shift is built.
 
     Half-line. h = _homogeneous_shift(num, a1, a2) holds the coefficients
     of a2^d c(a + y/a2), whose positive roots are the roots of c past
@@ -395,6 +405,10 @@ def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
     V(a) - V(b), counted by the same _variations, gives the distinct roots
     in the half-open (a, b], and c(b) == 0 is subtracted to open the right
     end."""
+    if len(num) == 2:
+        c0, c1 = num
+        at_a, at_b = c0 * a2 + c1 * a1, c0 * b2 + c1 * b1
+        return int((at_a < 0 < at_b) or (at_b < 0 < at_a)), not at_a, not at_b
     h = _homogeneous_shift(num, a1, a2)
     zero_at_a = h[0] == 0
     count = _variations(h)
@@ -402,7 +416,7 @@ def _census_int(num: Sequence[int], a1: int, a2: int, b1: int,
         return 0, zero_at_a, False
     if count == 1:
         at_b = _horner(num, b1, b2)[0]
-        lowest = next(v for v in h if v)
+        lowest = h[0] or next(v for v in h if v)
         inside = at_b != 0 and (at_b < 0) != (lowest < 0)
         return int(inside), zero_at_a, at_b == 0
     q = _moebius_image(h, b1 * a2 - a1 * b2, b2)

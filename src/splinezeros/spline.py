@@ -40,12 +40,13 @@ Hence the maximum separated family has exactly one member per component, and
 Z is computable from exact per-domain root counts and knot-value flags alone
 (no root locations needed). Both come from one exact census per domain
 (polynomial._census_int, the integer kernel behind root_census, given each
-knot as its (numerator, denominator) pair): Descartes' rule on the piece
-shifted to the domain's left end, then on an integer Moebius transform of
-it, or a Sturm sequence when neither decides, counts the roots in the open
-domain and says whether the piece vanishes at either end. Each knot takes its flag from an adjacent domain,
-which continuity allows for degree >= 1. The census evaluates no piece on
-its own.
+knot as its (numerator, denominator) pair): a line's two end values, or
+Descartes' rule on the piece shifted to the domain's left end, then on an
+integer Moebius transform of it, or a Sturm sequence when neither decides,
+counts the roots in the open domain and says whether the piece vanishes at
+either end. Each knot takes its flag from an adjacent domain, which
+continuity allows for degree >= 1. The census evaluates no piece on its
+own.
 """
 
 from __future__ import annotations
@@ -359,8 +360,8 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
     The window ends are tested against the first and last knots before any
     bisection. One exact census per domain (polynomial._census_int on the
     piece's numerators and the (numerator, denominator) pairs of its knots,
-    each read once: Descartes' rule of signs, with a Sturm sequence only
-    where the rule cannot decide) gives the distinct roots in the open
+    each read once: a line's end values, else Descartes' rule of signs,
+    with a Sturm sequence only where the rule cannot decide) gives the distinct roots in the open
     domain and whether the piece vanishes at each end. Each knot flag is
     the left-end flag of the domain to its right, and the last knot's is
     the right-end flag of the last domain: the spline is continuous
@@ -368,10 +369,11 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
     identically zero domain flags both of its knots. No piece is evaluated
     separately.
 
-    Components are assembled from exact counts only: interior roots of
-    non-vanishing pieces are isolated singletons; zero-valued knots chain
-    into one component exactly when the domain between them vanishes
-    identically. See the module docstring for why components = max separated
+    Components are assembled from exact counts only, inside the same
+    domain loop: interior roots of non-vanishing pieces are isolated
+    singletons, and a zero-valued knot opens a new component unless the
+    domain to its left vanishes identically, which chains it to the knot
+    before. See the module docstring for why components = max separated
     family."""
     if s.degree < 1:
         raise DegreeError("census requires a spline of degree >= 1")
@@ -387,33 +389,27 @@ def separated_zero_count(s: Spline, a, b) -> tuple[int, ZeroReport]:
 
     domains = []
     knot_zero = []
+    components = 0
+    vanishing = False  # the domain left of the current knot is identically zero
     left = knots[ia]
     a1, a2 = left.numerator, left.denominator
     for right, piece in zip(knots[ia + 1:ib + 1], s.pieces[ia + 1:ib + 1]):
         b1, b2 = right.numerator, right.denominator
         if piece.num:
             count, zero_left, zero_right = _census_int(piece.num, a1, a2, b1, b2)
-            domains.append(DomainCensus(left, right, False, count))
+            components += count + (zero_left and not vanishing)
         else:
-            domains.append(DomainCensus(left, right, True, None))
-            zero_left = zero_right = True
+            count, zero_left, zero_right = None, True, True
+            components += not vanishing
+        vanishing = count is None
+        domains.append(DomainCensus(left, right, vanishing, count))
         knot_zero.append(zero_left)
         left, a1, a2 = right, b1, b2
     knot_zero.append(zero_right)
+    components += zero_right and not vanishing
 
-    isolated = sum(d.open_interior_distinct_roots for d in domains
-                   if not d.identically_zero)
-    clusters = 0
-    for idx, flag in enumerate(knot_zero):
-        if not flag:
-            continue
-        joined = idx > 0 and knot_zero[idx - 1] and domains[idx - 1].identically_zero
-        if not joined:
-            clusters += 1
-
-    report = ZeroReport((a, b), tuple(domains), tuple(knot_zero),
-                        isolated + clusters)
-    return report.component_count, report
+    report = ZeroReport((a, b), tuple(domains), tuple(knot_zero), components)
+    return components, report
 
 
 def open_component_count(report: ZeroReport, lo=None, hi=None) -> int:
@@ -522,23 +518,23 @@ class VanishingVerdict(NamedTuple):
 
 
 def vanishing_from_report(degree: int, report: ZeroReport) -> VanishingVerdict:
-    """Evaluate the vanishing criterion from an existing window census."""
+    """Evaluate the vanishing criterion from an existing window census, in
+    one pass over its domains."""
     domains = report.domains
     knot_zero = report.knot_value_zero
-    n = len(domains)
-    conclusion = all(d.identically_zero for d in domains)
-    if any(d.identically_zero for d in domains):
-        enough = True  # infinitely many zeros
-    else:
-        distinct = sum(d.open_interior_distinct_roots for d in domains)
-        distinct += sum(knot_zero)
-        enough = distinct >= n + degree
-    scattered = all(
-        d.identically_zero
-        or d.open_interior_distinct_roots >= 1
-        or (knot_zero[j] and knot_zero[j + 1])
-        for j, d in enumerate(domains)
-    )
+    distinct = sum(knot_zero)
+    zero_domains = 0
+    scattered = True
+    for d, zero_left, zero_right in zip(domains, knot_zero, knot_zero[1:]):
+        if d.identically_zero:
+            zero_domains += 1
+        else:
+            roots = d.open_interior_distinct_roots
+            distinct += roots
+            scattered = scattered and (roots >= 1 or (zero_left and zero_right))
+    # an identically zero domain holds infinitely many zeros
+    enough = zero_domains > 0 or distinct >= len(domains) + degree
+    conclusion = zero_domains == len(domains)
     consistent = (not (enough and scattered)) or conclusion
     return VanishingVerdict(enough, scattered, conclusion, consistent)
 

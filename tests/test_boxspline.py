@@ -243,6 +243,11 @@ def test_parse_vector_config():
                  "9" * 5000 + ";1"):
         with pytest.raises(FormatError):
             parse_vector_config(text)
+    # a non-string is refused as parse_rational refuses one, not with a
+    # bare AttributeError (None) or TypeError (bytes)
+    for value in (None, b"1,0", 1, ["1,0"]):
+        with pytest.raises(FormatError, match="string"):
+            parse_vector_config(value)
 
 
 # -- zonotopes -------------------------------------------------------------------
@@ -749,7 +754,11 @@ def test_univariate_cache_ignores_the_order_of_x():
     ((True, 1), FormatError),
     ((F(1), 1), FormatError),
     ((1, "2"), FormatError),
-], ids=["zero", "zero-last", "zero-past-cap", "float", "bool", "fraction", "str"])
+    (3, FormatError),  # not a sequence: a bare TypeError before
+    (None, FormatError),
+    ({1, 2}, FormatError),
+], ids=["zero", "zero-last", "zero-past-cap", "float", "bool", "fraction", "str",
+        "int", "none", "set"])
 def test_univariate_box_spline_refuses_bad_lengths(lengths, error):
     with pytest.raises(error):
         univariate_box_spline(lengths)

@@ -396,6 +396,7 @@ def test_help_states_the_caps_and_defaults(capsys):
     assert f"1..{harness.MAX_INTERIOR_KNOTS + 1} " in verify
     assert f"1..{harness.MAX_NUMERATOR_BOUND} " in verify
     assert f"1..{harness.MAX_DENOMINATOR_BOUND} " in verify
+    assert f"1..{harness.MAX_TRIALS}" in verify
     defaults = harness.GeneratorConfig(seed=0, degree=1, interior_knots=0)
     assert f"(default {defaults.numerator_bound})" in verify
     assert f"(default {defaults.denominator_bound})" in verify
@@ -523,6 +524,21 @@ def test_verify_refuses_knot_counts_above_the_cap_quickly(capsys):
     code, _, _ = run(capsys, "verify", "--kind", "theorem9", "--m", "1",
                      "--knots", "1000", "--trials", "1", "--seed", "1")
     assert code == 0
+
+
+def test_verify_refuses_trial_counts_above_the_cap_quickly(capsys):
+    """Every suite kind refuses more than MAX_TRIALS trials before
+    generating a spline; --trials 100000000000 ran on for more than 20 s
+    before."""
+    for kind in harness.SUITE_KINDS:
+        for trials in (str(harness.MAX_TRIALS + 1), str(10**11)):
+            started = time.monotonic()
+            code, out, err = run(capsys, "verify", "--kind", kind, "--m", "2",
+                                 "--knots", "3", "--trials", trials, "--seed", "1")
+            assert time.monotonic() - started < 5.0
+            assert code == 2
+            assert out == ""
+            assert "MAX_TRIALS" in err and f"got {trials}" in err
 
 
 def test_verify_refuses_coefficient_bounds_above_the_caps_quickly(capsys):

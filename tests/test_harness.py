@@ -229,6 +229,33 @@ def test_suite_argument_validation():
         run_verification_suite("rolle", cfg, 10)
 
 
+class _Generated(Exception):
+    """Raised by a stubbed generator: the trial count passed its check."""
+
+
+@pytest.mark.parametrize("kind", harness.SUITE_KINDS)
+def test_suite_trial_cap(kind, monkeypatch):
+    """More than MAX_TRIALS trials are refused with CapabilityError before
+    any spline is drawn; MAX_TRIALS itself passes the check and reaches the
+    generator, which a stub stops at its first call."""
+    assert harness.MAX_TRIALS == 100_000
+    drawn = []
+
+    def stub(cfg, trial=0):
+        drawn.append(trial)
+        raise _Generated
+
+    monkeypatch.setattr(harness, "random_spline", stub)
+    cfg = GeneratorConfig(seed=1, degree=2, interior_knots=1)
+    for trials in (harness.MAX_TRIALS + 1, 10**11):
+        with pytest.raises(CapabilityError, match="MAX_TRIALS"):
+            run_verification_suite(kind, cfg, trials)
+    assert drawn == []
+    with pytest.raises(_Generated):
+        run_verification_suite(kind, cfg, harness.MAX_TRIALS)
+    assert drawn == [0]
+
+
 def test_theorem_suite_injects_zigzag_for_degree_one():
     cfg = GeneratorConfig(seed=5, degree=1, interior_knots=3)
     report = run_verification_suite("theorem9", cfg, 10)

@@ -12,6 +12,7 @@ from splinezeros.errors import InfiniteRootsError, IntervalError
 import splinezeros.polynomial as polynomial
 import splinezeros.spline as spline
 from splinezeros.polynomial import (
+    _census_int,
     _content_normalize,
     _horner,
     _sturm_chain,
@@ -510,9 +511,10 @@ def test_census_stages_agree_with_sturm_and_sympy(p, expected, stages,
 
 def test_half_line_test_decides_most_suite_domains(monkeypatch):
     """Over 200 theorem9 suite splines on the criterion-4 grid (degrees 1
-    to 4, 2 to 8 domains), the half-line shift alone decides at least 80%
-    of the non-zero domains censused (about 93% here), so no Moebius image
-    is built for them. A census that always built the image fails."""
+    to 4, 2 to 8 domains), the line step and the half-line shift decide at
+    least 80% of the non-zero domains censused (about 93% here), so no
+    Moebius image is built for them. A census that always built the image
+    fails."""
     built = census_stages(monkeypatch)
     domains = []
     real_census = polynomial._census_int
@@ -574,6 +576,74 @@ def test_census_agrees_with_sturm_and_sympy_up_to_degree_12(case):
     census = root_census(p, a, b)
     assert census == sturm_census(p, a, b)
     assert census == sympy_census(p, a, b)
+
+
+fine_ends = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+LINE_PLACES = ("at a", "at b", "inside", "left of a", "right of b", "free")
+
+
+@st.composite
+def lines_and_windows(draw):
+    """A line c0 + c1 x, c1 != 0, on a window (a, b) whose ends have
+    denominators up to 10^6, with its root planted at a, at b, inside,
+    left of a or right of b, or with c0 drawn freely; and the census the
+    planting implies (None for a free c0)."""
+    a, b = sorted((draw(fine_ends), draw(fine_ends)))
+    assume(a < b)
+    c1 = draw(st.fractions(min_value=-10**6, max_value=10**6,
+                           max_denominator=10**6).filter(bool))
+    place = draw(st.sampled_from(LINE_PLACES))
+    if place == "free":
+        return Polynomial([draw(fine_ends), c1]), a, b, None
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    assume(0 < t < 1)
+    root, expected = {
+        "at a": (a, (0, True, False)),
+        "at b": (b, (0, False, True)),
+        "inside": (a + t * (b - a), (1, False, False)),
+        "left of a": (a - t, (0, False, False)),
+        "right of b": (b + t, (0, False, False)),
+    }[place]
+    return Polynomial([-c1 * root, c1]), a, b, expected
+
+
+@given(lines_and_windows())
+@example((Polynomial([-1, 2]), F(1, 999983), F(10**6, 999999), (1, False, False)))
+@example((Polynomial([F(1, 10**6), -1]), F(-1, 3), F(1, 10**6), (0, False, True)))
+@settings(max_examples=300, deadline=None)
+def test_line_census_agrees_with_sturm_and_sympy(case):
+    """The census kernel decides a line from its two scaled end values; the
+    result, flags included, equals the Sturm-only reference, sympy's
+    count_roots and the planted root's place."""
+    p, a, b, expected = case
+    census = _census_int(p.num, a.numerator, a.denominator,
+                         b.numerator, b.denominator)
+    assert census == sturm_census(p, a, b)
+    assert census == sympy_census(p, a, b)
+    if expected is not None:
+        assert census == expected
+
+
+def test_line_census_builds_no_taylor_shift(monkeypatch):
+    """A line's census runs no _homogeneous_shift, in root_census and in the
+    spline census of a zigzag (every domain a line with one root), while a
+    quadratic's census still builds its one half-line shift."""
+    shifts = []
+    real = polynomial._homogeneous_shift
+    monkeypatch.setattr(polynomial, "_homogeneous_shift",
+                        lambda *args: shifts.append(args) or real(*args))
+    lines = [(Polynomial([-1, 2]), 0, 1, (1, False, False)),
+             (Polynomial([0, 3]), 0, 1, (0, True, False)),
+             (Polynomial([-1, 1]), 0, 1, (0, False, True)),
+             (Polynomial([5, -1]), 0, 1, (0, False, False))]
+    for p, a, b, expected in lines:
+        assert root_census(p, a, b) == expected
+    z, _ = spline.separated_zero_count(spline.piecewise_linear(
+        range(9), [(-1) ** k for k in range(9)]), 0, 8)
+    assert z == 8
+    assert shifts == []
+    assert root_census(from_roots([F(1, 3), 2]), 0, 1) == (1, False, False)
+    assert len(shifts) == 1
 
 
 def sympy_root_order(p, x, cap):

@@ -12,6 +12,7 @@ from splinezeros import (
     GeneratorConfig,
     Polynomial,
     Spline,
+    cardinal_bspline,
     check_interior_bound,
     check_zero_bound,
     extend_compact,
@@ -808,6 +809,113 @@ def test_census_matches_two_sequence_route(case):
             assert root_census(piece, left, right) == (
                 reference_open_count(piece, left, right),
                 piece.eval(left) == 0, piece.eval(right) == 0)
+
+
+# -- reference: components and Corollary 10 in separate passes ---------------------
+
+
+def reference_component_count(report):
+    """Z from a finished census in two passes: the interior roots of the
+    non-vanishing domains, then one component per zero knot that the
+    identically zero domain to its left does not join to the knot before."""
+    domains, knot_zero = report.domains, report.knot_value_zero
+    isolated = sum(d.open_interior_distinct_roots for d in domains
+                   if not d.identically_zero)
+    clusters = 0
+    for idx, flag in enumerate(knot_zero):
+        if not flag:
+            continue
+        joined = idx > 0 and knot_zero[idx - 1] and domains[idx - 1].identically_zero
+        if not joined:
+            clusters += 1
+    return isolated + clusters
+
+
+def reference_vanishing(degree, report):
+    """The forced-vanishing verdict in four passes over the domains."""
+    domains, knot_zero = report.domains, report.knot_value_zero
+    n = len(domains)
+    conclusion = all(d.identically_zero for d in domains)
+    if any(d.identically_zero for d in domains):
+        enough = True
+    else:
+        distinct = sum(d.open_interior_distinct_roots for d in domains)
+        distinct += sum(knot_zero)
+        enough = distinct >= n + degree
+    scattered = all(
+        d.identically_zero
+        or d.open_interior_distinct_roots >= 1
+        or (knot_zero[j] and knot_zero[j + 1])
+        for j, d in enumerate(domains)
+    )
+    consistent = (not (enough and scattered)) or conclusion
+    return (enough, scattered, conclusion, consistent)
+
+
+@st.composite
+def zero_gap_sums(draw):
+    """sum_i c_i B_m(x - k_i) on the integer knots of its support, with
+    integer shifts k_i whose gaps reach past m + 1, so that identically
+    zero domains and chains of zero knots appear between the bumps (a
+    coefficient 0 leaves a whole bump out), censused on the whole window or
+    on a random sub-window of knots."""
+    m = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.integers(0, m + 3), min_size=1, max_size=4))
+    shifts = [sum(gaps[:i + 1]) for i in range(len(gaps))]
+    coeffs = draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                        max_denominator=3),
+                           min_size=len(shifts), max_size=len(shifts)))
+    b = cardinal_bspline(m)
+    lo, hi = shifts[0], shifts[-1] + m + 1
+    pieces = []
+    for x in range(lo - 1, hi + 1):  # the piece on [x, x + 1]
+        piece = ZERO
+        for k, c in zip(shifts, coeffs):
+            if 0 <= x - k <= m:
+                piece = piece + b.pieces[x - k + 1].taylor_shift(-k) * \
+                    Polynomial.constant(c)
+        pieces.append(piece)
+    s = Spline(m, range(lo, hi + 1), pieces)
+    if draw(st.booleans()):
+        return s, 0, len(s.knots) - 1
+    ia = draw(st.integers(0, len(s.knots) - 2))
+    return s, ia, draw(st.integers(ia + 1, len(s.knots) - 1))
+
+
+def whole_or_sub_window(case):
+    s, ia, ib, _ = case
+    return s, ia, ib
+
+
+@given(st.one_of(zero_gap_sums(), census_cases().map(whole_or_sub_window)))
+@settings(max_examples=300, deadline=None)
+def test_components_and_vanishing_match_multi_pass_references(case):
+    """The census counts components inside its domain loop, and
+    vanishing_from_report reads each domain once; both equal the separate
+    passes they replaced, on zero-gap sums of shifted B_m and on the census
+    cases above."""
+    s, ia, ib = case
+    z, report = separated_zero_count(s, s.knots[ia], s.knots[ib])
+    assert z == report.component_count == reference_component_count(report)
+    assert tuple(vanishing_from_report(s.degree, report)) == \
+        reference_vanishing(s.degree, report)
+
+
+def test_zero_gap_census_examples():
+    """B_1 at 0 and -B_1 at 3 on [0, 5]: the zero knots 2 and 3 chain
+    through the zero domain [2, 3], so Z = 3 (0, [2, 3] and 5); on the
+    sub-window [2, 3] the one component is the whole window, which meets
+    Corollary 10's hypotheses and vanishes."""
+    b = cardinal_bspline(1)
+    pieces = [ZERO, b.pieces[1], b.pieces[2], ZERO,
+              -b.pieces[1].taylor_shift(-3), -b.pieces[2].taylor_shift(-3), ZERO]
+    s = Spline(1, range(6), pieces)
+    z, report = separated_zero_count(s, 0, 5)
+    assert z == 3 == reference_component_count(report)
+    assert report.knot_value_zero == (True, False, True, True, False, True)
+    z, report = separated_zero_count(s, 2, 3)
+    assert z == 1
+    assert tuple(vanishing_from_report(1, report)) == (True, True, True, True)
 
 
 def test_census_evaluates_no_piece(monkeypatch):
